@@ -12,6 +12,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from . import geometry, realize, relations
@@ -37,6 +38,11 @@ class _Context:
         )
         idx = index(self.scenario)
         self.crossed_leaves = sorted(leaf for leaf, orbs in idx.leaf_orbits.items() if orbs)
+
+    @cached_property
+    def crossing_points(self):
+        """The geometric oracle's crossings, found once per case on first use."""
+        return geometry.crossing_points(self.routed)
 
 
 def _verdict_pairs(s: Scenario, leaf: str):
@@ -178,7 +184,7 @@ def prop_crossing_minimality(ctx: _Context) -> list[str]:
 def prop_oracle_agreement(ctx: _Context) -> list[str]:
     if ctx.routed is None:
         return []
-    exact = geometry.exact_crossings(ctx.routed, ctx.layout)
+    exact = geometry.tally_crossings(ctx.routed, ctx.crossing_points, ctx.layout)
     bad = []
     if exact.as_dict() != ctx.crossings.as_dict():
         bad.append("geometric crossing counts differ from the inversion counts")
@@ -215,7 +221,7 @@ def prop_embedding(ctx: _Context) -> list[str]:
     if ctx.routed is None:
         return []
     bad = []
-    for a, b, point in geometry.crossing_points(ctx.routed):
+    for a, b, point in ctx.crossing_points:
         if not any(box.contains_interior(point) for box in ctx.layout.boxes.values()):
             bad.append(f"crossing of {a},{b} lies outside every box")
     for poly in ctx.routed.polylines:

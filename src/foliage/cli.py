@@ -219,13 +219,16 @@ def _config(args) -> GeneratorConfig:
         bias = Fraction(args.weak_bias)
     except (ValueError, ZeroDivisionError) as exc:
         raise SystemExit(_usage_error(f"invalid weak bias {args.weak_bias!r}")) from exc
-    return GeneratorConfig(
-        seed=_seed(args),
-        max_domains=args.max_domains,
-        max_orbits=args.max_orbits,
-        max_boundary=args.max_boundary,
-        weak_bias=bias,
-    )
+    try:
+        return GeneratorConfig(
+            seed=_seed(args),
+            max_domains=args.max_domains,
+            max_orbits=args.max_orbits,
+            max_boundary=args.max_boundary,
+            weak_bias=bias,
+        )
+    except FoliageError as exc:
+        raise SystemExit(_usage_error(str(exc))) from exc
 
 
 def _cmd_generate(args) -> int:
@@ -235,7 +238,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    report = run_check(_config(args), args.cases)
+    cfg = _config(args)
+    if args.cases < 1:
+        return _usage_error("--cases must be at least 1")
+    report = run_check(cfg, args.cases)
     if args.json:
         sys.stdout.write(report.render_json())
     else:

@@ -9,8 +9,7 @@ Skeleton domains crossed by no orbit are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .model import FoliageError, Scenario, _UnionFind, index, require_valid
@@ -68,22 +67,29 @@ class ReducedStructure:
     critical: frozenset[str]
     forest_edges: tuple[tuple[str, str, str], ...]
     roles: tuple[tuple[str, Roles], ...]
+    _maxdomain_by_id: dict[str, MaxDomain] = field(init=False, compare=False, repr=False)
+    _roles_by_id: dict[str, Roles] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_maxdomain_by_id", {m.id: m for m in self.maxdomains})
+        object.__setattr__(self, "_roles_by_id", dict(self.roles))
 
     def maxdomain(self, mid: str) -> MaxDomain:
-        for m in self.maxdomains:
-            if m.id == mid:
-                return m
-        raise FoliageError(f"unknown maximal domain {mid!r}")
+        return _by_maxdomain(self._maxdomain_by_id, mid)
 
     def roles_of(self, mid: str) -> Roles:
-        for key, roles in self.roles:
-            if key == mid:
-                return roles
-        raise FoliageError(f"unknown maximal domain {mid!r}")
+        return _by_maxdomain(self._roles_by_id, mid)
 
     def membership(self) -> dict[str, str]:
         """Map each surviving skeleton domain to its maximal domain id."""
         return {d: m.id for m in self.maxdomains for d in m.chain}
+
+
+def _by_maxdomain(table: dict, mid: str):
+    try:
+        return table[mid]
+    except KeyError:
+        raise FoliageError(f"unknown maximal domain {mid!r}") from None
 
 
 def crossed_set(s: Scenario, orbit_id: str) -> CrossedSet:
@@ -97,18 +103,17 @@ def crossed_set(s: Scenario, orbit_id: str) -> CrossedSet:
 def common_subpath(s: Scenario, a: str, b: str) -> Optional[CommonSubpath]:
     """Shared domain run of two orbits, or None when they are separated."""
     idx = index(s)
-    oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
-    shared = set(oa.domains) & set(ob.domains)
+    pos_a, pos_b = idx.domain_pos[a], idx.domain_pos[b]
+    shared = pos_a.keys() & pos_b.keys()
     if not shared:
         return None
-    run_a = [d for d in oa.domains if d in shared]
-    run_b = [d for d in ob.domains if d in shared]
-    # Paths of a forest meet in one contiguous run traversed the same way.
-    pos_a = {d: i for i, d in enumerate(oa.domains)}
-    pos_b = {d: i for i, d in enumerate(ob.domains)}
+    run_a = sorted(shared, key=pos_a.__getitem__)
+    run_b = sorted(shared, key=pos_b.__getitem__)
+    # Paths of a forest meet in one contiguous run traversed the same way;
+    # consecutive domains sit two path positions apart.
     start_a, start_b = pos_a[run_a[0]], pos_b[run_b[0]]
-    if run_a != run_b or any(pos_a[d] != start_a + k for k, d in enumerate(run_a)) or any(
-        pos_b[d] != start_b + k for k, d in enumerate(run_b)
+    if run_a != run_b or any(pos_a[d] != start_a + 2 * k for k, d in enumerate(run_a)) or any(
+        pos_b[d] != start_b + 2 * k for k, d in enumerate(run_b)
     ):
         raise FoliageError(f"orbits {a!r} and {b!r} share a non-contiguous domain set")
     return CommonSubpath(first=run_a[0], last=run_a[-1], chain=tuple(run_a))
@@ -120,9 +125,17 @@ def _mergeable(idx, edge: tuple[str, str, str]) -> bool:
     return bool(orbs) and orbs == idx.domain_orbits[a] == idx.domain_orbits[b]
 
 
-@lru_cache(maxsize=256)
 def reduce_scenario(s: Scenario) -> ReducedStructure:
-    """Partition the crossed skeleton into maximal domains and critical leaves."""
+    """Partition the crossed skeleton into maximal domains and critical leaves.
+
+    Computed on first use and kept on ``s``.
+    """
+    if s._reduced is None:
+        object.__setattr__(s, "_reduced", _reduce(s))
+    return s._reduced
+
+
+def _reduce(s: Scenario) -> ReducedStructure:
     require_valid(s)
     idx = index(s)
     crossed = [d for d in s.domains if idx.domain_orbits[d.id]]

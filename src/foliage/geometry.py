@@ -375,9 +375,16 @@ def crossing_points(p: PolylineSet) -> tuple[tuple[str, str, Point], ...]:
 
 def exact_crossings(p: PolylineSet, lay: Optional[Layout] = None) -> CrossingMatrix:
     """Count pairwise crossings from the geometry alone."""
+    return tally_crossings(p, crossing_points(p), lay)
+
+
+def tally_crossings(
+    p: PolylineSet, found: tuple[tuple[str, str, Point], ...], lay: Optional[Layout] = None
+) -> CrossingMatrix:
+    """Count the crossings ``found`` in ``p``; the witness is the box holding the first."""
     counts: dict[tuple[str, str], int] = {}
     witnesses: dict[tuple[str, str], Optional[str]] = {}
-    for a, b, point in crossing_points(p):
+    for a, b, point in found:
         key = (min(a, b), max(a, b))
         counts[key] = counts.get(key, 0) + 1
         if key not in witnesses:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
+
+if TYPE_CHECKING:
+    from .decompose import ReducedStructure
 
 
 class FoliageError(Exception):
@@ -89,9 +91,18 @@ class Orbit:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A skeleton forest and its orbits.
+
+    Hash and equality use ``domains`` and ``orbits`` only.  The private
+    fields hold what is derived from them, set once per object by
+    :func:`validate`, :func:`index` and ``decompose.reduce_scenario``.
+    """
+
     domains: tuple[SkeletonDomain, ...]
     orbits: tuple[Orbit, ...]
     _valid: bool = field(default=False, init=False, compare=False, repr=False)
+    _index: Optional[ScenarioIndex] = field(default=None, init=False, compare=False, repr=False)
+    _reduced: Optional[ReducedStructure] = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -135,15 +146,24 @@ def _int_field(obj: dict, key: str, what: str) -> int:
     return raw
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ScenarioParseError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario document.
 
-    Performs structural checks only (well-formed JSON, known fields, unique
-    ids, resolvable path references); the semantic invariants are the job
-    of :func:`validate`.
+    Performs structural checks only (well-formed JSON without repeated
+    keys, known fields, unique ids, resolvable path references); the
+    semantic invariants are the job of :func:`validate`.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"syntax error: {exc.msg}", exc.lineno, exc.colno) from exc
     _require(isinstance(doc, dict), "top level must be an object")
@@ -350,7 +370,6 @@ class ScenarioIndex:
 
     def __init__(self, s: Scenario):
         require_valid(s)
-        self.scenario = s
         self.domain_by_id = {d.id: d for d in s.domains}
         self.orbit_by_id = {o.id: o for o in s.orbits}
         self.left_owner = {leaf: d.id for d in s.domains for leaf in d.left}
@@ -377,9 +396,11 @@ class ScenarioIndex:
         return self.leaf_orbits.get(leaf, frozenset())
 
 
-@lru_cache(maxsize=256)
 def index(s: Scenario) -> ScenarioIndex:
-    return ScenarioIndex(s)
+    """The scenario's lookup tables, built on first use and kept on ``s``."""
+    if s._index is None:
+        object.__setattr__(s, "_index", ScenarioIndex(s))
+    return s._index
 
 
 FIXTURE_NAMES = ("S0", "S1", "S2", "S3", "S4")

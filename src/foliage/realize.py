@@ -15,10 +15,10 @@ outer face of the box-and-corridor embedding of the reduced forest.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .decompose import MaxDomain, ReducedStructure, reduce_scenario
+from .decompose import MaxDomain, ReducedStructure
 from .model import FoliageError, Scenario, index
 from .relations import (
     Direction,
@@ -56,20 +56,21 @@ class CrossingMatrix:
 
     orbits: tuple[str, ...]
     entries: tuple[PairEntry, ...]
+    _by_pair: dict[tuple[str, str], PairEntry] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_pair", {(e.a, e.b): e for e in self.entries})
+
+    def _entry(self, a: str, b: str) -> Optional[PairEntry]:
+        return self._by_pair.get((min(a, b), max(a, b)))
 
     def count(self, a: str, b: str) -> int:
-        a, b = min(a, b), max(a, b)
-        for e in self.entries:
-            if (e.a, e.b) == (a, b):
-                return e.count
-        return 0
+        e = self._entry(a, b)
+        return e.count if e is not None else 0
 
     def witness(self, a: str, b: str) -> Optional[str]:
-        a, b = min(a, b), max(a, b)
-        for e in self.entries:
-            if (e.a, e.b) == (a, b):
-                return e.witness
-        return None
+        e = self._entry(a, b)
+        return e.witness if e is not None else None
 
     def as_dict(self) -> dict[tuple[str, str], int]:
         return {(e.a, e.b): e.count for e in self.entries}
@@ -268,30 +269,37 @@ def boundary_order(s: Scenario, r: ReducedStructure) -> BoundaryOrder:
     if not r.maxdomains:
         raise FoliageError("boundary order requires a non-empty forest")
     plans = all_port_plans(s, r)
-    cycles = {m.id: box_cycle(s, r.maxdomain(m.id), plans[m.id]) for m in r.maxdomains}
+    cycles = {m.id: box_cycle(s, m, plans[m.id]) for m in r.maxdomains}
     other_end: dict[tuple[str, str], str] = {}
     for a, leaf, b in r.forest_edges:
         other_end[(a, leaf)] = b
         other_end[(b, leaf)] = a
 
-    ends: list[tuple[str, str]] = []
-
-    def walk(mid: str, entry_leaf: Optional[str]) -> None:
+    def items(mid: str, entry_leaf: Optional[str]):
+        """The box's attachments in walk order, after the one it was entered by."""
         cyc = cycles[mid]
         if entry_leaf is None:
             start, steps = 0, len(cyc)
         else:
             start = cyc.index(("edge", entry_leaf)) + 1
             steps = len(cyc) - 1
-        for k in range(steps):
-            item = cyc[(start + k) % len(cyc)]
-            if item[0] == "end":
+        return (cyc[(start + k) % len(cyc)] for k in range(steps))
+
+    # Depth-first through the corridors with an explicit stack, so that
+    # forests of any depth are walked.
+    ends: list[tuple[str, str]] = []
+    for comp in forest_components(r):
+        stack = [(comp[0], items(comp[0], None))]
+        while stack:
+            mid, pending = stack[-1]
+            item = next(pending, None)
+            if item is None:
+                stack.pop()
+            elif item[0] == "end":
                 ends.append((item[1], item[2]))
             else:
-                walk(other_end[(mid, item[1])], item[1])
-
-    for comp in forest_components(r):
-        walk(comp[0], None)
+                nxt = other_end[(mid, item[1])]
+                stack.append((nxt, items(nxt, item[1])))
     return BoundaryOrder(ends=tuple(ends))
 
 
@@ -322,9 +330,3 @@ def weak_matrix(s: Scenario) -> CrossingMatrix:
             if weak_transverse(s, a, b):
                 entries.append(PairEntry(a, b, 1, None))
     return CrossingMatrix(orbits=orbits, entries=tuple(entries))
-
-
-def realize(s: Scenario) -> tuple[ReducedStructure, CrossingMatrix, BoundaryOrder]:
-    """Convenience bundle used by the CLI and the check suite."""
-    r = reduce_scenario(s)
-    return r, crossing_matrix(s, r), boundary_order(s, r)

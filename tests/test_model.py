@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foliage import decompose, model, realize, relations
 from foliage.model import (
     FIXTURE_NAMES,
     Orbit,
@@ -52,6 +53,12 @@ def test_parse_duplicate_id():
     doc["domains"].append(dict(doc["domains"][0]))
     with pytest.raises(ScenarioParseError, match="duplicate id"):
         parse_scenario(json.dumps(doc))
+
+
+def test_parse_duplicate_key():
+    text = fixture_text("S0").replace('"exit_cut": 0,', '"exit_cut": 0, "exit_cut": 1,')
+    with pytest.raises(ScenarioParseError, match="duplicate key 'exit_cut'"):
+        parse_scenario(text)
 
 
 def test_parse_unknown_field():
@@ -149,3 +156,27 @@ def test_every_derived_edge_has_one_left_and_one_right_owner():
     for a, leaf, b in derived_edges(s):
         assert lefts[leaf] == a
         assert rights[leaf] == b
+
+
+def test_derived_structures_are_not_cached_by_scenario_hash():
+    assert not hasattr(model.index, "cache_info")
+    assert not hasattr(decompose.reduce_scenario, "cache_info")
+
+
+def test_equal_scenarios_each_get_their_own_index_and_the_same_results():
+    warm, cold = fixture("S2"), parse_scenario(fixture_text("S2"))
+    assert warm == cold and hash(warm) == hash(cold) and warm is not cold
+    assert model.index(warm) is model.index(warm)
+    assert model.index(cold) is not model.index(warm)
+    assert decompose.reduce_scenario(cold) is not decompose.reduce_scenario(warm)
+
+    def results(s):
+        r = decompose.reduce_scenario(s)
+        pairs = [
+            (str(relations.compare_left(s, a.id, b.id)), str(relations.compare_right(s, a.id, b.id)))
+            for a in s.orbits
+            for b in s.orbits
+        ]
+        return pairs, realize.crossing_matrix(s, r), realize.boundary_order(s, r), realize.weak_matrix(s)
+
+    assert results(warm) == results(cold)

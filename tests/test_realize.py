@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from foliage.decompose import reduce_scenario
 from foliage.generator import GeneratorConfig, generate_scenario
-from foliage.model import fixture, index
+from foliage.model import Orbit, Scenario, SkeletonDomain, fixture, index
 from foliage.realize import (
     BACKWARD,
     FORWARD,
@@ -175,3 +177,47 @@ def test_boundary_order_has_one_end_pair_per_orbit():
         for o in s.orbits:
             assert b.ends.count((o.id, BACKWARD)) == 1
             assert b.ends.count((o.id, FORWARD)) == 1
+
+
+def _chain(k):
+    """k domains in a line, one orbit per link and one through all of them.
+
+    Each link leaf is crossed by its own orbit and the through orbit, so it
+    is critical and the reduced forest is a path of k maximal domains.  Link
+    positions alternate by parity, so that some pairs cross.
+    """
+
+    def side(i, link, free):
+        if link is None:
+            return (free,)
+        return (free, link) if i % 2 == 0 else (link, free)
+
+    domains = tuple(
+        SkeletonDomain(
+            id=f"D{i}",
+            left=side(i, f"L{i + 1}" if i + 1 < k else None, f"x{i}"),
+            right=side(i, f"L{i}" if i else None, f"y{i}"),
+        )
+        for i in range(k)
+    )
+    paths = [(f"D{i - 1}", f"L{i}", f"D{i}") for i in range(1, k)]
+    paths.append(tuple(name for i in range(k) for name in ((f"L{i}",) if i else ()) + (f"D{i}",)))
+    orbits = tuple(
+        Orbit(id=f"O{n}", path=path, entry_cut=1, exit_cut=1, tie_rank=n) for n, path in enumerate(paths)
+    )
+    return Scenario(domains=domains, orbits=orbits)
+
+
+def test_boundary_order_walks_a_1200_deep_forest():
+    s = _chain(1200)
+    r = reduce_scenario(s)
+    assert len(r.forest_edges) == 1199
+    counts = Counter(boundary_order(s, r).ends)
+    assert counts == Counter({(o.id, kind): 1 for o in s.orbits for kind in (BACKWARD, FORWARD)})
+
+
+def test_crossing_matrix_equals_weak_matrix_on_a_400_chain():
+    s = _chain(400)
+    crossings = crossing_matrix(s, reduce_scenario(s))
+    assert crossings.entries
+    assert crossings.as_dict() == weak_matrix(s).as_dict()
