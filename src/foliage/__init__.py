@@ -42,6 +42,7 @@ from .relations import (
     minus_asymptotic,
     plus_asymptotic,
     standard_order,
+    weak_from_verdicts,
     weak_transverse,
 )
 from .realize import (

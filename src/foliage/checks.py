@@ -29,9 +29,11 @@ class _Context:
     def __post_init__(self):
         self.reduced = reduce_scenario(self.scenario)
         self.plans = realize.all_port_plans(self.scenario, self.reduced)
-        self.crossings = realize.crossing_matrix(self.scenario, self.reduced)
+        self.crossings = realize.crossing_matrix(self.scenario, self.reduced, self.plans)
         self.weak = realize.weak_matrix(self.scenario)
-        self.boundary = realize.boundary_order(self.scenario, self.reduced) if self.reduced.maxdomains else None
+        self.boundary = (
+            realize.boundary_order(self.scenario, self.reduced, self.plans) if self.reduced.maxdomains else None
+        )
         self.layout = geometry.layout(self.scenario, self.reduced, self.plans) if self.reduced.maxdomains else None
         self.routed = (
             geometry.route(self.scenario, self.reduced, self.layout) if self.layout is not None else None

@@ -9,6 +9,7 @@ FOLIAGE_SEED overrides --seed where one is accepted.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -122,7 +123,7 @@ def _cmd_decompose(args) -> int:
 def _pair_line(s: Scenario, a: str, b: str) -> str:
     left = relations.compare_left(s, a, b)
     right = relations.compare_right(s, a, b)
-    weak = relations.weak_transverse(s, a, b)
+    weak = relations.weak_from_verdicts(left, right)
     return f"L: {left}; R: {right}; weak: {str(weak).lower()}"
 
 
@@ -138,14 +139,16 @@ def _cmd_relations(args) -> int:
         return 0
     rows = []
     for a, b in itertools.combinations(ids, 2):
+        left = relations.compare_left(s, a, b)
+        right = relations.compare_right(s, a, b)
         rows.append(
             {
                 "pair": [a, b],
-                "left": str(relations.compare_left(s, a, b)),
-                "right": str(relations.compare_right(s, a, b)),
+                "left": str(left),
+                "right": str(right),
                 "forward_asymptotic": relations.plus_asymptotic(s, a, b),
                 "backward_asymptotic": relations.minus_asymptotic(s, a, b),
-                "weak": relations.weak_transverse(s, a, b),
+                "weak": relations.weak_from_verdicts(left, right),
                 "classic": relations.classic_transverse(s, a, b),
             }
         )
@@ -167,19 +170,18 @@ def _cmd_diagram(args) -> int:
     _require_valid(s)
     r = reduce_scenario(s)
     plans = realize.all_port_plans(s, r)
-    matrix = realize.crossing_matrix(s, r)
-    order = realize.boundary_order(s, r) if r.maxdomains else None
-    if args.svg or args.chord:
+    matrix = realize.crossing_matrix(s, r, plans)
+    order = realize.boundary_order(s, r, plans) if r.maxdomains else None
+    if args.svg:
         lay = geometry.layout(s, r, plans)
         routed = geometry.route(s, r, lay)
-        if args.svg:
-            with open(args.svg, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(geometry.emit_svg(lay, routed, roles=r))
-        if args.chord:
-            if order is None:
-                return _usage_error("chord diagram requires at least one orbit")
-            with open(args.chord, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(geometry.emit_chord_svg(geometry.chord_diagram(order)))
+        with open(args.svg, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(geometry.emit_svg(lay, routed, roles=r))
+    if args.chord:
+        if order is None:
+            return _usage_error("chord diagram requires at least one orbit")
+        with open(args.chord, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(geometry.emit_chord_svg(geometry.chord_diagram(order)))
     ids = sorted(o.id for o in s.orbits)
     if args.format == "matrix":
         if args.json:
@@ -300,10 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

@@ -101,8 +101,18 @@ def crossed_set(s: Scenario, orbit_id: str) -> CrossedSet:
 
 
 def common_subpath(s: Scenario, a: str, b: str) -> Optional[CommonSubpath]:
-    """Shared domain run of two orbits, or None when they are separated."""
+    """Shared domain run of two orbits, or None when they are separated.
+
+    Computed once per ordered pair and kept on the scenario's index; a pair
+    that raises is not kept, so it raises again on every call.
+    """
     idx = index(s)
+    if (a, b) not in idx.subpaths:
+        idx.subpaths[(a, b)] = _common_subpath(idx, a, b)
+    return idx.subpaths[(a, b)]
+
+
+def _common_subpath(idx, a: str, b: str) -> Optional[CommonSubpath]:
     pos_a, pos_b = idx.domain_pos[a], idx.domain_pos[b]
     shared = pos_a.keys() & pos_b.keys()
     if not shared:

@@ -106,12 +106,16 @@ class Polyline:
 @dataclass(frozen=True)
 class PolylineSet:
     polylines: tuple[Polyline, ...]
+    _by_orbit: dict[str, Polyline] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_orbit", {p.orbit: p for p in self.polylines})
 
     def by_orbit(self, orbit: str) -> Polyline:
-        for p in self.polylines:
-            if p.orbit == orbit:
-                return p
-        raise FoliageError(f"no polyline for orbit {orbit!r}")
+        try:
+            return self._by_orbit[orbit]
+        except KeyError:
+            raise FoliageError(f"no polyline for orbit {orbit!r}") from None
 
 
 @dataclass

@@ -19,7 +19,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:
-    from .decompose import ReducedStructure
+    from .decompose import CommonSubpath, ReducedStructure
 
 
 class FoliageError(Exception):
@@ -391,6 +391,8 @@ class ScenarioIndex:
                     leaf_acc.setdefault(name, set()).add(o.id)
         self.domain_orbits = {k: frozenset(v) for k, v in dom_acc.items()}
         self.leaf_orbits = {k: frozenset(v) for k, v in leaf_acc.items()}
+        # Filled by ``decompose.common_subpath``, keyed by the ordered pair.
+        self.subpaths: dict[tuple[str, str], Optional[CommonSubpath]] = {}
 
     def orbits_crossing(self, leaf: str) -> frozenset[str]:
         return self.leaf_orbits.get(leaf, frozenset())

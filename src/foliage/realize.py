@@ -159,9 +159,11 @@ def exit_items(s: Scenario, m: MaxDomain, plan: PortPlan) -> tuple[SideItem, ...
     return _side_items(plan.exit_seq, lambda o: exit_group(s, m, o))
 
 
-def crossing_matrix(s: Scenario, r: ReducedStructure) -> CrossingMatrix:
+def crossing_matrix(
+    s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]] = None
+) -> CrossingMatrix:
     """Sum, over maximal domains, the entry/exit order inversions per pair."""
-    plans = all_port_plans(s, r)
+    plans = plans if plans is not None else all_port_plans(s, r)
     counts: dict[tuple[str, str], int] = {}
     witnesses: dict[tuple[str, str], str] = {}
     for m in r.maxdomains:
@@ -264,11 +266,13 @@ def forest_components(r: ReducedStructure) -> tuple[tuple[str, ...], ...]:
     return tuple(comps)
 
 
-def boundary_order(s: Scenario, r: ReducedStructure) -> BoundaryOrder:
+def boundary_order(
+    s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]] = None
+) -> BoundaryOrder:
     """Outer-face walk of the box embedding, trees concatenated by root id."""
     if not r.maxdomains:
         raise FoliageError("boundary order requires a non-empty forest")
-    plans = all_port_plans(s, r)
+    plans = plans if plans is not None else all_port_plans(s, r)
     cycles = {m.id: box_cycle(s, m, plans[m.id]) for m in r.maxdomains}
     other_end: dict[tuple[str, str], str] = {}
     for a, leaf, b in r.forest_edges:
@@ -304,7 +308,10 @@ def boundary_order(s: Scenario, r: ReducedStructure) -> BoundaryOrder:
 
 
 def ends_interleave(b: BoundaryOrder, a: str, c: str) -> bool:
-    """True when the two ends of one orbit separate the two ends of the other."""
+    """True when the two ends of one orbit separate the two ends of the other.
+
+    The pairwise definition, kept as the oracle for ``interleaving_matrix``.
+    """
     positions = {end: i for i, end in enumerate(b.ends)}
     pa = sorted((positions[(a, BACKWARD)], positions[(a, FORWARD)]))
     inside = [p for p in (positions[(c, BACKWARD)], positions[(c, FORWARD)]) if pa[0] < p < pa[1]]
@@ -312,11 +319,16 @@ def ends_interleave(b: BoundaryOrder, a: str, c: str) -> bool:
 
 
 def interleaving_matrix(b: BoundaryOrder) -> CrossingMatrix:
+    """Pairs whose chords cross: exactly one end of one lies inside the other's span."""
+    positions = {end: i for i, end in enumerate(b.ends)}
     orbits = tuple(sorted({orbit for orbit, _kind in b.ends}))
+    ends = {o: (positions[(o, BACKWARD)], positions[(o, FORWARD)]) for o in orbits}
     entries = []
     for i, a in enumerate(orbits):
+        lo, hi = sorted(ends[a])
         for c in orbits[i + 1 :]:
-            if ends_interleave(b, a, c):
+            back, fwd = ends[c]
+            if (lo < back < hi) != (lo < fwd < hi):
                 entries.append(PairEntry(a, c, 1, None))
     return CrossingMatrix(orbits=orbits, entries=tuple(entries))
 

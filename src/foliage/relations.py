@@ -164,13 +164,14 @@ def compare_right(s: Scenario, a: str, b: str) -> RelationVerdict:
     return RelationVerdict(Direction.EQUIVALENT, Clause.R4)
 
 
+def weak_from_verdicts(left: RelationVerdict, right: RelationVerdict) -> bool:
+    """Weak transversality from a pair's left and right verdicts."""
+    return left.strict and right.strict and left.direction != right.direction
+
+
 def weak_transverse(s: Scenario, a: str, b: str) -> bool:
     """Strictly and oppositely ordered by the two sided comparisons."""
-    if a == b:
-        return False
-    left = compare_left(s, a, b)
-    right = compare_right(s, a, b)
-    return left.strict and right.strict and left.direction != right.direction
+    return weak_from_verdicts(compare_left(s, a, b), compare_right(s, a, b))
 
 
 def classic_transverse(s: Scenario, a: str, b: str) -> bool:

@@ -67,3 +67,19 @@ def test_shrink_keeps_scenarios_valid():
     # Domain deletion may orphan every orbit; one domain always survives.
     assert len(small.domains) == 1
     assert len(small.orbits) == 0
+
+
+def test_context_builds_port_plans_once(monkeypatch):
+    from foliage import realize
+
+    calls = []
+    plans = realize.all_port_plans
+
+    def counting(s, r):
+        calls.append(s)
+        return plans(s, r)
+
+    monkeypatch.setattr(realize, "all_port_plans", counting)
+    ctx = _Context(fixture("S2"))
+    assert ctx.boundary is not None and ctx.layout is not None
+    assert len(calls) == 1

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from foliage import model
-from foliage.cli import main
-from foliage.model import fixture_text
+from foliage import model, realize
+from foliage.cli import _parser, main
+from foliage.model import emit_scenario, fixture_text
+from test_realize import _chain
 
 
 @pytest.fixture
@@ -195,3 +196,57 @@ def test_check_harness_detects_a_corrupted_property(capsys):
     assert not report.ok
     assert report.failures[0].seed >= 1
     assert "minimal failing scenario" in report.render_text()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--format", "matrix"],
+        ["--format", "boundary", "--json"],
+        ["--format", "boundary", "--chord", "{tmp}/c.svg", "--svg", "{tmp}/d.svg"],
+    ],
+)
+def test_diagram_builds_port_plans_once(s2_path, tmp_path, capsys, monkeypatch, flags):
+    calls = []
+    plans = realize.all_port_plans
+
+    def counting(s, r):
+        calls.append(s)
+        return plans(s, r)
+
+    monkeypatch.setattr(realize, "all_port_plans", counting)
+    assert main(["diagram", s2_path] + [f.format(tmp=tmp_path) for f in flags]) == 0
+    assert len(calls) == 1
+
+
+def test_repeated_main_calls_match_fresh_ones(s2_path, capsys):
+    runs = [["relations", s2_path, "--pair", "O1", "O3"], ["relations", s2_path, "--json"]]
+    fresh = []
+    for argv in runs:
+        _parser.cache_clear()
+        assert main(argv) == 0
+        fresh.append(capsys.readouterr())
+    _parser.cache_clear()
+    assert [main(argv) for argv in runs] == [0, 0]
+    assert _parser.cache_info().misses == 1  # one parser served both calls
+    out = capsys.readouterr()
+    assert out.out == "".join(f.out for f in fresh)
+    assert out.err == "".join(f.err for f in fresh) == ""
+
+
+def test_chord_on_a_1200_deep_chain_skips_the_layout(tmp_path, capsys):
+    s = _chain(1200)
+    path, chord = tmp_path / "chain.json", tmp_path / "chord.svg"
+    path.write_text(emit_scenario(s), encoding="utf-8")
+    assert main(["diagram", str(path), "--format", "boundary", "--chord", str(chord)]) == 0
+    svg = chord.read_text(encoding="utf-8")
+    for o in s.orbits:
+        assert svg.count(f">{o.id}-</text>") == 1
+        assert svg.count(f">{o.id}+</text>") == 1
+
+
+def test_chord_without_orbits_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"domains": [{"id": "D", "left": [], "right": []}], "orbits": []}', encoding="utf-8")
+    assert main(["diagram", str(path), "--chord", str(tmp_path / "c.svg")]) == 2
+    assert "chord diagram requires at least one orbit" in capsys.readouterr().err

@@ -1,0 +1,70 @@
+"""Pinned bytes of the CLI's canonical outputs.
+
+Each case runs one command on a fixture (or on a 20-domain chain built in
+code) and compares the sha256 of what it prints, or of the chord SVG it
+writes, with a digest recorded before the all-pairs paths were optimised.
+A failure here means some output changed by at least one byte.
+"""
+
+import hashlib
+
+import pytest
+
+from foliage.cli import main
+from foliage.model import FIXTURE_NAMES, emit_scenario, fixture_text
+from test_realize import _chain
+
+COMMANDS = {
+    "relations": ["relations", "{file}", "--json"],
+    "matrix": ["diagram", "{file}", "--format", "matrix", "--json"],
+    "boundary": ["diagram", "{file}", "--format", "boundary", "--json"],
+    "chord": ["diagram", "{file}", "--format", "boundary", "--chord", "{chord}"],
+}
+
+DIGESTS = {
+    ("S0", "boundary"): "accda6da73c06f98edecd339d724d8eef930866361e61af3f731c8418e24e06b",
+    ("S0", "chord"): "ea739bb3757788822475e43be43c8e80324fcf2ac8a2674d806149b42bea2d2f",
+    ("S0", "matrix"): "b454b84e1bb0baa6beab3b020e4cfa218014024afd8694d3a2809ab3ca6cfafc",
+    ("S0", "relations"): "b454b84e1bb0baa6beab3b020e4cfa218014024afd8694d3a2809ab3ca6cfafc",
+    ("S1", "boundary"): "8a7ce2ff0b816af804392f850e372c371ef3fdd1c95f521e42c019568a8241bf",
+    ("S1", "chord"): "e2b4f5b4d450cac53fc4d475da86edf595fb545163262014c51b8400e694767f",
+    ("S1", "matrix"): "76f5572799c80fd3bc426a5dc55cfdfdb3d538a2a8d1bd439b14a5687acbc2b0",
+    ("S1", "relations"): "29a59e4046c5e68ddab37addff03a94ec803e4b3c2fb9cad6b2ad576abd22597",
+    ("S2", "boundary"): "41bb89909ade050341fec8304ba3d5cef77875837d7e37de68a7048d7bd996f6",
+    ("S2", "chord"): "65786e6ae2504f2e29ba1192e5f738349ff2e171f5203ac2379ca9303a3013e3",
+    ("S2", "matrix"): "812ffbd4ca28cceda9b174145ffaa808a3621c23b2028889e15736c348aa410e",
+    ("S2", "relations"): "bd9e6b024d8c1b879a139d3de5d86b64c62d96027c977f593958a53bf14956a0",
+    ("S3", "boundary"): "6c2614df9744d9ef91e0dfe007d505347e11f24ef9b100e846f7045fbc2f7579",
+    ("S3", "chord"): "525cf6e16df844e39b1491f322a927d525d47aa3030c12180ab9dc1b94754dd3",
+    ("S3", "matrix"): "dea8ba69a0de14f61866b63a4ffd2f9a88cb9679c7c1d236282aada43ba3a798",
+    ("S3", "relations"): "0fe88cba5301730b2d79f4a3bfd014a6439752d466470437dc4661b6cd636713",
+    ("S4", "boundary"): "accda6da73c06f98edecd339d724d8eef930866361e61af3f731c8418e24e06b",
+    ("S4", "chord"): "ea739bb3757788822475e43be43c8e80324fcf2ac8a2674d806149b42bea2d2f",
+    ("S4", "matrix"): "b454b84e1bb0baa6beab3b020e4cfa218014024afd8694d3a2809ab3ca6cfafc",
+    ("S4", "relations"): "b454b84e1bb0baa6beab3b020e4cfa218014024afd8694d3a2809ab3ca6cfafc",
+    ("chain20", "boundary"): "fb0df1fc74d4f18603190f0527f5f5c9d463f270fd2c71b3c51da72a2f46994b",
+    ("chain20", "chord"): "ca6aca709020907f9ccac71631c5f6da9e296bb0db4edbddf450d96d2fee36f7",
+    ("chain20", "matrix"): "ed4f889b64a5749d850ed992bdf5ca02aca689ac3fbe8376d0dc92e56dfb5ace",
+    ("chain20", "relations"): "318eac70d5eaad4ad40ac5d5730e0e498c49150747213de67d5801a8eb095b30",
+}
+
+
+def _scenario_text(name: str) -> str:
+    return emit_scenario(_chain(20)) if name == "chain20" else fixture_text(name)
+
+
+def _digest(tmp_path, capsys, name: str, command: str) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(_scenario_text(name), encoding="utf-8")
+    chord = tmp_path / "chord.svg"
+    argv = [arg.format(file=path, chord=chord) for arg in COMMANDS[command]]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    data = chord.read_bytes() if command == "chord" else out.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("chain20",))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_cli_output_bytes_are_pinned(tmp_path, capsys, name, command):
+    assert _digest(tmp_path, capsys, name, command) == DIGESTS[(name, command)]

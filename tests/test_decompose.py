@@ -8,7 +8,7 @@ from foliage.decompose import (
     domain_roles,
     reduce_scenario,
 )
-from foliage.model import FoliageError, fixture, index
+from foliage.model import FIXTURE_NAMES, FoliageError, fixture, index
 
 
 def test_crossed_set_s1():
@@ -56,6 +56,7 @@ def test_common_subpath_separated():
     )
     assert validate(s).ok
     assert common_subpath(s, "a", "b") is None
+    assert index(s).subpaths[("a", "b")] is None  # a separated pair is kept too
 
 
 def test_reduce_s4_merges_the_chain():
@@ -145,3 +146,26 @@ def test_common_subpath_is_symmetric():
         assert (ab is None) == (ba is None)
         if ab is not None:
             assert ab.chain == ba.chain
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_common_subpath_is_computed_once_per_pair(name):
+    s, fresh = fixture(name), fixture(name)
+    ids = sorted(o.id for o in s.orbits)
+    for a, b in itertools.permutations(ids, 2):
+        first = common_subpath(s, a, b)
+        assert common_subpath(s, a, b) is first
+        assert index(s).subpaths[(a, b)] is first
+        assert first == common_subpath(fresh, a, b)
+
+
+def test_non_contiguous_pair_raises_on_every_call(monkeypatch):
+    from test_realize import _chain
+
+    s = _chain(3)  # O0 crosses D0-D1, O2 runs D0-D1-D2
+    # No valid scenario has such a pair, so give O0 a gapped position map.
+    monkeypatch.setitem(index(s).domain_pos, "O0", {"D0": 0, "D2": 4})
+    for _ in range(2):
+        with pytest.raises(FoliageError, match="non-contiguous"):
+            common_subpath(s, "O0", "O2")
+    assert ("O0", "O2") not in index(s).subpaths

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from foliage.model import Orbit, Scenario, SkeletonDomain, fixture, index
 from foliage.realize import (
     BACKWARD,
     FORWARD,
+    BoundaryOrder,
     all_port_plans,
     boundary_order,
     crossing_matrix,
@@ -221,3 +223,23 @@ def test_crossing_matrix_equals_weak_matrix_on_a_400_chain():
     crossings = crossing_matrix(s, reduce_scenario(s))
     assert crossings.entries
     assert crossings.as_dict() == weak_matrix(s).as_dict()
+
+
+def _oracle_interleavings(b):
+    orbits = sorted({orbit for orbit, _kind in b.ends})
+    return {(a, c): 1 for a, c in itertools.combinations(orbits, 2) if ends_interleave(b, a, c)}
+
+
+def test_interleaving_matrix_equals_the_pairwise_oracle_on_every_arrangement():
+    ends = [(o, kind) for o in ("a", "b", "c") for kind in (BACKWARD, FORWARD)]
+    for arrangement in itertools.permutations(ends):
+        b = BoundaryOrder(ends=arrangement)
+        assert interleaving_matrix(b).as_dict() == _oracle_interleavings(b)
+
+
+def test_interleaving_matrix_equals_the_pairwise_oracle_on_a_60_chain():
+    s = _chain(60)
+    b = boundary_order(s, reduce_scenario(s))
+    matrix = interleaving_matrix(b)
+    assert matrix.entries
+    assert matrix.as_dict() == _oracle_interleavings(b)

@@ -24,6 +24,7 @@ from foliage.relations import (
     minus_asymptotic,
     plus_asymptotic,
     standard_order,
+    weak_from_verdicts,
     weak_transverse,
 )
 from foliage.decompose import reduce_scenario
@@ -359,3 +360,12 @@ def test_restriction_of_adaptive_to_exit_group_is_standard():
     std = standard_order(s, "m1").order
     group = [o for o in adapt if o in set(std)]
     assert group == list(std)
+
+
+@pytest.mark.parametrize("seed", range(1, 51))
+def test_weak_transverse_is_decided_by_the_two_verdicts(seed):
+    s = generate_scenario(GeneratorConfig(seed=seed))
+    ids = sorted(o.id for o in s.orbits)
+    for a, b in itertools.product(ids, repeat=2):
+        verdicts = compare_left(s, a, b), compare_right(s, a, b)
+        assert weak_transverse(s, a, b) == weak_from_verdicts(*verdicts)
