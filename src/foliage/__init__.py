@@ -13,6 +13,7 @@ from .model import (
     ScenarioParseError,
     SkeletonDomain,
     ValidationReport,
+    dumps,
     emit_scenario,
     fixture,
     fixture_text,
@@ -33,13 +34,16 @@ from .relations import (
     Clause,
     Direction,
     OrderedOrbitList,
+    PairRelations,
     RelationVerdict,
     TieRankError,
     adaptive_order,
+    classic_from_verdicts,
     classic_transverse,
     compare_left,
     compare_right,
     minus_asymptotic,
+    pair_relations,
     plus_asymptotic,
     standard_order,
     weak_from_verdicts,

@@ -9,7 +9,6 @@ every property, and shrinks failing scenarios by deterministic deletion
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -17,7 +16,7 @@ from typing import Callable, Iterable, Optional
 
 from . import geometry, realize, relations
 from .decompose import common_subpath, crossed_set, reduce_scenario
-from .model import Scenario, emit_scenario, index, parse_scenario, validate
+from .model import Scenario, dumps, emit_scenario, index, parse_scenario, validate
 from .generator import GeneratorConfig, generate_scenario
 from .relations import Direction
 
@@ -379,7 +378,7 @@ class CheckReport:
             ],
             "ok": self.ok,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return dumps(doc) + "\n"
 
 
 def _run_property(prop: Callable, s: Scenario) -> list[str]:
@@ -423,6 +422,19 @@ def shrink(s: Scenario, prop: Callable[[_Context], list[str]]) -> Scenario:
     return s
 
 
+# The ``prop`` of a failure raised while building a case's derived structures.
+CONTEXT = "context"
+
+
+def _raised(exc: Exception) -> str:
+    return f"raised {type(exc).__name__}: {exc}"
+
+
+def _nothing_to_report(_ctx: _Context) -> list[str]:
+    """Holds on every case, so ``shrink`` keeps only what makes ``_Context`` raise."""
+    return []
+
+
 def run_check(
     cfg: GeneratorConfig,
     n_cases: int,
@@ -438,9 +450,20 @@ def run_check(
     for i in range(n_cases):
         seed = cfg.seed + i
         scenario = generate_scenario(replace(cfg, seed=seed))
-        ctx = _Context(scenario)
+        try:
+            ctx = _Context(scenario)
+        except Exception as exc:
+            # No property can be checked on this case, so none of them passes.
+            for name in fails:
+                fails[name] += 1
+            small = shrink(scenario, _nothing_to_report)
+            failures.append(CaseFailure(seed=seed, prop=CONTEXT, detail=_raised(exc), shrunk=emit_scenario(small)))
+            continue
         for name, fn in props:
-            problems = fn(ctx)
+            try:
+                problems = fn(ctx)
+            except Exception as exc:
+                problems = [_raised(exc)]
             if problems:
                 fails[name] += 1
                 small = shrink(scenario, fn)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -24,6 +23,7 @@ from .model import (
     FoliageError,
     Scenario,
     ScenarioParseError,
+    dumps,
     emit_scenario,
     parse_scenario,
     validate,
@@ -60,7 +60,7 @@ def _cmd_validate(args) -> int:
     report = validate(s)
     if args.json:
         doc = {"findings": [{"code": f.code, "message": f.message} for f in report.findings]}
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(dumps(doc))
     else:
         for f in report.findings:
             print(f"finding: {f.code}: {f.message}")
@@ -98,7 +98,7 @@ def _cmd_decompose(args) -> int:
                 for mid, rr in r.roles
             },
         }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(dumps(doc))
         return 0
     print("maxdomains:")
     for m in r.maxdomains:
@@ -121,10 +121,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _pair_line(s: Scenario, a: str, b: str) -> str:
-    left = relations.compare_left(s, a, b)
-    right = relations.compare_right(s, a, b)
-    weak = relations.weak_from_verdicts(left, right)
-    return f"L: {left}; R: {right}; weak: {str(weak).lower()}"
+    p = relations.pair_relations(s, a, b)
+    weak = relations.weak_from_verdicts(p.left, p.right)
+    return f"L: {p.left}; R: {p.right}; weak: {str(weak).lower()}"
 
 
 def _cmd_relations(args) -> int:
@@ -139,21 +138,20 @@ def _cmd_relations(args) -> int:
         return 0
     rows = []
     for a, b in itertools.combinations(ids, 2):
-        left = relations.compare_left(s, a, b)
-        right = relations.compare_right(s, a, b)
+        p = relations.pair_relations(s, a, b)
         rows.append(
             {
                 "pair": [a, b],
-                "left": str(left),
-                "right": str(right),
-                "forward_asymptotic": relations.plus_asymptotic(s, a, b),
-                "backward_asymptotic": relations.minus_asymptotic(s, a, b),
-                "weak": relations.weak_from_verdicts(left, right),
-                "classic": relations.classic_transverse(s, a, b),
+                "left": str(p.left),
+                "right": str(p.right),
+                "forward_asymptotic": p.forward_asymptotic,
+                "backward_asymptotic": p.backward_asymptotic,
+                "weak": relations.weak_from_verdicts(p.left, p.right),
+                "classic": relations.classic_from_verdicts(p.left, p.right),
             }
         )
     if args.json:
-        print(json.dumps({"pairs": rows}, sort_keys=True, indent=2))
+        print(dumps({"pairs": rows}))
         return 0
     for row in rows:
         a, b = row["pair"]
@@ -191,7 +189,7 @@ def _cmd_diagram(args) -> int:
                     for a, b in itertools.combinations(ids, 2)
                 ]
             }
-            print(json.dumps(doc, sort_keys=True, indent=2))
+            print(dumps(doc))
         else:
             for a, b in itertools.combinations(ids, 2):
                 witness = matrix.witness(a, b)
@@ -200,7 +198,7 @@ def _cmd_diagram(args) -> int:
         if order is None:
             return _usage_error("boundary order requires at least one orbit")
         if args.json:
-            print(json.dumps({"ends": [list(e) for e in order.ends]}, sort_keys=True, indent=2))
+            print(dumps({"ends": [list(e) for e in order.ends]}))
         else:
             print(" ".join(f"({orbit},{kind})" for orbit, kind in order.ends))
     return 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:
@@ -241,7 +242,47 @@ def emit_scenario(s: Scenario) -> str:
             for o in s.orbits
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return dumps(doc, ensure_ascii=False) + "\n"
+
+
+def dumps(doc: object, ensure_ascii: bool = True) -> str:
+    """The canonical JSON text of ``doc``: sorted keys, two-space indent.
+
+    Equal to ``json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=ensure_ascii)``, which encodes in pure Python whenever an
+    indent is given.  Only the types the package's documents hold are
+    accepted: dicts with ``str`` keys, lists, tuples, ``str``, ``int``,
+    ``bool`` and ``None``; anything else raises ``TypeError``.  Each
+    container is joined once, so no list of single tokens is built.
+    """
+    encode = encode_basestring_ascii if ensure_ascii else encode_basestring
+
+    def text(o: object, indent: str) -> str:
+        if isinstance(o, str):
+            return encode(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        inner = indent + "  "
+        sep = "," + inner
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            # ``encode`` raises TypeError on a key that is not a str.
+            items = sep.join([encode(k) + ": " + text(v, inner) for k, v in sorted(o.items())])
+            return "{" + inner + items + indent + "}"
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            return "[" + inner + sep.join([text(v, inner) for v in o]) + indent + "]"
+        raise TypeError(f"cannot encode {type(o).__name__}")
+
+    return text(doc, "\n")
 
 
 class _UnionFind:
@@ -265,6 +306,11 @@ class _UnionFind:
         return True
 
 
+def _edges(left_owner: dict[str, str], right_owner: dict[str, str]) -> tuple[tuple[str, str, str], ...]:
+    """Triples (D, leaf, D') by leaf, from the owner of each left and right leaf."""
+    return tuple((left_owner[leaf], leaf, right_owner[leaf]) for leaf in sorted(left_owner.keys() & right_owner.keys()))
+
+
 def derived_edges(s: Scenario) -> tuple[tuple[str, str, str], ...]:
     """All triples (D, leaf, D') with leaf in left(D) and right(D')."""
     left_owner: dict[str, str] = {}
@@ -274,10 +320,7 @@ def derived_edges(s: Scenario) -> tuple[tuple[str, str, str], ...]:
             left_owner.setdefault(leaf, d.id)
         for leaf in d.right:
             right_owner.setdefault(leaf, d.id)
-    edges = []
-    for leaf in sorted(set(left_owner) & set(right_owner)):
-        edges.append((left_owner[leaf], leaf, right_owner[leaf]))
-    return tuple(edges)
+    return _edges(left_owner, right_owner)
 
 
 def validate(s: Scenario) -> ValidationReport:
@@ -312,10 +355,9 @@ def validate(s: Scenario) -> ValidationReport:
 
     # Derived edges must leave the undirected domain graph acyclic.
     uf = _UnionFind(d.id for d in s.domains)
-    edge_set: set[tuple[str, str, str]] = set()
-    for leaf in sorted(set(left_owner) & set(right_owner)):
-        a, b = left_owner[leaf], right_owner[leaf]
-        edge_set.add((a, leaf, b))
+    edges = _edges(left_owner, right_owner)
+    edge_set = set(edges)
+    for a, leaf, b in edges:
         if a == b or not uf.union(a, b):
             add("forest-violation", f"forest violation: leaf {leaf!r} closes a cycle through {a!r} and {b!r}")
 
@@ -372,9 +414,13 @@ class ScenarioIndex:
         require_valid(s)
         self.domain_by_id = {d.id: d for d in s.domains}
         self.orbit_by_id = {o.id: o for o in s.orbits}
+        # A valid scenario holds each leaf in at most one left and one right
+        # list, so one owner and one position per leaf and side suffice.
         self.left_owner = {leaf: d.id for d in s.domains for leaf in d.left}
         self.right_owner = {leaf: d.id for d in s.domains for leaf in d.right}
-        self.edges = derived_edges(s)
+        self.left_rank = {leaf: i for d in s.domains for i, leaf in enumerate(d.left)}
+        self.right_rank = {leaf: i for d in s.domains for i, leaf in enumerate(d.right)}
+        self.edges = _edges(self.left_owner, self.right_owner)
         self.edge_by_leaf = {leaf: (a, b) for a, leaf, b in self.edges}
         self.domain_orbits: dict[str, frozenset[str]] = {}
         self.leaf_orbits: dict[str, frozenset[str]] = {}

@@ -21,8 +21,8 @@ from typing import Optional
 from .decompose import MaxDomain, ReducedStructure
 from .model import FoliageError, Scenario, index
 from .relations import (
-    Direction,
     OrderedOrbitList,
+    _direction_cmp,
     adaptive_sorted,
     compare_left,
     compare_right,
@@ -187,13 +187,9 @@ def crossing_matrix(
 
 
 def _extension_cmp(s: Scenario, sided_compare, a: str, b: str) -> int:
-    v = sided_compare(s, a, b)
-    if v.direction is Direction.FIRST_LESS:
-        return -1
-    if v.direction is Direction.SECOND_LESS:
-        return 1
-    if v.direction is Direction.INCOMPARABLE:
-        raise FoliageError("orbits without a common subpath cannot be ordered")
+    got = _direction_cmp(sided_compare(s, a, b))
+    if got is not None:
+        return got
     idx = index(s)
     ra, rb = idx.orbit_by_id[a].tie_rank, idx.orbit_by_id[b].tie_rank
     if ra != rb:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .decompose import MaxDomain, ReducedStructure, common_subpath
+from .decompose import CommonSubpath, MaxDomain, ReducedStructure, common_subpath
 from .model import FoliageError, Orbit, Scenario, index
 
 
@@ -53,8 +53,12 @@ class RelationVerdict:
     def strict(self) -> bool:
         return self.direction in (Direction.FIRST_LESS, Direction.SECOND_LESS)
 
-    def __str__(self) -> str:
+    @functools.cached_property
+    def _text(self) -> str:
         return f"{self.direction.value}({self.clause.value})"
+
+    def __str__(self) -> str:
+        return self._text
 
 
 @dataclass(frozen=True)
@@ -67,13 +71,54 @@ class TieRankError(FoliageError):
     """Two fully equivalent orbits carry the same tie rank."""
 
 
+class PairRelations(NamedTuple):
+    """Both sided verdicts and both asymptotic flags of one ordered pair;
+    weak and classic transversality follow from the two verdicts."""
+
+    left: RelationVerdict
+    right: RelationVerdict
+    forward_asymptotic: bool
+    backward_asymptotic: bool
+
+
+class _SideVerdicts(NamedTuple):
+    """The verdicts one end can give; index k of a tuple is clause k + 1."""
+
+    first: tuple[RelationVerdict, ...]
+    second: tuple[RelationVerdict, ...]
+    equivalent: RelationVerdict
+
+
+def _side_verdicts(*clauses: Clause) -> _SideVerdicts:
+    return _SideVerdicts(
+        tuple(RelationVerdict(Direction.FIRST_LESS, c) for c in clauses),
+        tuple(RelationVerdict(Direction.SECOND_LESS, c) for c in clauses),
+        RelationVerdict(Direction.EQUIVALENT, clauses[-1]),
+    )
+
+
+# Verdicts are shared constants, so each one's text is formatted once.
+_LEFT = _side_verdicts(Clause.L1, Clause.L2, Clause.L3, Clause.L4)
+_RIGHT = _side_verdicts(Clause.R1, Clause.R2, Clause.R3, Clause.R4)
+_SAME = RelationVerdict(Direction.EQUIVALENT, Clause.ASYMPTOTIC)
+_DISJOINT = RelationVerdict(Direction.INCOMPARABLE, Clause.DISJOINT)
+
+
+def _same_end(oa: Orbit, ob: Orbit) -> bool:
+    return oa.omega == ob.omega and oa.exit_cut == ob.exit_cut
+
+
+def _same_start(oa: Orbit, ob: Orbit) -> bool:
+    return oa.alpha == ob.alpha and oa.entry_cut == ob.entry_cut
+
+
 def plus_asymptotic(s: Scenario, a: str, b: str) -> bool:
     """Forward equivalence: shared terminal domain with equal exit cuts."""
     idx = index(s)
     oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
     if a == b:
         return True
-    return common_subpath(s, a, b) is not None and oa.omega == ob.omega and oa.exit_cut == ob.exit_cut
+    return common_subpath(s, a, b) is not None and _same_end(oa, ob)
 
 
 def minus_asymptotic(s: Scenario, a: str, b: str) -> bool:
@@ -82,7 +127,7 @@ def minus_asymptotic(s: Scenario, a: str, b: str) -> bool:
     oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
     if a == b:
         return True
-    return common_subpath(s, a, b) is not None and oa.alpha == ob.alpha and oa.entry_cut == ob.entry_cut
+    return common_subpath(s, a, b) is not None and _same_start(oa, ob)
 
 
 def _continuation(idx, o: Orbit, shared_last: str) -> str | None:
@@ -100,68 +145,75 @@ def _entry(idx, o: Orbit, shared_first: str) -> str | None:
     return o.path[pos - 1]
 
 
+def _sided(
+    verdicts: _SideVerdicts, rank: dict[str, int], leaf_a: str | None, leaf_b: str | None, cut_a: int, cut_b: int
+) -> RelationVerdict:
+    """One end's verdict from the leaves the orbits cross past the shared
+    run there (None for an orbit that ends in it) and their terminal cuts."""
+    first, second = verdicts.first, verdicts.second
+    if leaf_a is not None and leaf_b is not None:
+        return first[0] if rank[leaf_a] < rank[leaf_b] else second[0]
+    if leaf_a is not None:
+        return first[1] if rank[leaf_a] < cut_b else second[2]
+    if leaf_b is not None:
+        return first[2] if rank[leaf_b] >= cut_a else second[1]
+    if cut_a < cut_b:
+        return first[3]
+    if cut_a > cut_b:
+        return second[3]
+    return verdicts.equivalent
+
+
+def _left_verdict(idx, cs: CommonSubpath, oa: Orbit, ob: Orbit) -> RelationVerdict:
+    leaf_a, leaf_b = _continuation(idx, oa, cs.last), _continuation(idx, ob, cs.last)
+    if leaf_a is not None and leaf_a == leaf_b:
+        raise FoliageError("common subpath ended before a shared crossing")
+    return _sided(_LEFT, idx.left_rank, leaf_a, leaf_b, oa.exit_cut, ob.exit_cut)
+
+
+def _right_verdict(idx, cs: CommonSubpath, oa: Orbit, ob: Orbit) -> RelationVerdict:
+    leaf_a, leaf_b = _entry(idx, oa, cs.first), _entry(idx, ob, cs.first)
+    if leaf_a is not None and leaf_a == leaf_b:
+        raise FoliageError("common subpath started after a shared crossing")
+    return _sided(_RIGHT, idx.right_rank, leaf_a, leaf_b, oa.entry_cut, ob.entry_cut)
+
+
 def compare_left(s: Scenario, a: str, b: str) -> RelationVerdict:
     """Compare two orbits at the left end of their common subpath."""
     if a == b:
-        return RelationVerdict(Direction.EQUIVALENT, Clause.ASYMPTOTIC)
-    idx = index(s)
+        return _SAME
     cs = common_subpath(s, a, b)
     if cs is None:
-        return RelationVerdict(Direction.INCOMPARABLE, Clause.DISJOINT)
-    boundary = idx.domain_by_id[cs.last].left
-    pos = {leaf: i for i, leaf in enumerate(boundary)}
-    oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
-    leaf_a, leaf_b = _continuation(idx, oa, cs.last), _continuation(idx, ob, cs.last)
-    if leaf_a is not None and leaf_b is not None:
-        if leaf_a == leaf_b:
-            raise FoliageError("common subpath ended before a shared crossing")
-        first = pos[leaf_a] < pos[leaf_b]
-        return RelationVerdict(Direction.FIRST_LESS if first else Direction.SECOND_LESS, Clause.L1)
-    if leaf_a is not None:
-        if pos[leaf_a] < ob.exit_cut:
-            return RelationVerdict(Direction.FIRST_LESS, Clause.L2)
-        return RelationVerdict(Direction.SECOND_LESS, Clause.L3)
-    if leaf_b is not None:
-        if pos[leaf_b] >= oa.exit_cut:
-            return RelationVerdict(Direction.FIRST_LESS, Clause.L3)
-        return RelationVerdict(Direction.SECOND_LESS, Clause.L2)
-    if oa.exit_cut < ob.exit_cut:
-        return RelationVerdict(Direction.FIRST_LESS, Clause.L4)
-    if oa.exit_cut > ob.exit_cut:
-        return RelationVerdict(Direction.SECOND_LESS, Clause.L4)
-    return RelationVerdict(Direction.EQUIVALENT, Clause.L4)
+        return _DISJOINT
+    idx = index(s)
+    return _left_verdict(idx, cs, idx.orbit_by_id[a], idx.orbit_by_id[b])
 
 
 def compare_right(s: Scenario, a: str, b: str) -> RelationVerdict:
     """Compare two orbits at the right end of their common subpath."""
     if a == b:
-        return RelationVerdict(Direction.EQUIVALENT, Clause.ASYMPTOTIC)
-    idx = index(s)
+        return _SAME
     cs = common_subpath(s, a, b)
     if cs is None:
-        return RelationVerdict(Direction.INCOMPARABLE, Clause.DISJOINT)
-    boundary = idx.domain_by_id[cs.first].right
-    pos = {leaf: i for i, leaf in enumerate(boundary)}
+        return _DISJOINT
+    idx = index(s)
+    return _right_verdict(idx, cs, idx.orbit_by_id[a], idx.orbit_by_id[b])
+
+
+def pair_relations(s: Scenario, a: str, b: str) -> PairRelations:
+    """Both sided verdicts and both asymptotic flags of a pair, from one
+    common-subpath lookup; equal to ``compare_left``, ``compare_right``,
+    ``plus_asymptotic`` and ``minus_asymptotic`` called one by one."""
+    if a == b:
+        return PairRelations(_SAME, _SAME, True, True)
+    cs = common_subpath(s, a, b)
+    if cs is None:
+        return PairRelations(_DISJOINT, _DISJOINT, False, False)
+    idx = index(s)
     oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
-    leaf_a, leaf_b = _entry(idx, oa, cs.first), _entry(idx, ob, cs.first)
-    if leaf_a is not None and leaf_b is not None:
-        if leaf_a == leaf_b:
-            raise FoliageError("common subpath started after a shared crossing")
-        first = pos[leaf_a] < pos[leaf_b]
-        return RelationVerdict(Direction.FIRST_LESS if first else Direction.SECOND_LESS, Clause.R1)
-    if leaf_a is not None:
-        if pos[leaf_a] < ob.entry_cut:
-            return RelationVerdict(Direction.FIRST_LESS, Clause.R2)
-        return RelationVerdict(Direction.SECOND_LESS, Clause.R3)
-    if leaf_b is not None:
-        if pos[leaf_b] >= oa.entry_cut:
-            return RelationVerdict(Direction.FIRST_LESS, Clause.R3)
-        return RelationVerdict(Direction.SECOND_LESS, Clause.R2)
-    if oa.entry_cut < ob.entry_cut:
-        return RelationVerdict(Direction.FIRST_LESS, Clause.R4)
-    if oa.entry_cut > ob.entry_cut:
-        return RelationVerdict(Direction.SECOND_LESS, Clause.R4)
-    return RelationVerdict(Direction.EQUIVALENT, Clause.R4)
+    return PairRelations(
+        _left_verdict(idx, cs, oa, ob), _right_verdict(idx, cs, oa, ob), _same_end(oa, ob), _same_start(oa, ob)
+    )
 
 
 def weak_from_verdicts(left: RelationVerdict, right: RelationVerdict) -> bool:
@@ -174,24 +226,15 @@ def weak_transverse(s: Scenario, a: str, b: str) -> bool:
     return weak_from_verdicts(compare_left(s, a, b), compare_right(s, a, b))
 
 
+def classic_from_verdicts(left: RelationVerdict, right: RelationVerdict) -> bool:
+    """Classic transversality from a pair's left and right verdicts: both
+    orbits cross distinct leaves on both ends (L1 and R1), in opposite orders."""
+    return left.clause is Clause.L1 and right.clause is Clause.R1 and left.direction != right.direction
+
+
 def classic_transverse(s: Scenario, a: str, b: str) -> bool:
     """Both orbits cross distinct leaves on both ends, in opposite orders."""
-    if a == b:
-        return False
-    idx = index(s)
-    cs = common_subpath(s, a, b)
-    if cs is None:
-        return False
-    oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
-    exit_a, exit_b = _continuation(idx, oa, cs.last), _continuation(idx, ob, cs.last)
-    entry_a, entry_b = _entry(idx, oa, cs.first), _entry(idx, ob, cs.first)
-    if None in (exit_a, exit_b, entry_a, entry_b):
-        return False
-    left_pos = {leaf: i for i, leaf in enumerate(idx.domain_by_id[cs.last].left)}
-    right_pos = {leaf: i for i, leaf in enumerate(idx.domain_by_id[cs.first].right)}
-    left_first = left_pos[exit_a] < left_pos[exit_b]
-    right_first = right_pos[entry_a] < right_pos[entry_b]
-    return left_first != right_first
+    return classic_from_verdicts(compare_left(s, a, b), compare_right(s, a, b))
 
 
 def _direction_cmp(v: RelationVerdict) -> int | None:

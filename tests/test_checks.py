@@ -83,3 +83,42 @@ def test_context_builds_port_plans_once(monkeypatch):
     ctx = _Context(fixture("S2"))
     assert ctx.boundary is not None and ctx.layout is not None
     assert len(calls) == 1
+
+
+def test_a_raising_property_is_a_shrunk_failure_not_an_abort():
+    def raises_with_two_orbits(ctx):
+        if len(ctx.scenario.orbits) > 1:
+            raise KeyError("boom")
+        return []
+
+    report = run_check(GeneratorConfig(seed=1), 10, properties=(("raises", raises_with_two_orbits),))
+    assert not report.ok
+    failure = report.failures[0]
+    assert failure.prop == "raises"
+    assert failure.detail == "raised KeyError: 'boom'"
+    assert len(parse_scenario(failure.shrunk).orbits) == 2
+    (name, passes, fails), = report.results
+    assert passes + fails == 10 and fails == len(report.failures)
+    assert "raised KeyError" in report.render_text() and "raised KeyError" in report.render_json()
+
+
+def test_a_case_whose_context_raises_fails_every_property(monkeypatch):
+    from foliage import checks
+
+    build = checks._Context.__post_init__
+
+    def fragile(ctx):
+        if len(ctx.scenario.orbits) > 2:
+            raise ZeroDivisionError("no context")
+        build(ctx)
+
+    monkeypatch.setattr(checks._Context, "__post_init__", fragile)
+    report = run_check(GeneratorConfig(seed=1), 5, properties=PROPERTIES[:2])
+    assert not report.ok
+    context_failures = [f for f in report.failures if f.prop == checks.CONTEXT]
+    assert context_failures
+    for f in context_failures:
+        assert f.detail == "raised ZeroDivisionError: no context"
+        assert len(parse_scenario(f.shrunk).orbits) == 3
+    for _name, passes, fails in report.results:
+        assert passes + fails == 5 and fails == len(context_failures)

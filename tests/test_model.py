@@ -158,6 +158,15 @@ def test_every_derived_edge_has_one_left_and_one_right_owner():
         assert rights[leaf] == b
 
 
+def test_index_edges_equal_derived_edges():
+    from foliage.generator import GeneratorConfig, generate_scenario
+    from foliage.model import derived_edges
+
+    generated = [generate_scenario(GeneratorConfig(seed=seed)) for seed in range(1, 31)]
+    for s in [fixture(name) for name in FIXTURE_NAMES] + generated:
+        assert model.index(s).edges == derived_edges(s)
+
+
 def test_derived_structures_are_not_cached_by_scenario_hash():
     assert not hasattr(model.index, "cache_info")
     assert not hasattr(decompose.reduce_scenario, "cache_info")

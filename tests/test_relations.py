@@ -18,10 +18,12 @@ from foliage.relations import (
     Direction,
     TieRankError,
     adaptive_order,
+    classic_from_verdicts,
     classic_transverse,
     compare_left,
     compare_right,
     minus_asymptotic,
+    pair_relations,
     plus_asymptotic,
     standard_order,
     weak_from_verdicts,
@@ -369,3 +371,77 @@ def test_weak_transverse_is_decided_by_the_two_verdicts(seed):
     for a, b in itertools.product(ids, repeat=2):
         verdicts = compare_left(s, a, b), compare_right(s, a, b)
         assert weak_transverse(s, a, b) == weak_from_verdicts(*verdicts)
+
+
+PAIR_SCENARIOS = ("S0", "S1", "S2", "S3", "S4", *(f"seed{n}" for n in range(1, 51)), "chain60", "nested", "crossed")
+
+
+def _through_one_domain(exits):
+    """Two orbits from A1 and A2 through M, leaving by the given leaves of
+    M's left list; both cross leaves on both ends (clauses L1 and R1)."""
+    domains = (
+        SkeletonDomain("A1", left=("p",)),
+        SkeletonDomain("A2", left=("q",)),
+        SkeletonDomain("M", left=("r", "s"), right=("p", "q")),
+        SkeletonDomain("B1", right=("r",)),
+        SkeletonDomain("B2", right=("s",)),
+    )
+    owner = {"r": "B1", "s": "B2"}
+    orbits = tuple(
+        Orbit(oid, (start, entry, "M", leaf, owner[leaf]))
+        for oid, start, entry, leaf in (("X", "A1", "p", exits[0]), ("Y", "A2", "q", exits[1]))
+    )
+    return Scenario(domains=domains, orbits=orbits)
+
+
+def _pair_scenario(name):
+    from test_realize import _chain
+
+    if name == "chain60":
+        return _chain(60)
+    if name in ("nested", "crossed"):
+        return _through_one_domain(("r", "s") if name == "nested" else ("s", "r"))
+    if name.startswith("seed"):
+        return generate_scenario(GeneratorConfig(seed=int(name[4:])))
+    return fixture(name)
+
+
+def _classic_oracle(s, a, b):
+    """Classic transversality as first written: both orbits cross distinct
+    leaves on both ends of their common subpath, in opposite orders."""
+    from foliage.decompose import common_subpath
+
+    cs = common_subpath(s, a, b) if a != b else None
+    if cs is None:
+        return False
+    idx = index(s)
+    oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
+    if cs.last in (oa.omega, ob.omega) or cs.first in (oa.alpha, ob.alpha):
+        return False
+    exits = [o.path[idx.domain_pos[o.id][cs.last] + 1] for o in (oa, ob)]
+    entries = [o.path[idx.domain_pos[o.id][cs.first] - 1] for o in (oa, ob)]
+    left, right = idx.domain_by_id[cs.last].left, idx.domain_by_id[cs.first].right
+    return (left.index(exits[0]) < left.index(exits[1])) != (right.index(entries[0]) < right.index(entries[1]))
+
+
+@pytest.mark.parametrize("name", PAIR_SCENARIOS)
+def test_pair_relations_equals_the_separate_functions(name):
+    s = _pair_scenario(name)
+    ids = sorted(o.id for o in s.orbits)
+    for a, b in itertools.product(ids, repeat=2):
+        left, right, forward, backward = pair_relations(s, a, b)
+        assert left == compare_left(s, a, b)
+        assert right == compare_right(s, a, b)
+        assert forward == plus_asymptotic(s, a, b)
+        assert backward == minus_asymptotic(s, a, b)
+        assert weak_from_verdicts(left, right) == weak_transverse(s, a, b)
+        assert classic_from_verdicts(left, right) == classic_transverse(s, a, b) == _classic_oracle(s, a, b)
+
+
+def test_leaf_ranks_are_positions_in_the_boundary_lists():
+    for name in PAIR_SCENARIOS:
+        s = _pair_scenario(name)
+        idx = index(s)
+        for d in s.domains:
+            assert [idx.left_rank[leaf] for leaf in d.left] == list(range(len(d.left)))
+            assert [idx.right_rank[leaf] for leaf in d.right] == list(range(len(d.right)))
