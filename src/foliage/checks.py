@@ -133,11 +133,12 @@ def prop_order_totality(ctx: _Context) -> list[str]:
 def prop_restriction_consistency(ctx: _Context) -> list[str]:
     bad = []
     s = ctx.scenario
+    idx = index(s)
     for m in ctx.reduced.maxdomains:
         exit_seq = ctx.plans[m.id].exit_seq
         by_leaf: dict[str, list[str]] = {}
         for o in exit_seq:
-            leaf = realize.exit_group(s, m, o)
+            leaf = relations.beyond(idx, idx.orbit_by_id[o], m.chain[-1], 1)
             if leaf is not None:
                 by_leaf.setdefault(leaf, []).append(o)
         for leaf, group in by_leaf.items():

@@ -39,7 +39,17 @@ def _load(path: str) -> Scenario:
             text = handle.read()
     except OSError as exc:
         raise SystemExit(_usage_error(f"cannot read {path!r}: {exc.strerror}"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"not UTF-8: {exc.reason} at byte {exc.start}") from exc
     return parse_scenario(text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise SystemExit(_usage_error(f"cannot write {path!r}: {exc.strerror}"))
 
 
 def _usage_error(message: str) -> int:
@@ -173,13 +183,11 @@ def _cmd_diagram(args) -> int:
     if args.svg:
         lay = geometry.layout(s, r, plans)
         routed = geometry.route(s, r, lay)
-        with open(args.svg, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(geometry.emit_svg(lay, routed, roles=r))
+        _write(args.svg, geometry.emit_svg(lay, routed, roles=r))
     if args.chord:
         if order is None:
             return _usage_error("chord diagram requires at least one orbit")
-        with open(args.chord, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(geometry.emit_chord_svg(geometry.chord_diagram(order)))
+        _write(args.chord, geometry.emit_chord_svg(geometry.chord_diagram(order)))
     ids = sorted(o.id for o in s.orbits)
     if args.format == "matrix":
         if args.json:

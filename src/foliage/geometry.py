@@ -89,12 +89,15 @@ class Layout:
     fwd_whiskers: dict[str, Point]
     ticks: tuple[Tick, ...]
     bounds: tuple[Fraction, Fraction, Fraction, Fraction]
+    _tick_by_leaf: dict[str, Tick] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # Reversed, so that the first tick of a leaf is the one kept.
+        self._tick_by_leaf = {t.leaf: t for t in reversed(self.ticks) if t.kind in ("critical", "internal")}
 
     def tick_for(self, leaf: str) -> Optional[Tick]:
-        for t in self.ticks:
-            if t.leaf == leaf and t.kind in ("critical", "internal"):
-                return t
-        return None
+        """The first critical or internal tick drawn for the leaf."""
+        return self._tick_by_leaf.get(leaf)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ outer face of the box-and-corridor embedding of the reduced forest.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,12 +21,10 @@ from .decompose import MaxDomain, ReducedStructure
 from .model import FoliageError, Scenario, index
 from .relations import (
     OrderedOrbitList,
-    _direction_cmp,
-    adaptive_sorted,
-    compare_left,
-    compare_right,
-    standard_cmp,
-    standard_sorted,
+    beyond,
+    chain_orders,
+    leaf_keys,
+    sorted_by_key,
     weak_transverse,
 )
 
@@ -88,34 +85,12 @@ class RealizationError(FoliageError):
 
 
 def port_plan(s: Scenario, r: ReducedStructure, m: MaxDomain) -> PortPlan:
-    return PortPlan(
-        domain=m.id,
-        entry_seq=standard_sorted(s, m.crossers),
-        exit_seq=adaptive_sorted(s, m),
-    )
+    entry_seq, exit_seq = chain_orders(s, m)
+    return PortPlan(domain=m.id, entry_seq=entry_seq, exit_seq=exit_seq)
 
 
 def all_port_plans(s: Scenario, r: ReducedStructure) -> dict[str, PortPlan]:
     return {m.id: port_plan(s, r, m) for m in r.maxdomains}
-
-
-def entry_group(s: Scenario, m: MaxDomain, orbit_id: str) -> Optional[str]:
-    """Leaf through which the orbit enters the chain, or None if it starts there."""
-    idx = index(s)
-    o = idx.orbit_by_id[orbit_id]
-    if o.alpha in m.chain:
-        return None
-    pos = idx.domain_pos[orbit_id][m.chain[0]]
-    return o.path[pos - 1]
-
-
-def exit_group(s: Scenario, m: MaxDomain, orbit_id: str) -> Optional[str]:
-    idx = index(s)
-    o = idx.orbit_by_id[orbit_id]
-    if o.omega in m.chain:
-        return None
-    pos = idx.domain_pos[orbit_id][m.chain[-1]]
-    return o.path[pos + 1]
 
 
 @dataclass(frozen=True)
@@ -152,11 +127,13 @@ def _side_items(seq: tuple[str, ...], group_of) -> tuple[SideItem, ...]:
 
 
 def entry_items(s: Scenario, m: MaxDomain, plan: PortPlan) -> tuple[SideItem, ...]:
-    return _side_items(plan.entry_seq, lambda o: entry_group(s, m, o))
+    idx = index(s)
+    return _side_items(plan.entry_seq, lambda o: beyond(idx, idx.orbit_by_id[o], m.chain[0], -1))
 
 
 def exit_items(s: Scenario, m: MaxDomain, plan: PortPlan) -> tuple[SideItem, ...]:
-    return _side_items(plan.exit_seq, lambda o: exit_group(s, m, o))
+    idx = index(s)
+    return _side_items(plan.exit_seq, lambda o: beyond(idx, idx.orbit_by_id[o], m.chain[-1], 1))
 
 
 def crossing_matrix(
@@ -186,36 +163,23 @@ def crossing_matrix(
     return CrossingMatrix(orbits=orbits, entries=entries)
 
 
-def _extension_cmp(s: Scenario, sided_compare, a: str, b: str) -> int:
-    got = _direction_cmp(sided_compare(s, a, b))
-    if got is not None:
-        return got
-    idx = index(s)
-    ra, rb = idx.orbit_by_id[a].tie_rank, idx.orbit_by_id[b].tie_rank
-    if ra != rb:
-        return -1 if ra < rb else 1
-    return standard_cmp(s, a, b)
+def _one_sided(s: Scenario, leaf: str, step: int) -> OrderedOrbitList:
+    """Sorted by the key of the side ``step`` names (left for +1), then the
+    tie rank, then the other side's key."""
+    keys = leaf_keys(s, leaf)
+    side = 1 if step > 0 else 0
+    order = sorted_by_key(s, keys, lambda o: (keys[o][side], keys[o][2], keys[o][1 - side]))
+    return OrderedOrbitList(context=leaf, order=order)
 
 
 def one_sided_order(s: Scenario, leaf: str) -> OrderedOrbitList:
     """Strict total order on the orbits crossing a leaf extending the left preorder."""
-    idx = index(s)
-    orbs = idx.orbits_crossing(leaf)
-    if not orbs:
-        raise FoliageError(f"leaf {leaf!r} is crossed by no orbit")
-    ids = sorted(orbs)
-    ids.sort(key=functools.cmp_to_key(lambda x, y: _extension_cmp(s, compare_left, x, y)))
-    return OrderedOrbitList(context=leaf, order=tuple(ids))
+    return _one_sided(s, leaf, 1)
 
 
 def one_sided_order_right(s: Scenario, leaf: str) -> OrderedOrbitList:
-    idx = index(s)
-    orbs = idx.orbits_crossing(leaf)
-    if not orbs:
-        raise FoliageError(f"leaf {leaf!r} is crossed by no orbit")
-    ids = sorted(orbs)
-    ids.sort(key=functools.cmp_to_key(lambda x, y: _extension_cmp(s, compare_right, x, y)))
-    return OrderedOrbitList(context=leaf, order=tuple(ids))
+    """Strict total order on the orbits crossing a leaf extending the right preorder."""
+    return _one_sided(s, leaf, -1)
 
 
 def box_cycle(s: Scenario, m: MaxDomain, plan: PortPlan) -> tuple[tuple, ...]:

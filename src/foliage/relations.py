@@ -7,10 +7,17 @@ or by comparing the two terminal cuts (L4); the right end mirrors this with
 entry leaves and entry cuts.  Equal terminal data in the L4/R4 case is the
 forward/backward asymptotic equivalence.
 
-``standard_order`` sorts the orbits crossing one leaf by the right-end
-comparison first, then the left-end one, then the tie rank; the adaptive
-order over a maximal domain compares its exit classes by the left-end
-relation and falls back to the standard composite inside a class.
+Orders are sorts by key.  ``side_key(idx, o, domain, step)`` walks o's path
+away from ``domain`` and emits ``2*rank+1`` per leaf crossed and ``2*cut``
+where o ends: left ranks and the exit cut forward (``step=+1``), right ranks
+and the entry cut back (``step=-1``).  Orbits through ``domain`` compare by
+these keys as ``compare_left`` and ``compare_right`` order them.  With rkey
+walking back from the first domain and lkey on from the last, the standard
+order sorts by ``(rkey, lkey, tie_rank)``, the adaptive order by
+``(lkey[0], rkey, lkey, tie_rank)`` (``lkey[0]`` is the exit class) and the
+one-sided orders by ``(lkey, tie_rank, rkey)`` or its mirror.  Equal keys
+raise ``TieRankError``, naming the two orbits in id order.  ``standard_cmp``
+and ``adaptive_cmp`` are the pairwise reference definitions, kept as oracles.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .decompose import CommonSubpath, MaxDomain, ReducedStructure, common_subpath
+from .decompose import MaxDomain, ReducedStructure, common_subpath
 from .model import FoliageError, Orbit, Scenario, index
 
 
@@ -130,19 +137,23 @@ def minus_asymptotic(s: Scenario, a: str, b: str) -> bool:
     return common_subpath(s, a, b) is not None and _same_start(oa, ob)
 
 
-def _continuation(idx, o: Orbit, shared_last: str) -> str | None:
-    """Leaf through which o leaves the shared run, or None if it ends there."""
-    if o.omega == shared_last:
-        return None
-    pos = idx.domain_pos[o.id][shared_last]
-    return o.path[pos + 1]
+def beyond(idx, o: Orbit, domain: str, step: int) -> str | None:
+    """The leaf o crosses right after ``domain`` (``step=+1``) or right
+    before it (``step=-1``); None when o ends (starts) at ``domain``."""
+    pos = idx.domain_pos[o.id][domain] + step
+    return o.path[pos] if 0 <= pos < len(o.path) else None
 
 
-def _entry(idx, o: Orbit, shared_first: str) -> str | None:
-    if o.alpha == shared_first:
-        return None
-    pos = idx.domain_pos[o.id][shared_first]
-    return o.path[pos - 1]
+def side_key(idx, o: Orbit, domain: str, step: int) -> tuple[int, ...]:
+    """o's walk away from ``domain``: ``2*rank+1`` per leaf crossed (left
+    ranks forward, right ranks back), then ``2*cut`` where o ends (its exit
+    cut forward, its entry cut back)."""
+    pos = idx.domain_pos[o.id][domain]
+    if step > 0:
+        leaves, rank, cut = o.path[pos + 1 :: 2], idx.left_rank, o.exit_cut
+    else:
+        leaves, rank, cut = reversed(o.path[1:pos:2]), idx.right_rank, o.entry_cut
+    return (*(2 * rank[leaf] + 1 for leaf in leaves), 2 * cut)
 
 
 def _sided(
@@ -164,17 +175,14 @@ def _sided(
     return verdicts.equivalent
 
 
-def _left_verdict(idx, cs: CommonSubpath, oa: Orbit, ob: Orbit) -> RelationVerdict:
-    leaf_a, leaf_b = _continuation(idx, oa, cs.last), _continuation(idx, ob, cs.last)
+def _verdict(idx, oa: Orbit, ob: Orbit, domain: str, step: int) -> RelationVerdict:
+    """The verdict at the end of the common subpath that ``domain`` closes:
+    its last domain on the left (``step=+1``), its first on the right."""
+    leaf_a, leaf_b = beyond(idx, oa, domain, step), beyond(idx, ob, domain, step)
     if leaf_a is not None and leaf_a == leaf_b:
-        raise FoliageError("common subpath ended before a shared crossing")
-    return _sided(_LEFT, idx.left_rank, leaf_a, leaf_b, oa.exit_cut, ob.exit_cut)
-
-
-def _right_verdict(idx, cs: CommonSubpath, oa: Orbit, ob: Orbit) -> RelationVerdict:
-    leaf_a, leaf_b = _entry(idx, oa, cs.first), _entry(idx, ob, cs.first)
-    if leaf_a is not None and leaf_a == leaf_b:
-        raise FoliageError("common subpath started after a shared crossing")
+        raise FoliageError(f"common subpath {'ended before' if step > 0 else 'started after'} a shared crossing")
+    if step > 0:
+        return _sided(_LEFT, idx.left_rank, leaf_a, leaf_b, oa.exit_cut, ob.exit_cut)
     return _sided(_RIGHT, idx.right_rank, leaf_a, leaf_b, oa.entry_cut, ob.entry_cut)
 
 
@@ -186,7 +194,7 @@ def compare_left(s: Scenario, a: str, b: str) -> RelationVerdict:
     if cs is None:
         return _DISJOINT
     idx = index(s)
-    return _left_verdict(idx, cs, idx.orbit_by_id[a], idx.orbit_by_id[b])
+    return _verdict(idx, idx.orbit_by_id[a], idx.orbit_by_id[b], cs.last, 1)
 
 
 def compare_right(s: Scenario, a: str, b: str) -> RelationVerdict:
@@ -197,7 +205,7 @@ def compare_right(s: Scenario, a: str, b: str) -> RelationVerdict:
     if cs is None:
         return _DISJOINT
     idx = index(s)
-    return _right_verdict(idx, cs, idx.orbit_by_id[a], idx.orbit_by_id[b])
+    return _verdict(idx, idx.orbit_by_id[a], idx.orbit_by_id[b], cs.first, -1)
 
 
 def pair_relations(s: Scenario, a: str, b: str) -> PairRelations:
@@ -212,7 +220,7 @@ def pair_relations(s: Scenario, a: str, b: str) -> PairRelations:
     idx = index(s)
     oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
     return PairRelations(
-        _left_verdict(idx, cs, oa, ob), _right_verdict(idx, cs, oa, ob), _same_end(oa, ob), _same_start(oa, ob)
+        _verdict(idx, oa, ob, cs.last, 1), _verdict(idx, oa, ob, cs.first, -1), _same_end(oa, ob), _same_start(oa, ob)
     )
 
 
@@ -237,6 +245,50 @@ def classic_transverse(s: Scenario, a: str, b: str) -> bool:
     return classic_from_verdicts(compare_left(s, a, b), compare_right(s, a, b))
 
 
+def sorted_by_key(s: Scenario, ids: Iterable[str], key: Callable[[str], tuple]) -> tuple[str, ...]:
+    """The orbits sorted by ``(key, id)``; two orbits with equal keys are
+    equivalent and share a tie rank, and raise ``TieRankError``."""
+    ranked = sorted((key(o), o) for o in ids)
+    for (ka, a), (kb, b) in zip(ranked, ranked[1:]):
+        if ka == kb:
+            rank = index(s).orbit_by_id[a].tie_rank
+            raise TieRankError(f"orbits {a!r} and {b!r} are equivalent but share tie rank {rank}")
+    return tuple(o for _key, o in ranked)
+
+
+def standard_keys(s: Scenario, ids: Iterable[str], first: str, last: str) -> dict[str, tuple]:
+    """``(rkey, lkey, tie_rank)`` of each orbit through ``first``..``last``:
+    rkey walks back from ``first`` and lkey on from ``last``."""
+    idx = index(s)
+    orbits = [idx.orbit_by_id[oid] for oid in ids]
+    return {o.id: (side_key(idx, o, first, -1), side_key(idx, o, last, 1), o.tie_rank) for o in orbits}
+
+
+def leaf_keys(s: Scenario, leaf: str) -> dict[str, tuple]:
+    """Standard keys of the orbits crossing a leaf, from its two domains."""
+    idx = index(s)
+    orbs = idx.orbits_crossing(leaf)
+    if not orbs:
+        raise FoliageError(f"leaf {leaf!r} is crossed by no orbit")
+    return standard_keys(s, orbs, *idx.edge_by_leaf[leaf])
+
+
+def chain_orders(s: Scenario, m: MaxDomain) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The standard and the adaptive order of a maximal domain's crossers."""
+    keys = standard_keys(s, m.crossers, m.chain[0], m.chain[-1])
+    return sorted_by_key(s, keys, keys.__getitem__), sorted_by_key(s, keys, lambda o: (keys[o][1][0], *keys[o]))
+
+
+def standard_order(s: Scenario, leaf: str) -> OrderedOrbitList:
+    keys = leaf_keys(s, leaf)
+    return OrderedOrbitList(context=leaf, order=sorted_by_key(s, keys, keys.__getitem__))
+
+
+def adaptive_order(s: Scenario, r: ReducedStructure, mid: str) -> OrderedOrbitList:
+    return OrderedOrbitList(context=mid, order=chain_orders(s, r.maxdomain(mid))[1])
+
+
+# The pairwise reference definitions of the standard and adaptive orders.
 def _direction_cmp(v: RelationVerdict) -> int | None:
     if v.direction is Direction.FIRST_LESS:
         return -1
@@ -264,48 +316,17 @@ def standard_cmp(s: Scenario, a: str, b: str) -> int:
     return -1 if ra < rb else 1
 
 
-def standard_sorted(s: Scenario, orbit_ids: Iterable[str]) -> tuple[str, ...]:
-    ids = sorted(orbit_ids)
-    ids.sort(key=functools.cmp_to_key(lambda x, y: standard_cmp(s, x, y)))
-    return tuple(ids)
-
-
-def standard_order(s: Scenario, leaf: str) -> OrderedOrbitList:
-    idx = index(s)
-    orbs = idx.orbits_crossing(leaf)
-    if not orbs:
-        raise FoliageError(f"leaf {leaf!r} is crossed by no orbit")
-    return OrderedOrbitList(context=leaf, order=standard_sorted(s, orbs))
-
-
-def exit_class(s: Scenario, m: MaxDomain, orbit_id: str) -> tuple:
-    """Grouping key on a maximal domain: shared exit leaf, or terminal cut."""
-    idx = index(s)
-    o = idx.orbit_by_id[orbit_id]
-    if o.omega in m.chain:
-        return ("term", o.exit_cut)
-    pos = idx.domain_pos[orbit_id][m.chain[-1]]
-    return ("exit", o.path[pos + 1])
-
-
 def adaptive_cmp(s: Scenario, m: MaxDomain, a: str, b: str) -> int:
-    """Left-end comparison across exit classes, standard composite inside."""
+    """Left-end comparison across exit classes (the leaf an orbit leaves the
+    chain by, or its exit cut if it ends there), standard composite inside."""
     if a == b:
         return 0
-    if exit_class(s, m, a) == exit_class(s, m, b):
+    idx = index(s)
+    oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
+    leaf_a, leaf_b = beyond(idx, oa, m.chain[-1], 1), beyond(idx, ob, m.chain[-1], 1)
+    if leaf_a == leaf_b and (leaf_a is not None or oa.exit_cut == ob.exit_cut):
         return standard_cmp(s, a, b)
     got = _direction_cmp(compare_left(s, a, b))
     if got is None:
         raise FoliageError(f"orbits {a!r} and {b!r} in distinct exit classes compare as equivalent")
     return got
-
-
-def adaptive_sorted(s: Scenario, m: MaxDomain) -> tuple[str, ...]:
-    ids = sorted(m.crossers)
-    ids.sort(key=functools.cmp_to_key(lambda x, y: adaptive_cmp(s, m, x, y)))
-    return tuple(ids)
-
-
-def adaptive_order(s: Scenario, r: ReducedStructure, mid: str) -> OrderedOrbitList:
-    m = r.maxdomain(mid)
-    return OrderedOrbitList(context=mid, order=adaptive_sorted(s, m))

@@ -150,7 +150,7 @@ def test_criterion_5_total_orders(corpus):
             exit_seq = relations.adaptive_order(s, r, m.id).order
             groups = {}
             for o in exit_seq:
-                leaf = realize.exit_group(s, m, o)
+                leaf = relations.beyond(idx, idx.orbit_by_id[o], m.chain[-1], 1)
                 if leaf is not None:
                     groups.setdefault(leaf, []).append(o)
             for leaf, group in groups.items():

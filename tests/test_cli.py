@@ -250,3 +250,20 @@ def test_chord_without_orbits_is_usage_error(tmp_path, capsys):
     path.write_text('{"domains": [{"id": "D", "left": [], "right": []}], "orbits": []}', encoding="utf-8")
     assert main(["diagram", str(path), "--chord", str(tmp_path / "c.svg")]) == 2
     assert "chord diagram requires at least one orbit" in capsys.readouterr().err
+
+
+def test_non_utf8_scenario_is_a_parse_finding(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("finding: parse: not UTF-8")
+
+
+@pytest.mark.parametrize("flag", ["--svg", "--chord"])
+@pytest.mark.parametrize("target", ["missing/x.svg", "."])
+def test_unwritable_output_path_is_usage_error(s1_path, tmp_path, capsys, flag, target):
+    out = str(tmp_path / target)
+    assert main(["diagram", s1_path, "--format", "boundary", flag, out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"foliage: cannot write {out!r}: ")
+    assert "Traceback" not in err

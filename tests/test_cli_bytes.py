@@ -2,8 +2,8 @@
 
 Each case runs one command on a fixture (or on a 20- or 60-domain chain
 built in code) and compares the sha256 of what it prints, or of the chord
-SVG it writes, with a digest recorded before the all-pairs paths were
-optimised.
+or box SVG it writes, with a digest recorded before the all-pairs paths were
+optimised.  ``check --seed 1 --cases 50 --json`` is pinned as well.
 A failure here means some output changed by at least one byte.
 """
 
@@ -20,6 +20,7 @@ COMMANDS = {
     "matrix": ["diagram", "{file}", "--format", "matrix", "--json"],
     "boundary": ["diagram", "{file}", "--format", "boundary", "--json"],
     "chord": ["diagram", "{file}", "--format", "boundary", "--chord", "{chord}"],
+    "svg": ["diagram", "{file}", "--svg", "{svg}"],
 }
 
 DIGESTS = {
@@ -47,6 +48,12 @@ DIGESTS = {
     ("chain20", "chord"): "ca6aca709020907f9ccac71631c5f6da9e296bb0db4edbddf450d96d2fee36f7",
     ("chain20", "matrix"): "ed4f889b64a5749d850ed992bdf5ca02aca689ac3fbe8376d0dc92e56dfb5ace",
     ("chain20", "relations"): "318eac70d5eaad4ad40ac5d5730e0e498c49150747213de67d5801a8eb095b30",
+    ("S0", "svg"): "f4336f6e9c64292a2980975cd6b5318530e0f899fca4d551771862642bbd5f5b",
+    ("S1", "svg"): "7b51e465a0f1e088b79ce1ed184b97202e0d836b7f8e643aab11c0250c29606f",
+    ("S2", "svg"): "4695e738cb00ca4918dfe35ed671bbcca26ed78c22dc1b64cd0a16db011c201d",
+    ("S3", "svg"): "62805e6c7c4781a6fe21f93fdbd288002888aa4e11d5d6aa4491576b98423997",
+    ("S4", "svg"): "f902bc0476fbc0dcccb5417a8ead22d250185ed343adf4dedc5eba3eae6aa7b8",
+    ("chain20", "svg"): "20611fdacbf18aabbb6c58dcc5471f54ab064f74d9dc40d0a389cc2977581db8",
     # The deep benchmark's largest chain, for the two commands it runs.
     ("chain60", "boundary"): "47648c4d7125e6c1f76d03a7799765ee9dc63f51e32fd8e39784805ba9e03678",
     ("chain60", "relations"): "cf2d73825af4459f2232f45bae2a04632a8d1aeff572c705a840985d7e668129",
@@ -62,14 +69,23 @@ def _scenario_text(name: str) -> str:
 def _digest(tmp_path, capsys, name: str, command: str) -> str:
     path = tmp_path / f"{name}.json"
     path.write_text(_scenario_text(name), encoding="utf-8")
-    chord = tmp_path / "chord.svg"
-    argv = [arg.format(file=path, chord=chord) for arg in COMMANDS[command]]
+    written = tmp_path / "out.svg"
+    argv = [arg.format(file=path, chord=written, svg=written) for arg in COMMANDS[command]]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    data = chord.read_bytes() if command == "chord" else out.encode("utf-8")
+    data = written.read_bytes() if command in ("chord", "svg") else out.encode("utf-8")
     return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("command, name", sorted((command, name) for name, command in DIGESTS))
 def test_cli_output_bytes_are_pinned(tmp_path, capsys, name, command):
     assert _digest(tmp_path, capsys, name, command) == DIGESTS[(name, command)]
+
+
+CHECK_DIGEST = "1e5e0529f93c70ffc833c9dd5953cc94caf0ffeb9536abc79307defcaaca3682"
+
+
+def test_check_json_bytes_are_pinned(capsys):
+    assert main(["check", "--seed", "1", "--cases", "50", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_DIGEST

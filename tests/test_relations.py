@@ -311,13 +311,19 @@ def test_adaptive_order_singleton():
 
 def assert_adaptive_consistent(s, r, mid, order):
     """Every adjacent pair of the output satisfies the definitional order."""
-    from foliage.relations import exit_class
+    from foliage.relations import beyond
 
     m = r.maxdomain(mid)
     idx = index(s)
+
+    def exit_class(o):
+        """The leaf o leaves the chain by, or its exit cut if it ends there."""
+        leaf = beyond(idx, idx.orbit_by_id[o], m.chain[-1], 1)
+        return ("exit", leaf) if leaf is not None else ("term", idx.orbit_by_id[o].exit_cut)
+
     for i, a in enumerate(order):
         for b in order[i + 1 :]:
-            if exit_class(s, m, a) != exit_class(s, m, b):
+            if exit_class(a) != exit_class(b):
                 held = oracle_left(s, a, b)
                 assert held, f"{a} should precede {b} by a left clause"
             else:
