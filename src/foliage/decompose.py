@@ -69,16 +69,30 @@ class ReducedStructure:
     roles: tuple[tuple[str, Roles], ...]
     _maxdomain_by_id: dict[str, MaxDomain] = field(init=False, compare=False, repr=False)
     _roles_by_id: dict[str, Roles] = field(init=False, compare=False, repr=False)
+    _across: dict[str, dict[str, str]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_maxdomain_by_id", {m.id: m for m in self.maxdomains})
         object.__setattr__(self, "_roles_by_id", dict(self.roles))
+        across: dict[str, dict[str, str]] = {m.id: {} for m in self.maxdomains}
+        for a, leaf, b in self.forest_edges:
+            across[a][leaf] = b
+            across[b][leaf] = a
+        object.__setattr__(self, "_across", across)
 
     def maxdomain(self, mid: str) -> MaxDomain:
         return _by_maxdomain(self._maxdomain_by_id, mid)
 
     def roles_of(self, mid: str) -> Roles:
         return _by_maxdomain(self._roles_by_id, mid)
+
+    def across(self, mid: str, leaf: str) -> str:
+        """The maximal domain at the far end of ``mid``'s corridor through ``leaf``."""
+        return _by_maxdomain(self._across, mid)[leaf]
+
+    def neighbours(self, mid: str) -> tuple[str, ...]:
+        """The maximal domains one corridor away from ``mid``, sorted."""
+        return tuple(sorted(_by_maxdomain(self._across, mid).values()))
 
     def membership(self) -> dict[str, str]:
         """Map each surviving skeleton domain to its maximal domain id."""

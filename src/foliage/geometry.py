@@ -2,14 +2,16 @@
 
 Boxes are axis-aligned rectangles, one per maximal domain, with entry ports
 on the west side and exit ports on the east side at unit spacing (port 0 on
-top; the transverse order increases downward).  The reduced forest is drawn
-recursively: every neighbour of a box hangs off the port run of its shared
-leaf, shrunk so that its whole subtree fits inside the horizontal band owned
-by that run, and the corridor is a single quadrilateral across the gap
-between the two box sides.  The gap of each corridor is sized so that its
-slanted walls clear every piece of subtree content that pokes back toward
-the parent; all coordinates stay in ``fractions.Fraction`` so the crossing
-counts below are exact.
+top; the transverse order increases downward).  Every neighbour of a box
+hangs off the port run of its shared leaf, shrunk so that its whole subtree
+fits inside the horizontal band owned by that run, and the corridor is a
+single quadrilateral across the gap between the two box sides.  The gap of
+each corridor is sized so that its slanted walls clear every piece of
+subtree content that pokes back toward the parent.  Each box's subtree is
+built in the box's own local frame, which keeps its bounds and one map
+``(f, dx, dy)`` into its parent's frame; the maps are composed top-down once
+the forest has been walked, and every point is mapped once.  All coordinates
+stay in ``fractions.Fraction`` so the crossing counts below are exact.
 
 Trajectories are polylines: a short backward whisker, one straight segment
 per traversed box, one strand per corridor, and a forward whisker.  They are
@@ -19,6 +21,7 @@ lies strictly inside a box.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,11 +36,13 @@ from .realize import (
     CrossingMatrix,
     PairEntry,
     PortPlan,
+    SideItem,
     all_port_plans,
     entry_items,
     exit_items,
     forest_components,
     interleaving_matrix,
+    run_nested,
 )
 
 Rational = Fraction
@@ -123,53 +128,31 @@ class PolylineSet:
 
 @dataclass
 class _Frame:
-    boxes: list = field(default_factory=list)
-    corridors: list = field(default_factory=list)
-    entry_ports: dict = field(default_factory=dict)
-    exit_ports: dict = field(default_factory=dict)
-    back_whiskers: dict = field(default_factory=dict)
-    fwd_whiskers: dict = field(default_factory=dict)
-    ticks: list = field(default_factory=list)
-    xs: list = field(default_factory=list)
-    ys: list = field(default_factory=list)
-    connect_ports: list = field(default_factory=list)
+    """One box and its subtree, in the box's own coordinates.
+
+    ``bounds`` is the hull of the subtree's boxes and whisker tips, and
+    ``place`` the map ``(f, dx, dy)``, ``p -> f·p + (dx, dy)``, into the
+    parent frame; once composed, into the page.  ``connect`` is the port run
+    of the corridor to the parent, on the side at ``connect_x``.
+    """
+
+    parent: Optional["_Frame"]
+    bounds: tuple[Fraction, Fraction, Fraction, Fraction] = ()
+    place: tuple[Fraction, Fraction, Fraction] = ()
     connect_x: Fraction = Fraction(0)
-    overhang: Fraction = Fraction(0)
+    connect: Optional[SideItem] = None
 
-    def note(self, p: Point) -> None:
-        self.xs.append(p[0])
-        self.ys.append(p[1])
+    def at(self, p: Point) -> Point:
+        f, dx, dy = self.place
+        return (f * p[0] + dx, f * p[1] + dy)
 
-    def bounds(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (min(self.xs), min(self.ys), max(self.xs), max(self.ys))
+    def placed_bounds(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        b = self.bounds
+        return (*self.at(b[:2]), *self.at(b[2:]))
 
-    def transform(self, f: Fraction, dx: Fraction, dy: Fraction) -> None:
-        def tp(p: Point) -> Point:
-            return (f * p[0] + dx, f * p[1] + dy)
 
-        self.boxes = [(mid, BoxRect(*tp((b.x0, b.y0)), *tp((b.x1, b.y1)))) for mid, b in self.boxes]
-        self.corridors = [Corridor(c.edge, tuple(tp(q) for q in c.quad)) for c in self.corridors]
-        self.entry_ports = {k: tp(v) for k, v in self.entry_ports.items()}
-        self.exit_ports = {k: tp(v) for k, v in self.exit_ports.items()}
-        self.back_whiskers = {k: tp(v) for k, v in self.back_whiskers.items()}
-        self.fwd_whiskers = {k: tp(v) for k, v in self.fwd_whiskers.items()}
-        self.ticks = [Tick(t.leaf, t.kind, f * t.x + dx, f * t.y0 + dy, f * t.y1 + dy) for t in self.ticks]
-        self.xs = [f * x + dx for x in self.xs]
-        self.ys = [f * y + dy for y in self.ys]
-        self.connect_ports = [(o, f * y + dy) for o, y in self.connect_ports]
-        self.connect_x = f * self.connect_x + dx
-        self.overhang = f * self.overhang
-
-    def merge(self, other: "_Frame") -> None:
-        self.boxes.extend(other.boxes)
-        self.corridors.extend(other.corridors)
-        self.entry_ports.update(other.entry_ports)
-        self.exit_ports.update(other.exit_ports)
-        self.back_whiskers.update(other.back_whiskers)
-        self.fwd_whiskers.update(other.fwd_whiskers)
-        self.ticks.extend(other.ticks)
-        self.xs.extend(other.xs)
-        self.ys.extend(other.ys)
+def _hull(a: tuple, b: tuple) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    return (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
 
 
 def _scale_factor(span: Fraction, above: Fraction, below: Fraction) -> Fraction:
@@ -179,32 +162,32 @@ def _scale_factor(span: Fraction, above: Fraction, below: Fraction) -> Fraction:
 
 
 def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]] = None) -> Layout:
-    """Deterministic nested embedding of the reduced forest."""
+    """Deterministic nested embedding of the reduced forest.
+
+    Each box's subtree is built in the box's own frame, which keeps only its
+    bounds and, per child, the child's map into it.  When the walk ends the
+    maps are composed top-down and every point is placed once.
+    """
     plans = plans if plans is not None else all_port_plans(s, r)
     edge_by_leaf = {leaf: (a, leaf, b) for a, leaf, b in r.forest_edges}
-    other_end = {}
-    for a, leaf, b in r.forest_edges:
-        other_end[(a, leaf)] = b
-        other_end[(b, leaf)] = a
+    # Everything drawn, in local coordinates and in the order the layout lists it.
+    boxes: list[tuple[_Frame, str]] = []
+    ticks: list[Optional[tuple[_Frame, Tick]]] = []
+    whiskers: dict[str, list[tuple[_Frame, str, Point]]] = {"entry": [], "exit": []}
+    corridors: list[tuple[_Frame, Corridor]] = []
 
-    def build(mid: str, parent_leaf: Optional[str]) -> _Frame:
+    def build(mid: str, parent_leaf: Optional[str], parent: Optional[_Frame]):
         m = r.maxdomain(mid)
         plan = plans[mid]
-        n = len(plan.entry_seq)
-        frame = _Frame()
-        height = Fraction(n + 2)
-        frame.boxes.append((mid, BoxRect(Fraction(0), Fraction(0), BOX_WIDTH, height)))
-        frame.note((Fraction(0), Fraction(0)))
-        frame.note((BOX_WIDTH, height))
-        for i, orbit in enumerate(plan.entry_seq):
-            frame.entry_ports[(mid, orbit)] = (Fraction(0), Fraction(i + 1))
-        for i, orbit in enumerate(plan.exit_seq):
-            frame.exit_ports[(mid, orbit)] = (BOX_WIDTH, Fraction(i + 1))
+        frame = _Frame(parent)
+        boxes.append((frame, mid))
+        height = Fraction(len(plan.entry_seq) + 2)
+        bounds = (Fraction(0), Fraction(0), BOX_WIDTH, height)
 
         chain_len = len(m.chain)
         for j, leaf in enumerate(m.internal, start=1):
             x = BOX_WIDTH * j / chain_len
-            frame.ticks.append(Tick(leaf, "internal", x, Fraction(1, 4), height - Fraction(1, 4)))
+            ticks.append((frame, Tick(leaf, "internal", x, Fraction(1, 4), height - Fraction(1, 4))))
 
         sides = (
             ("entry", entry_items(s, m, plan), Fraction(0), Fraction(-1)),
@@ -215,96 +198,87 @@ def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]
             for item in items:
                 lo, hi = Fraction(item.lo), Fraction(item.hi)
                 if item.kind == "stub":
-                    orbit = item.orbits[0]
                     tip = (side_x + direction * WHISKER, lo + 1)
-                    if side == "entry":
-                        frame.back_whiskers[orbit] = tip
-                    else:
-                        frame.fwd_whiskers[orbit] = tip
-                    frame.note(tip)
+                    whiskers[side].append((frame, item.orbits[0], tip))
+                    bounds = _hull(bounds, tip + tip)
                     continue
                 corridor_leaves.add(item.leaf)
                 if item.leaf == parent_leaf:
-                    frame.connect_x = side_x
-                    ports = frame.entry_ports if side == "entry" else frame.exit_ports
-                    frame.connect_ports = [(o, ports[(mid, o)][1]) for o in item.orbits]
+                    frame.connect_x, frame.connect = side_x, item
                     continue
-                child_mid = other_end[(mid, item.leaf)]
-                child = build(child_mid, item.leaf)
-                span = hi - lo
-                cb = child.bounds()
-                hull_top = child.connect_ports[0][1]
-                hull_bot = child.connect_ports[-1][1]
-                f = _scale_factor(span, hull_top - cb[1], cb[3] - hull_bot)
-                g = (2 * span + 1) * child.overhang + 1
-                target_x = side_x + direction * g
-                dx = target_x - f * child.connect_x
-                dy = (lo + 1) + span * (1 - f) / 2 - f * hull_top
-                child.transform(f, dx, dy)
-                if [o for o, _y in child.connect_ports] != list(item.orbits):
+                # The critical tick is listed before the subtree's ticks.
+                slot = len(ticks)
+                ticks.append(None)
+                child = yield build(r.across(mid, item.leaf), item.leaf, frame)
+                if child.connect.orbits != item.orbits:
                     raise FoliageError(f"corridor hand-off mismatch at leaf {item.leaf!r}")
+                span = hi - lo
+                cb = child.bounds
+                hull_top, hull_bot = Fraction(child.connect.lo + 1), Fraction(child.connect.hi + 1)
+                f = _scale_factor(span, hull_top - cb[1], cb[3] - hull_bot)
+                # How far the subtree reaches back past its own connecting side.
+                overhang = child.connect_x - cb[0] if child.connect_x == 0 else cb[2] - child.connect_x
+                g = (2 * span + 1) * overhang + 1
+                target_x = side_x + direction * g
+                dy = (lo + 1) + span * (1 - f) / 2 - f * hull_top
+                child.place = (f, target_x - f * child.connect_x, dy)
+                bounds = _hull(bounds, child.placed_bounds())
                 parent_iv = (lo + Fraction(3, 4), hi + Fraction(5, 4))
-                child_iv = (child.connect_ports[0][1] - f / 4, child.connect_ports[-1][1] + f / 4)
+                child_iv = (f * hull_top + dy - f / 4, f * hull_bot + dy + f / 4)
                 if side == "entry":
                     up_x, up_iv, down_x, down_iv = target_x, child_iv, side_x, parent_iv
                 else:
                     up_x, up_iv, down_x, down_iv = side_x, parent_iv, target_x, child_iv
-                quad = (
-                    (up_x, up_iv[0]),
-                    (up_x, up_iv[1]),
-                    (down_x, down_iv[1]),
-                    (down_x, down_iv[0]),
-                )
-                frame.corridors.append(Corridor(edge_by_leaf[item.leaf], quad))
-                mid_x = (up_x + down_x) / 2
-                frame.ticks.append(
-                    Tick(
-                        item.leaf,
-                        "critical",
-                        mid_x,
-                        (up_iv[0] + down_iv[0]) / 2,
-                        (up_iv[1] + down_iv[1]) / 2,
-                    )
-                )
-                frame.merge(child)
+                quad = ((up_x, up_iv[0]), (up_x, up_iv[1]), (down_x, down_iv[1]), (down_x, down_iv[0]))
+                corridors.append((frame, Corridor(edge_by_leaf[item.leaf], quad)))
+                mid_y0, mid_y1 = (up_iv[0] + down_iv[0]) / 2, (up_iv[1] + down_iv[1]) / 2
+                ticks[slot] = (frame, Tick(item.leaf, "critical", (up_x + down_x) / 2, mid_y0, mid_y1))
 
         # Decorative ticks for boundary leaves with no corridor of their own.
-        for pos, leaf in enumerate(m.right):
-            if leaf not in corridor_leaves and leaf != parent_leaf:
-                y = height * (pos + 1) / (len(m.right) + 1)
-                frame.ticks.append(Tick(leaf, "fringe", Fraction(0), y - Fraction(1, 4), y + Fraction(1, 4)))
-        for pos, leaf in enumerate(m.left):
-            if leaf not in corridor_leaves and leaf != parent_leaf:
-                y = height * (pos + 1) / (len(m.left) + 1)
-                frame.ticks.append(Tick(leaf, "fringe", BOX_WIDTH, y - Fraction(1, 4), y + Fraction(1, 4)))
-
-        if parent_leaf is not None:
-            b = frame.bounds()
-            if frame.connect_x == Fraction(0):
-                frame.overhang = max(Fraction(0), frame.connect_x - b[0])
-            else:
-                frame.overhang = max(Fraction(0), b[2] - frame.connect_x)
+        for side_x, leaves in ((Fraction(0), m.right), (BOX_WIDTH, m.left)):
+            for pos, leaf in enumerate(leaves):
+                if leaf not in corridor_leaves:
+                    y = height * (pos + 1) / (len(leaves) + 1)
+                    ticks.append((frame, Tick(leaf, "fringe", side_x, y - Fraction(1, 4), y + Fraction(1, 4))))
+        frame.bounds = bounds
         return frame
 
-    total = _Frame()
-    cursor = Fraction(0)
-    for comp in forest_components(r):
-        frame = build(comp[0], None)
-        b = frame.bounds()
-        frame.transform(Fraction(1), cursor - b[0], -b[1])
-        cursor += (b[2] - b[0]) + 2
-        total.merge(frame)
-    if not total.xs:
+    roots = [run_nested(build(comp[0], None, None)) for comp in forest_components(r)]
+    if not roots:
         raise FoliageError("layout requires a non-empty forest")
+    # The trees side by side, two units apart, top edges on y = 0.
+    cursor = Fraction(0)
+    for root in roots:
+        b = root.bounds
+        root.place = (Fraction(1), cursor - b[0], -b[1])
+        cursor += (b[2] - b[0]) + 2
+    for frame, _mid in boxes:  # every parent comes before its children
+        if frame.parent is not None:
+            big, bdx, bdy = frame.parent.place
+            f, dx, dy = frame.place
+            frame.place = (big * f, big * dx + bdx, big * dy + bdy)
+
+    placed_boxes = []
+    entry_ports: dict[tuple[str, str], Point] = {}
+    exit_ports: dict[tuple[str, str], Point] = {}
+    for frame, mid in boxes:
+        plan = plans[mid]
+        corner = (BOX_WIDTH, len(plan.entry_seq) + 2)
+        placed_boxes.append((mid, BoxRect(*frame.at((0, 0)), *frame.at(corner))))
+        for i, orbit in enumerate(plan.entry_seq):
+            entry_ports[(mid, orbit)] = frame.at((0, i + 1))
+        for i, orbit in enumerate(plan.exit_seq):
+            exit_ports[(mid, orbit)] = frame.at((BOX_WIDTH, i + 1))
+    placed_corridors = (Corridor(c.edge, tuple(frame.at(q) for q in c.quad)) for frame, c in corridors)
     return Layout(
-        boxes=dict(sorted(total.boxes)),
-        corridors=tuple(sorted(total.corridors, key=lambda c: c.edge)),
-        entry_ports=total.entry_ports,
-        exit_ports=total.exit_ports,
-        back_whiskers=total.back_whiskers,
-        fwd_whiskers=total.fwd_whiskers,
-        ticks=tuple(total.ticks),
-        bounds=total.bounds(),
+        boxes=dict(sorted(placed_boxes)),
+        corridors=tuple(sorted(placed_corridors, key=lambda c: c.edge)),
+        entry_ports=entry_ports,
+        exit_ports=exit_ports,
+        back_whiskers={orbit: frame.at(tip) for frame, orbit, tip in whiskers["entry"]},
+        fwd_whiskers={orbit: frame.at(tip) for frame, orbit, tip in whiskers["exit"]},
+        ticks=tuple(Tick(t.leaf, t.kind, *frame.at((t.x, t.y0)), frame.at((t.x, t.y1))[1]) for frame, t in ticks),
+        bounds=functools.reduce(_hull, (root.placed_bounds() for root in roots)),
     )
 
 

@@ -14,6 +14,7 @@ Everything downstream consumes only scenarios that passed :func:`validate`.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring, encode_basestring_ascii
@@ -167,6 +168,10 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"syntax error: {exc.msg}", exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise ScenarioParseError("nested too deeply") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ScenarioParseError(f"number longer than {sys.get_int_max_str_digits()} digits") from exc
     _require(isinstance(doc, dict), "top level must be an object")
     _check_fields(doc, {"domains", "orbits"}, "scenario")
     raw_domains = doc.get("domains", [])

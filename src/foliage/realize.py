@@ -201,23 +201,41 @@ def box_cycle(s: Scenario, m: MaxDomain, plan: PortPlan) -> tuple[tuple, ...]:
     return tuple(cyc)
 
 
+def run_nested(walk):
+    """Run a generator that yields a generator wherever it would recurse.
+
+    ``child = yield build(...)`` stands for ``child = build(...)``: the
+    yielded generator runs to its return value, which is sent back.  The
+    nesting lives on an explicit stack, so walks of any depth finish.
+    """
+    stack = [walk]
+    value = None
+    while True:
+        try:
+            nested = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(nested)
+            value = None
+
+
 def forest_components(r: ReducedStructure) -> tuple[tuple[str, ...], ...]:
     """Connected components of the reduced forest, each sorted, ordered by root."""
-    neighbours: dict[str, set[str]] = {m.id: set() for m in r.maxdomains}
-    for a, _leaf, b in r.forest_edges:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
     seen: set[str] = set()
     comps = []
-    for mid in sorted(neighbours):
-        if mid in seen:
+    for m in r.maxdomains:
+        if m.id in seen:
             continue
-        stack, comp = [mid], []
-        seen.add(mid)
+        stack, comp = [m.id], []
+        seen.add(m.id)
         while stack:
             cur = stack.pop()
             comp.append(cur)
-            for nxt in sorted(neighbours[cur]):
+            for nxt in r.neighbours(cur):
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
@@ -234,36 +252,23 @@ def boundary_order(
         raise FoliageError("boundary order requires a non-empty forest")
     plans = plans if plans is not None else all_port_plans(s, r)
     cycles = {m.id: box_cycle(s, m, plans[m.id]) for m in r.maxdomains}
-    other_end: dict[tuple[str, str], str] = {}
-    for a, leaf, b in r.forest_edges:
-        other_end[(a, leaf)] = b
-        other_end[(b, leaf)] = a
-
-    def items(mid: str, entry_leaf: Optional[str]):
-        """The box's attachments in walk order, after the one it was entered by."""
-        cyc = cycles[mid]
-        if entry_leaf is None:
-            start, steps = 0, len(cyc)
-        else:
-            start = cyc.index(("edge", entry_leaf)) + 1
-            steps = len(cyc) - 1
-        return (cyc[(start + k) % len(cyc)] for k in range(steps))
-
-    # Depth-first through the corridors with an explicit stack, so that
-    # forests of any depth are walked.
     ends: list[tuple[str, str]] = []
-    for comp in forest_components(r):
-        stack = [(comp[0], items(comp[0], None))]
-        while stack:
-            mid, pending = stack[-1]
-            item = next(pending, None)
-            if item is None:
-                stack.pop()
-            elif item[0] == "end":
+
+    def walk(mid: str, entry_leaf: Optional[str]):
+        """Read the box's attachments in walk order, from the one after the
+        corridor it was entered by, and walk into each further corridor."""
+        cyc = cycles[mid]
+        if entry_leaf is not None:
+            k = cyc.index(("edge", entry_leaf))
+            cyc = cyc[k + 1 :] + cyc[:k]
+        for item in cyc:
+            if item[0] == "end":
                 ends.append((item[1], item[2]))
             else:
-                nxt = other_end[(mid, item[1])]
-                stack.append((nxt, items(nxt, item[1])))
+                yield walk(r.across(mid, item[1]), item[1])
+
+    for comp in forest_components(r):
+        run_nested(walk(comp[0], None))
     return BoundaryOrder(ends=tuple(ends))
 
 

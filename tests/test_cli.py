@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -267,3 +268,19 @@ def test_unwritable_output_path_is_usage_error(s1_path, tmp_path, capsys, flag, 
     err = capsys.readouterr().err
     assert err.startswith(f"foliage: cannot write {out!r}: ")
     assert "Traceback" not in err
+
+
+def test_deeply_nested_json_is_a_parse_finding(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "finding: parse: nested too deeply\n"
+
+
+def test_oversized_number_is_a_parse_finding(tmp_path, capsys):
+    doc = json.loads(fixture_text("S1"))
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc).replace('"entry_cut": 0', '"entry_cut": ' + "9" * 5000, 1), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"finding: parse: number longer than {limit} digits\n"
