@@ -38,6 +38,7 @@ from .relations import (
     RelationVerdict,
     TieRankError,
     adaptive_order,
+    all_pair_relations,
     classic_from_verdicts,
     classic_transverse,
     compare_left,

@@ -224,7 +224,7 @@ def prop_embedding(ctx: _Context) -> list[str]:
         return []
     bad = []
     for a, b, point in ctx.crossing_points:
-        if not any(box.contains_interior(point) for box in ctx.layout.boxes.values()):
+        if ctx.layout.box_of(point) is None:
             bad.append(f"crossing of {a},{b} lies outside every box")
     for poly in ctx.routed.polylines:
         for i in range(len(poly.points) - 1):

@@ -136,6 +136,58 @@ def _pair_line(s: Scenario, a: str, b: str) -> str:
     return f"L: {p.left}; R: {p.right}; weak: {str(weak).lower()}"
 
 
+# The fields of a ``relations --json`` row, in the order the canonical
+# writer puts them (sorted keys; "a" and "b" are the two ids of "pair").
+_ROW_FIELDS = ("backward_asymptotic", "classic", "forward_asymptotic", "left", "a", "b", "right", "weak")
+_MARKS = tuple("\0" + f for f in _ROW_FIELDS)
+
+
+def _row_values(a: str, b: str, p: relations.PairRelations) -> tuple:
+    """The values of a pair's row, in ``_ROW_FIELDS`` order."""
+    weak = relations.weak_from_verdicts(p.left, p.right)
+    classic = relations.classic_from_verdicts(p.left, p.right)
+    return (p.backward_asymptotic, classic, p.forward_asymptotic, str(p.left), a, b, str(p.right), weak)
+
+
+@functools.cache
+def _relations_template() -> tuple[str, str, str, str, str]:
+    """Head, row separator and tail of ``relations --json``, and two
+    ``%``-templates of a row: one with a ``%s`` per field, in
+    ``_ROW_FIELDS`` order, and one of a Disjoint pair with a ``%s`` per id.
+    All are cut from what ``dumps`` writes for sentinel rows, so
+    indentation and key order come from the canonical writer."""
+    head, sep, tail = dumps({"pairs": ["\0", "\0"]}).split(dumps("\0"))
+
+    def template(values: tuple) -> str:
+        row = dict(zip(_ROW_FIELDS, values))
+        row["pair"] = [row.pop("a"), row.pop("b")]
+        body = dumps({"pairs": [row]})[len(head) : -len(tail)].replace("%", "%%")
+        marks = [dumps(v) for v in values if v in _MARKS]
+        spots = [body.index(mark) for mark in marks]
+        if spots != sorted(spots):
+            raise AssertionError("relations row fields are out of the writer's order")
+        for mark in marks:
+            body = body.replace(mark, "%s")
+        return body
+
+    id_marks = _MARKS[_ROW_FIELDS.index("a")], _MARKS[_ROW_FIELDS.index("b")]
+    return head, sep, tail, template(_MARKS), template(_row_values(*id_marks, relations.DISJOINT_PAIR))
+
+
+def _relations_json(s: Scenario) -> str:
+    """``dumps({"pairs": rows})`` of the pair rows, each filled into a
+    template; each orbit id and each verdict is encoded once."""
+    head, sep, tail, row, disjoint = _relations_template()
+    encode = functools.cache(dumps)
+    rows = [
+        disjoint % (encode(a), encode(b))
+        if p is relations.DISJOINT_PAIR
+        else row % tuple(map(encode, _row_values(a, b, p)))
+        for a, b, p in relations.all_pair_relations(s)
+    ]
+    return head + sep.join(rows) + tail if rows else dumps({"pairs": []})
+
+
 def _cmd_relations(args) -> int:
     s = _load(args.file)
     _require_valid(s)
@@ -146,29 +198,14 @@ def _cmd_relations(args) -> int:
             return _usage_error("unknown orbit in --pair")
         print(_pair_line(s, a, b))
         return 0
-    rows = []
-    for a, b in itertools.combinations(ids, 2):
-        p = relations.pair_relations(s, a, b)
-        rows.append(
-            {
-                "pair": [a, b],
-                "left": str(p.left),
-                "right": str(p.right),
-                "forward_asymptotic": p.forward_asymptotic,
-                "backward_asymptotic": p.backward_asymptotic,
-                "weak": relations.weak_from_verdicts(p.left, p.right),
-                "classic": relations.classic_from_verdicts(p.left, p.right),
-            }
-        )
     if args.json:
-        print(dumps({"pairs": rows}))
+        print(_relations_json(s))
         return 0
-    for row in rows:
-        a, b = row["pair"]
+    for a, b, p in relations.all_pair_relations(s):
+        backward, classic, forward, left, _a, _b, right, weak = _row_values(a, b, p)
         print(
-            f"{a},{b} L={row['left']} R={row['right']} "
-            f"+~={str(row['forward_asymptotic']).lower()} -~={str(row['backward_asymptotic']).lower()} "
-            f"weak={str(row['weak']).lower()} classic={str(row['classic']).lower()}"
+            f"{a},{b} L={left} R={right} +~={str(forward).lower()} -~={str(backward).lower()} "
+            f"weak={str(weak).lower()} classic={str(classic).lower()}"
         )
     return 0
 
@@ -178,7 +215,8 @@ def _cmd_diagram(args) -> int:
     _require_valid(s)
     r = reduce_scenario(s)
     plans = realize.all_port_plans(s, r)
-    matrix = realize.crossing_matrix(s, r, plans)
+    # Only the matrix format reads the crossing matrix.
+    matrix = realize.crossing_matrix(s, r, plans) if args.format == "matrix" else None
     order = realize.boundary_order(s, r, plans) if r.maxdomains else None
     if args.svg:
         lay = geometry.layout(s, r, plans)
@@ -189,7 +227,7 @@ def _cmd_diagram(args) -> int:
             return _usage_error("chord diagram requires at least one orbit")
         _write(args.chord, geometry.emit_chord_svg(geometry.chord_diagram(order)))
     ids = sorted(o.id for o in s.orbits)
-    if args.format == "matrix":
+    if matrix is not None:
         if args.json:
             doc = {
                 "pairs": [

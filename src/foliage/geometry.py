@@ -21,7 +21,9 @@ lies strictly inside a box.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -103,6 +105,27 @@ class Layout:
     def tick_for(self, leaf: str) -> Optional[Tick]:
         """The first critical or internal tick drawn for the leaf."""
         return self._tick_by_leaf.get(leaf)
+
+    @functools.cached_property
+    def _boxes_by_x0(self) -> tuple[list[Fraction], list[Fraction], list[tuple[int, str]]]:
+        """The boxes sorted by ``(x0, position in boxes)``: their ``x0``s,
+        the running maximum of their ``x1``s, and ``(position, id)``."""
+        ranked = sorted((box.x0, k, mid) for k, (mid, box) in enumerate(self.boxes.items()))
+        reach = itertools.accumulate((self.boxes[mid].x1 for _x0, _k, mid in ranked), max)
+        return [x0 for x0, _k, _mid in ranked], list(reach), [(k, mid) for _x0, k, mid in ranked]
+
+    def box_of(self, p: Point) -> Optional[str]:
+        """The first box, in ``boxes`` order, whose interior holds p."""
+        starts, reach, ranked = self._boxes_by_x0
+        found = None
+        # Boxes at i and after start at or right of p; walk left while some
+        # box at or before i - 1 still reaches past p.
+        i = bisect.bisect_left(starts, p[0])
+        while i > 0 and reach[i - 1] > p[0]:
+            i -= 1
+            if self.boxes[ranked[i][1]].contains_interior(p) and (found is None or ranked[i] < found):
+                found = ranked[i]
+        return found[1] if found is not None else None
 
 
 @dataclass(frozen=True)
@@ -369,13 +392,7 @@ def tally_crossings(
         key = (min(a, b), max(a, b))
         counts[key] = counts.get(key, 0) + 1
         if key not in witnesses:
-            witness = None
-            if lay is not None:
-                for mid, box in lay.boxes.items():
-                    if box.contains_interior(point):
-                        witness = mid
-                        break
-            witnesses[key] = witness
+            witnesses[key] = lay.box_of(point) if lay is not None else None
     orbits = tuple(sorted(poly.orbit for poly in p.polylines))
     entries = tuple(PairEntry(a, b, counts[(a, b)], witnesses[(a, b)]) for a, b in sorted(counts))
     return CrossingMatrix(orbits=orbits, entries=entries)

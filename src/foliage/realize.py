@@ -21,11 +21,12 @@ from .decompose import MaxDomain, ReducedStructure
 from .model import FoliageError, Scenario, index
 from .relations import (
     OrderedOrbitList,
+    all_pair_relations,
     beyond,
     chain_orders,
     leaf_keys,
     sorted_by_key,
-    weak_transverse,
+    weak_from_verdicts,
 )
 
 BACKWARD = "backward"
@@ -299,11 +300,9 @@ def interleaving_matrix(b: BoundaryOrder) -> CrossingMatrix:
 
 
 def weak_matrix(s: Scenario) -> CrossingMatrix:
-    """Pairwise weak-transverse indicator in the same matrix shape."""
-    orbits = tuple(sorted(o.id for o in s.orbits))
-    entries = []
-    for i, a in enumerate(orbits):
-        for b in orbits[i + 1 :]:
-            if weak_transverse(s, a, b):
-                entries.append(PairEntry(a, b, 1, None))
-    return CrossingMatrix(orbits=orbits, entries=tuple(entries))
+    """Pairwise weak-transverse indicator in the same matrix shape; a
+    Disjoint pair is never weak, so only pairs that meet are compared."""
+    entries = tuple(
+        PairEntry(a, b, 1, None) for a, b, p in all_pair_relations(s) if weak_from_verdicts(p.left, p.right)
+    )
+    return CrossingMatrix(orbits=tuple(sorted(o.id for o in s.orbits)), entries=entries)

@@ -7,6 +7,12 @@ or by comparing the two terminal cuts (L4); the right end mirrors this with
 entry leaves and entry cuts.  Equal terminal data in the L4/R4 case is the
 forward/backward asymptotic equivalence.
 
+``all_pair_relations`` is the one pass over every pair ``a < b`` in id
+order; the ``relations`` command and ``realize.weak_matrix`` read it.  Only
+the pairs that share a skeleton domain are compared.  Every other pair has
+no common subpath, so it is Disjoint on both ends and asymptotic on
+neither: it gets the shared ``DISJOINT_PAIR`` without a subpath lookup.
+
 Orders are sorts by key.  ``side_key(idx, o, domain, step)`` walks o's path
 away from ``domain`` and emits ``2*rank+1`` per leaf crossed and ``2*cut``
 where o ends: left ranks and the exit cut forward (``step=+1``), right ranks
@@ -25,7 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .decompose import MaxDomain, ReducedStructure, common_subpath
 from .model import FoliageError, Orbit, Scenario, index
@@ -109,6 +115,8 @@ _LEFT = _side_verdicts(Clause.L1, Clause.L2, Clause.L3, Clause.L4)
 _RIGHT = _side_verdicts(Clause.R1, Clause.R2, Clause.R3, Clause.R4)
 _SAME = RelationVerdict(Direction.EQUIVALENT, Clause.ASYMPTOTIC)
 _DISJOINT = RelationVerdict(Direction.INCOMPARABLE, Clause.DISJOINT)
+# The relations of every pair of distinct orbits with no common subpath.
+DISJOINT_PAIR = PairRelations(_DISJOINT, _DISJOINT, False, False)
 
 
 def _same_end(oa: Orbit, ob: Orbit) -> bool:
@@ -216,12 +224,28 @@ def pair_relations(s: Scenario, a: str, b: str) -> PairRelations:
         return PairRelations(_SAME, _SAME, True, True)
     cs = common_subpath(s, a, b)
     if cs is None:
-        return PairRelations(_DISJOINT, _DISJOINT, False, False)
+        return DISJOINT_PAIR
     idx = index(s)
     oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
     return PairRelations(
         _verdict(idx, oa, ob, cs.last, 1), _verdict(idx, oa, ob, cs.first, -1), _same_end(oa, ob), _same_start(oa, ob)
     )
+
+
+def all_pair_relations(s: Scenario) -> Iterator[tuple[str, str, PairRelations]]:
+    """``(a, b, pair_relations(s, a, b))`` for every pair of orbit ids
+    ``a < b``, in id order.  Only pairs that share a skeleton domain are
+    compared; every other pair is Disjoint without a subpath lookup."""
+    idx = index(s)
+    partners: dict[str, set[str]] = {o: set() for o in idx.orbit_by_id}
+    for orbits in idx.domain_orbits.values():
+        for o in orbits:
+            partners[o].update(orbits)
+    ids = sorted(partners)
+    for i, a in enumerate(ids):
+        met = partners[a]
+        for b in ids[i + 1 :]:
+            yield a, b, pair_relations(s, a, b) if b in met else DISJOINT_PAIR
 
 
 def weak_from_verdicts(left: RelationVerdict, right: RelationVerdict) -> bool:

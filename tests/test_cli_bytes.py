@@ -11,12 +11,14 @@ import hashlib
 
 import pytest
 
+from foliage import realize
 from foliage.cli import main
 from foliage.model import FIXTURE_NAMES, emit_scenario, fixture_text
 from test_realize import _chain
 
 COMMANDS = {
     "relations": ["relations", "{file}", "--json"],
+    "relations-text": ["relations", "{file}"],
     "matrix": ["diagram", "{file}", "--format", "matrix", "--json"],
     "boundary": ["diagram", "{file}", "--format", "boundary", "--json"],
     "chord": ["diagram", "{file}", "--format", "boundary", "--chord", "{chord}"],
@@ -57,6 +59,15 @@ DIGESTS = {
     # The deep benchmark's largest chain, for the two commands it runs.
     ("chain60", "boundary"): "47648c4d7125e6c1f76d03a7799765ee9dc63f51e32fd8e39784805ba9e03678",
     ("chain60", "relations"): "cf2d73825af4459f2232f45bae2a04632a8d1aeff572c705a840985d7e668129",
+    # Plain-text relations, recorded before the sparse pair pass.  S0 and S4
+    # have at most one orbit, so they print nothing.
+    ("S0", "relations-text"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("S1", "relations-text"): "ea83147c2105fe7687f6be426e81cc4e5165aeb2dafd1e96f74fc44bfbea368b",
+    ("S2", "relations-text"): "80c533c39804be6272e7d7a1cb069aaf4e20e12091208ef31aa33a1ef937c2de",
+    ("S3", "relations-text"): "52883594e4245784a2bf7b55c6a1197b9968e2162c9fa44388f278f4779a87e3",
+    ("S4", "relations-text"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("chain20", "relations-text"): "1b9af495354114f1cfca71be927c4a847d137886d926f6c4893b283673565a4e",
+    ("chain60", "relations-text"): "89655035dfc4519323d04d902f619f53f857225f12de3f8205f7cc8d0aa80c77",
 }
 
 
@@ -66,11 +77,11 @@ def _scenario_text(name: str) -> str:
     return fixture_text(name)
 
 
-def _digest(tmp_path, capsys, name: str, command: str) -> str:
+def _digest(tmp_path, capsys, name: str, command: str, *extra: str) -> str:
     path = tmp_path / f"{name}.json"
     path.write_text(_scenario_text(name), encoding="utf-8")
     written = tmp_path / "out.svg"
-    argv = [arg.format(file=path, chord=written, svg=written) for arg in COMMANDS[command]]
+    argv = [arg.format(file=path, chord=written, svg=written) for arg in COMMANDS[command]] + list(extra)
     assert main(argv) == 0
     out = capsys.readouterr().out
     data = written.read_bytes() if command in ("chord", "svg") else out.encode("utf-8")
@@ -80,6 +91,22 @@ def _digest(tmp_path, capsys, name: str, command: str) -> str:
 @pytest.mark.parametrize("command, name", sorted((command, name) for name, command in DIGESTS))
 def test_cli_output_bytes_are_pinned(tmp_path, capsys, name, command):
     assert _digest(tmp_path, capsys, name, command) == DIGESTS[(name, command)]
+
+
+@pytest.mark.parametrize(
+    "command, name", sorted((command, name) for name, command in DIGESTS if command in ("boundary", "chord", "svg"))
+)
+def test_only_the_matrix_format_builds_the_crossing_matrix(tmp_path, capsys, monkeypatch, name, command):
+    """The SVGs and the boundary order never read the crossing matrix; the
+    svg pin runs under the default ``--format matrix``, so it is rerun here
+    under ``--format boundary``."""
+
+    def refuse(*args, **kwargs):
+        raise realize.RealizationError("the crossing matrix was built")
+
+    monkeypatch.setattr(realize, "crossing_matrix", refuse)
+    extra = ("--format", "boundary") if command == "svg" else ()
+    assert _digest(tmp_path, capsys, name, command, *extra) == DIGESTS[(name, command)]
 
 
 CHECK_DIGEST = "1e5e0529f93c70ffc833c9dd5953cc94caf0ffeb9536abc79307defcaaca3682"

@@ -229,3 +229,53 @@ def test_forward_pieces_disjoint_when_leaf_order_is_compatible():
                 pa = geometry.clip_forward(routed.by_orbit(first), tick.x)
                 pb = geometry.clip_forward(routed.by_orbit(second), tick.x)
                 assert geometry.pieces_disjoint(pa, pb)
+
+
+def _box_by_scan(lay, point):
+    """The first box, in ``boxes`` order, whose interior holds the point."""
+    return next((mid for mid, box in lay.boxes.items() if box.contains_interior(point)), None)
+
+
+def _probe_points(routed, crossings):
+    """Each polyline's vertices and segment midpoints, and the crossings."""
+    points = [pt for poly in routed.polylines for pt in poly.points]
+    for poly in routed.polylines:
+        points += [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p, q in zip(poly.points, poly.points[1:])]
+    return points + [pt for _a, _b, pt in crossings]
+
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_box_of_equals_the_scan_over_every_box(seed):
+    s = generate_scenario(GeneratorConfig(seed=seed))
+    r = reduce_scenario(s)
+    lay = layout(s, r)
+    routed = route(s, r, lay)
+    for point in _probe_points(routed, geometry.crossing_points(routed)):
+        assert lay.box_of(point) == _box_by_scan(lay, point)
+
+
+def test_box_of_equals_the_scan_on_a_40_chain():
+    from test_realize import _chain
+
+    s = _chain(40)
+    r = reduce_scenario(s)
+    lay = layout(s, r)
+    points = _probe_points(route(s, r, lay), ())
+    found = [lay.box_of(point) for point in points]
+    assert found == [_box_by_scan(lay, point) for point in points]
+    assert set(found) == set(lay.boxes) | {None}
+
+
+def test_box_of_takes_the_first_box_in_order_when_boxes_overlap():
+    def box(*corners):
+        return geometry.BoxRect(*map(Fraction, corners))
+
+    # "b" comes first in ``boxes`` but starts right of "a" and "c".
+    boxes = {"b": box(2, 0, 6, 4), "a": box(0, 0, 10, 10), "c": box(1, 1, 3, 3)}
+    lay = geometry.Layout(boxes, (), {}, {}, {}, {}, (), (Fraction(0), Fraction(0), Fraction(10), Fraction(10)))
+    for x, y in itertools.product(range(-1, 12), repeat=2):
+        point = (Fraction(x, 2) + Fraction(1, 4), Fraction(y, 2) + Fraction(1, 4))
+        assert lay.box_of(point) == _box_by_scan(lay, point)
+    assert lay.box_of((Fraction(5, 2), Fraction(2))) == "b"
+    assert lay.box_of((Fraction(3, 2), Fraction(2))) == "a"
+    assert lay.box_of((Fraction(11), Fraction(2))) is None

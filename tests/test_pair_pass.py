@@ -1,0 +1,157 @@
+"""The sparse pair pass and the ``relations --json`` row template.
+
+``relations.all_pair_relations`` compares only the pairs that share a
+skeleton domain; it is checked against ``pair_relations`` on every pair of
+a fresh copy of each scenario.  ``relations`` output is checked against the
+row dicts written by ``dumps`` (the JSON) and formatted one by one (the
+text), and ``weak_matrix`` against the all-pairs ``weak_transverse`` loop.
+"""
+
+import functools
+import itertools
+import json
+
+import pytest
+
+from foliage import relations
+from foliage.cli import main
+from foliage.generator import GeneratorConfig, generate_scenario
+from foliage.model import FIXTURE_NAMES, Orbit, Scenario, SkeletonDomain, dumps, emit_scenario, fixture
+from foliage.realize import weak_matrix
+from test_realize import _chain
+from test_relations import _through_one_domain
+
+# Orbit ids that a %-template, a JSON string escape or a line separator
+# could get wrong.
+ODD_IDS = ("%s", '"', "\\", "é", "\u2028")
+
+
+def _renamed(s, names):
+    new = dict(zip(sorted(o.id for o in s.orbits), names))
+    orbits = tuple(Orbit(new[o.id], o.path, o.entry_cut, o.exit_cut, o.tie_rank) for o in s.orbits)
+    return Scenario(domains=s.domains, orbits=orbits)
+
+
+FAMILIES = ("in-code", "default", "wide")
+
+
+@functools.cache
+def _family(family):
+    """The named scenarios of one family: the fixtures and scenarios built
+    in code, or seeds 1..300 at the default bounds or at 25/14/6."""
+    if family == "in-code":
+        named = {name: fixture(name) for name in FIXTURE_NAMES}
+        named["nested"] = _through_one_domain(("r", "s"))
+        named["crossed"] = _through_one_domain(("s", "r"))
+        named["no-orbits"] = Scenario(domains=(SkeletonDomain("D", left=("x",)),), orbits=())
+        named["odd-ids"] = _renamed(_chain(5), ODD_IDS)
+        named["odd-ids-crossed"] = _renamed(_through_one_domain(("s", "r")), ("%s", "\u2028"))
+        named.update((f"chain{k}", _chain(k)) for k in (2, 5, 20, 60))
+        return named
+    bounds = {} if family == "default" else {"max_domains": 25, "max_orbits": 14, "max_boundary": 6}
+    return {f"{family}{seed}": generate_scenario(GeneratorConfig(seed=seed, **bounds)) for seed in range(1, 301)}
+
+
+def _fresh(s):
+    """A copy of s with its own index, so no value computed on s is shared."""
+    return Scenario(domains=s.domains, orbits=s.orbits)
+
+
+def _meets(s, a, b):
+    by_id = {o.id: o for o in s.orbits}
+    return bool(set(by_id[a].domains) & set(by_id[b].domains))
+
+
+def test_the_scenarios_cover_zero_one_and_two_orbits_and_mostly_disjoint_pairs():
+    assert {0, 1, 2} <= {len(s.orbits) for s in _family("in-code").values()}
+    s = _family("in-code")["chain60"]
+    pairs = list(itertools.combinations(sorted(o.id for o in s.orbits), 2))
+    assert sum(not _meets(s, a, b) for a, b in pairs) > 0.9 * len(pairs)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_sparse_pass_equals_pair_relations_on_every_pair(family):
+    for name, s in _family(family).items():
+        oracle = _fresh(s)
+        got = list(relations.all_pair_relations(s))
+        assert [(a, b) for a, b, _p in got] == list(itertools.combinations(sorted(o.id for o in s.orbits), 2)), name
+        for a, b, p in got:
+            assert p == relations.pair_relations(oracle, a, b), (name, a, b)
+
+
+@pytest.mark.parametrize(
+    "family, name",
+    [("in-code", n) for n in ("S1", "S2", "S3", "nested", "chain20", "chain60")]
+    + [("default", "default7"), ("wide", "wide3")],
+)
+def test_pairs_that_share_no_domain_reach_no_subpath_lookup(monkeypatch, family, name):
+    s = _fresh(_family(family)[name])
+    real = relations.common_subpath
+    looked_up = []
+
+    def recording(s, a, b):
+        looked_up.append((a, b))
+        return real(s, a, b)
+
+    monkeypatch.setattr(relations, "common_subpath", recording)
+    pairs = [(a, b) for a, b, _p in relations.all_pair_relations(s)]
+    assert looked_up == [(a, b) for a, b in pairs if _meets(s, a, b)]
+
+
+def _rows_oracle(s):
+    """The row dicts ``relations`` printed before the pair pass."""
+    rows = []
+    for a, b in itertools.combinations(sorted(o.id for o in s.orbits), 2):
+        p = relations.pair_relations(s, a, b)
+        rows.append(
+            {
+                "pair": [a, b],
+                "left": str(p.left),
+                "right": str(p.right),
+                "forward_asymptotic": p.forward_asymptotic,
+                "backward_asymptotic": p.backward_asymptotic,
+                "weak": relations.weak_from_verdicts(p.left, p.right),
+                "classic": relations.classic_from_verdicts(p.left, p.right),
+            }
+        )
+    return rows
+
+
+def _text_oracle(rows):
+    return "".join(
+        f"{row['pair'][0]},{row['pair'][1]} L={row['left']} R={row['right']} "
+        f"+~={str(row['forward_asymptotic']).lower()} -~={str(row['backward_asymptotic']).lower()} "
+        f"weak={str(row['weak']).lower()} classic={str(row['classic']).lower()}\n"
+        for row in rows
+    )
+
+
+def _relations_output(tmp_path, capsys, s, *flags):
+    path = tmp_path / "scenario.json"
+    path.write_text(emit_scenario(s), encoding="utf-8")
+    assert main(["relations", str(path), *flags]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_relations_output_equals_the_row_dict_oracle(tmp_path, capsys, family):
+    for name, s in _family(family).items():
+        rows = _rows_oracle(_fresh(s))
+        assert _relations_output(tmp_path, capsys, s, "--json") == dumps({"pairs": rows}) + "\n", name
+        assert _relations_output(tmp_path, capsys, s) == _text_oracle(rows), name
+
+
+def test_odd_orbit_ids_come_back_from_the_json(tmp_path, capsys):
+    out = _relations_output(tmp_path, capsys, _family("in-code")["odd-ids"], "--json")
+    pairs = [tuple(row["pair"]) for row in json.loads(out)["pairs"]]
+    assert pairs == list(itertools.combinations(sorted(ODD_IDS), 2))
+    assert out.isascii()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_weak_matrix_equals_the_all_pairs_weak_transverse_loop(family):
+    for name, s in _family(family).items():
+        oracle = _fresh(s)
+        ids = sorted(o.id for o in s.orbits)
+        weak = {(a, b): 1 for a, b in itertools.combinations(ids, 2) if relations.weak_transverse(oracle, a, b)}
+        assert weak_matrix(s).as_dict() == weak, name
