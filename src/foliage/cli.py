@@ -176,15 +176,20 @@ def _relations_template() -> tuple[str, str, str, str, str]:
 
 def _relations_json(s: Scenario) -> str:
     """``dumps({"pairs": rows})`` of the pair rows, each filled into a
-    template; each orbit id and each verdict is encoded once."""
+    template; each orbit id and each verdict is encoded once.  Each run of
+    Disjoint rows with the same ``a`` is one ``join`` over the ``b`` ids."""
     head, sep, tail, row, disjoint = _relations_template()
+    # ``dumps`` never writes a raw NUL, so this splits at the two ids.
+    d_head, d_mid, d_tail = (disjoint % ("\0", "\0")).split("\0")
     encode = functools.cache(dumps)
-    rows = [
-        disjoint % (encode(a), encode(b))
-        if p is relations.DISJOINT_PAIR
-        else row % tuple(map(encode, _row_values(a, b, p)))
-        for a, b, p in relations.all_pair_relations(s)
-    ]
+    rows: list[str] = []
+    runs = itertools.groupby(relations.all_pair_relations(s), lambda r: (r[0], r[2] is relations.DISJOINT_PAIR))
+    for (a, is_disjoint), run in runs:
+        if is_disjoint:
+            opened = d_head + encode(a) + d_mid
+            rows.append(opened + (d_tail + sep + opened).join(encode(b) for _a, b, _p in run) + d_tail)
+        else:
+            rows.extend(row % tuple(map(encode, _row_values(a, b, p))) for a, b, p in run)
     return head + sep.join(rows) + tail if rows else dumps({"pairs": []})
 
 
@@ -201,12 +206,14 @@ def _cmd_relations(args) -> int:
     if args.json:
         print(_relations_json(s))
         return 0
+    lines = []
     for a, b, p in relations.all_pair_relations(s):
         backward, classic, forward, left, _a, _b, right, weak = _row_values(a, b, p)
-        print(
+        lines.append(
             f"{a},{b} L={left} R={right} +~={str(forward).lower()} -~={str(backward).lower()} "
-            f"weak={str(weak).lower()} classic={str(classic).lower()}"
+            f"weak={str(weak).lower()} classic={str(classic).lower()}\n"
         )
+    sys.stdout.write("".join(lines))
     return 0
 
 

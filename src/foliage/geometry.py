@@ -330,29 +330,55 @@ def _orient(p: Point, q: Point, r_: Point) -> Fraction:
     return (q[0] - p[0]) * (r_[1] - p[1]) - (q[1] - p[1]) * (r_[0] - p[0])
 
 
-def _within(a: Fraction, lo: Fraction, hi: Fraction) -> bool:
-    return min(lo, hi) <= a <= max(lo, hi)
+def _in_bounds(t: Point, p: Point, q: Point) -> bool:
+    """t lies in the bounding box of segment pq."""
+    return min(p[0], q[0]) <= t[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= t[1] <= max(p[1], q[1])
 
 
-def _on_segment(p: Point, q: Point, t: Point) -> bool:
-    return _orient(p, q, t) == 0 and _within(t[0], p[0], q[0]) and _within(t[1], p[1], q[1])
+def _classify(p1: Point, p2: Point, q1: Point, q2: Point, o1, o2, o3, o4):
+    """Classify two segments from their four orientations: ``o1``, ``o2`` of
+    q1, q2 against p1p2 and ``o3``, ``o4`` of p1, p2 against q1q2.
+
+    A proper crossing needs strict opposite signs on both sides.  Otherwise
+    the segments touch exactly when some endpoint with orientation 0 lies
+    within the other segment's bounds (Shewchuk 1997)."""
+    if (o1 > 0 > o2 or o1 < 0 < o2) and (o3 > 0 > o4 or o3 < 0 < o4):
+        t = o1 / (o1 - o2)
+        return "cross", (q1[0] + t * (q2[0] - q1[0]), q1[1] + t * (q2[1] - q1[1]))
+    if (
+        (o1 == 0 and _in_bounds(q1, p1, p2))
+        or (o2 == 0 and _in_bounds(q2, p1, p2))
+        or (o3 == 0 and _in_bounds(p1, q1, q2))
+        or (o4 == 0 and _in_bounds(p2, q1, q2))
+    ):
+        return "touch", None
+    return "none", None
 
 
 def segment_relation(p1: Point, p2: Point, q1: Point, q2: Point):
     """Classify two segments: ("cross", point), ("touch", None) or ("none", None)."""
-    o1 = _orient(p1, p2, q1)
-    o2 = _orient(p1, p2, q2)
-    o3 = _orient(q1, q2, p1)
-    o4 = _orient(q1, q2, p2)
-    if (o1 > 0 > o2 or o1 < 0 < o2) and (o3 > 0 > o4 or o3 < 0 < o4):
-        denom = o1 - o2
-        t = o1 / denom
-        point = (q1[0] + t * (q2[0] - q1[0]), q1[1] + t * (q2[1] - q1[1]))
-        return "cross", point
-    for p, q, t in ((p1, p2, q1), (p1, p2, q2), (q1, q2, p1), (q1, q2, p2)):
-        if _on_segment(p, q, t):
-            return "touch", None
-    return "none", None
+    o1, o2 = _orient(p1, p2, q1), _orient(p1, p2, q2)
+    return _classify(p1, p2, q1, q2, o1, o2, _orient(q1, q2, p1), _orient(q1, q2, p2))
+
+
+def _orientations(a: tuple[Point, ...], b: tuple[Point, ...]) -> list[list[Fraction]]:
+    """Row k holds every point of ``b`` against segment k of ``a``."""
+    rows = []
+    for (x0, y0), (x1, y1) in zip(a, a[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        rows.append([dx * (y - y0) - dy * (x - x0) for x, y in b])
+    return rows
+
+
+def _relations(a: tuple[Point, ...], b: tuple[Point, ...]):
+    """``_classify`` of every segment pair of two pieces, ``a``'s segment in
+    the outer loop; each orientation is computed once, in one of two tables."""
+    of_b = _orientations(a, b)
+    of_a = _orientations(b, a)
+    for k, row in enumerate(of_b):
+        p1, p2 = a[k], a[k + 1]
+        for l in range(len(b) - 1):
+            yield _classify(p1, p2, b[l], b[l + 1], row[l], row[l + 1], of_a[l][k], of_a[l][k + 1])
 
 
 def _segments(poly: Polyline):
@@ -365,15 +391,11 @@ def crossing_points(p: PolylineSet) -> tuple[tuple[str, str, Point], ...]:
     polys = p.polylines
     for i, pa in enumerate(polys):
         for pb in polys[i + 1 :]:
-            for s1, s2 in _segments(pa):
-                for t1, t2 in _segments(pb):
-                    kind, point = segment_relation(s1, s2, t1, t2)
-                    if kind == "touch":
-                        raise DegeneracyError(
-                            f"trajectories {pa.orbit!r} and {pb.orbit!r} touch without crossing"
-                        )
-                    if kind == "cross":
-                        found.append((pa.orbit, pb.orbit, point))
+            for kind, point in _relations(pa.points, pb.points):
+                if kind == "touch":
+                    raise DegeneracyError(f"trajectories {pa.orbit!r} and {pb.orbit!r} touch without crossing")
+                if kind == "cross":
+                    found.append((pa.orbit, pb.orbit, point))
     return tuple(found)
 
 
@@ -428,12 +450,7 @@ def clip_forward(poly: Polyline, x: Fraction) -> tuple[Point, ...]:
 
 def pieces_disjoint(a: tuple[Point, ...], b: tuple[Point, ...]) -> bool:
     """No shared point between two polyline pieces of different orbits."""
-    for s1, s2 in zip(a, a[1:]):
-        for t1, t2 in zip(b, b[1:]):
-            kind, _point = segment_relation(s1, s2, t1, t2)
-            if kind != "none":
-                return False
-    return True
+    return all(kind == "none" for kind, _point in _relations(a, b))
 
 
 _PALETTE = (

@@ -133,18 +133,21 @@ def _check_fields(obj: dict, allowed: set[str], what: str) -> None:
             raise ScenarioParseError(f"unknown field {key!r} in {what}")
 
 
-def _leaf_list(raw: object, what: str) -> tuple[str, ...]:
-    _require(isinstance(raw, list), f"{what} must be an array")
-    out = []
-    for item in raw:  # type: ignore[union-attr]
-        _require(isinstance(item, str) and item, f"{what} entries must be non-empty strings")
-        out.append(item)
-    return tuple(out)
+def _leaf_list(raw: object, key: str, owner: str) -> tuple[str, ...]:
+    """The non-empty strings of ``raw``, the ``key`` field of ``owner``; the
+    error text is formatted only when a check fails."""
+    if not isinstance(raw, list):
+        raise ScenarioParseError(f"{key} of {owner!r} must be an array")
+    for item in raw:
+        if not (isinstance(item, str) and item):
+            raise ScenarioParseError(f"{key} of {owner!r} entries must be non-empty strings")
+    return tuple(raw)
 
 
 def _int_field(obj: dict, key: str, what: str) -> int:
     raw = obj.get(key, 0)
-    _require(isinstance(raw, int) and not isinstance(raw, bool), f"{key} of {what} must be an integer")
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise ScenarioParseError(f"{key} of {what} must be an integer")
     return raw
 
 
@@ -192,8 +195,8 @@ def parse_scenario(text: str) -> Scenario:
         domains.append(
             SkeletonDomain(
                 id=did,
-                left=_leaf_list(raw.get("left", []), f"left of {did!r}"),
-                right=_leaf_list(raw.get("right", []), f"right of {did!r}"),
+                left=_leaf_list(raw.get("left", []), "left", did),
+                right=_leaf_list(raw.get("right", []), "right", did),
             )
         )
 
@@ -209,8 +212,9 @@ def parse_scenario(text: str) -> Scenario:
         if oid in seen_orbits:
             raise ScenarioParseError(f"duplicate id {oid!r}")
         seen_orbits.add(oid)
-        path = _leaf_list(raw.get("path", []), f"path of {oid!r}")
-        _require(len(path) >= 1 and len(path) % 2 == 1, f"path of {oid!r} must alternate domain, leaf, ... with odd length")
+        path = _leaf_list(raw.get("path", []), "path", oid)
+        if len(path) % 2 == 0:
+            raise ScenarioParseError(f"path of {oid!r} must alternate domain, leaf, ... with odd length")
         for pos, name in enumerate(path):
             if pos % 2 == 0:
                 if name not in seen_domains:

@@ -3,7 +3,8 @@
 Each case runs one command on a fixture (or on a 20- or 60-domain chain
 built in code) and compares the sha256 of what it prints, or of the chord
 or box SVG it writes, with a digest recorded before the all-pairs paths were
-optimised.  ``check --seed 1 --cases 50 --json`` is pinned as well.
+optimised.  ``check --seed 1 --cases 50 --json`` is pinned as well, with its
+bounds left to the defaults and spelled out as the corpus benchmark runs it.
 A failure here means some output changed by at least one byte.
 """
 
@@ -116,3 +117,17 @@ def test_check_json_bytes_are_pinned(capsys):
     assert main(["check", "--seed", "1", "--cases", "50", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_DIGEST
+
+
+# What each corpus benchmark op runs, with the bounds spelled out.  They are
+# the generator's defaults, so the digest, recorded before the orientation
+# tables replaced the per-pair loop, is the one above.
+CORPUS_CHECK = ["check", "--seed", "1", "--cases", "50", "--max-domains", "10", "--max-orbits", "8"]
+CORPUS_CHECK += ["--max-boundary", "4", "--weak-bias", "1/2", "--json"]
+CORPUS_CHECK_DIGEST = "1e5e0529f93c70ffc833c9dd5953cc94caf0ffeb9536abc79307defcaaca3682"
+
+
+def test_check_json_bytes_at_the_corpus_bounds_are_pinned(capsys):
+    assert main(CORPUS_CHECK) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORPUS_CHECK_DIGEST

@@ -1,0 +1,218 @@
+"""The crossing oracle's orientation tables against the per-pair loop.
+
+``geometry.crossing_points`` and ``geometry.pieces_disjoint`` classify
+every segment pair of two polylines from two orientation tables built once
+per pair.  The oracle below is the loop they replaced: one
+``segment_relation`` per segment pair, each computing its own four
+orientations and, for pairs that do not cross, the touch test's again.
+Crossing points must be the same ``Fraction``s in the same order, and a
+touch must raise the same ``DegeneracyError`` at the same pair.
+"""
+
+import functools
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from foliage.decompose import reduce_scenario
+from foliage.generator import GeneratorConfig, generate_scenario
+from foliage.geometry import (
+    DegeneracyError,
+    Polyline,
+    PolylineSet,
+    clip_forward,
+    crossing_points,
+    layout,
+    pieces_disjoint,
+    route,
+    segment_relation,
+)
+from foliage.model import FIXTURE_NAMES, fixture
+from test_realize import _chain
+
+
+def _orient(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _within(a, lo, hi):
+    return min(lo, hi) <= a <= max(lo, hi)
+
+
+def _on_segment(p, q, t):
+    return _orient(p, q, t) == 0 and _within(t[0], p[0], q[0]) and _within(t[1], p[1], q[1])
+
+
+def _relation(p1, p2, q1, q2):
+    """One segment pair, classified from scratch."""
+    o1 = _orient(p1, p2, q1)
+    o2 = _orient(p1, p2, q2)
+    o3 = _orient(q1, q2, p1)
+    o4 = _orient(q1, q2, p2)
+    if (o1 > 0 > o2 or o1 < 0 < o2) and (o3 > 0 > o4 or o3 < 0 < o4):
+        t = o1 / (o1 - o2)
+        return "cross", (q1[0] + t * (q2[0] - q1[0]), q1[1] + t * (q2[1] - q1[1]))
+    for p, q, t in ((p1, p2, q1), (p1, p2, q2), (q1, q2, p1), (q1, q2, p2)):
+        if _on_segment(p, q, t):
+            return "touch", None
+    return "none", None
+
+
+def _segments(points):
+    return zip(points, points[1:])
+
+
+def _oracle_crossings(p):
+    found = []
+    polys = p.polylines
+    for i, pa in enumerate(polys):
+        for pb in polys[i + 1 :]:
+            for s1, s2 in _segments(pa.points):
+                for t1, t2 in _segments(pb.points):
+                    kind, point = _relation(s1, s2, t1, t2)
+                    if kind == "touch":
+                        raise DegeneracyError(f"trajectories {pa.orbit!r} and {pb.orbit!r} touch without crossing")
+                    if kind == "cross":
+                        found.append((pa.orbit, pb.orbit, point))
+    return tuple(found)
+
+
+def _oracle_disjoint(a, b):
+    return all(_relation(s1, s2, t1, t2)[0] == "none" for s1, s2 in _segments(a) for t1, t2 in _segments(b))
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the text of the DegeneracyError it raises."""
+    try:
+        return fn(*args)
+    except DegeneracyError as exc:
+        return ("DegeneracyError", str(exc))
+
+
+# The default generator bounds are the corpus bounds, 10/8/4 with weak
+# bias 1/2, so "default" stands for both.
+FAMILIES = ("in-code", "default", "wide")
+
+
+@functools.cache
+def _routed_family(family):
+    """The routed polylines and layout ticks of every scenario of a family
+    that has a layout: S0-S4 and chains k = 2, 5, 20, 40, or seeds 1..300
+    at the default bounds or at 25/14/6."""
+    if family == "in-code":
+        scenarios = [fixture(name) for name in FIXTURE_NAMES] + [_chain(k) for k in (2, 5, 20, 40)]
+    else:
+        bounds = {} if family == "default" else {"max_domains": 25, "max_orbits": 14, "max_boundary": 6}
+        scenarios = [generate_scenario(GeneratorConfig(seed=seed, **bounds)) for seed in range(1, 301)]
+    out = []
+    for s in scenarios:
+        r = reduce_scenario(s)
+        if not r.maxdomains:
+            continue
+        lay = layout(s, r)
+        out.append((route(s, r, lay), lay.ticks))
+    return out
+
+
+@functools.cache
+def _oracle_family(family):
+    """The per-pair loop's outcome on every case of the family."""
+    return [_outcome(_oracle_crossings, routed) for routed, _ticks in _routed_family(family)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_crossing_points_equal_the_per_pair_loop(family):
+    crossing = 0
+    for (routed, _ticks), expected in zip(_routed_family(family), _oracle_family(family)):
+        found = _outcome(crossing_points, routed)
+        assert found == expected
+        crossing += bool(found)
+    assert crossing  # the family is not vacuous
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pieces_disjoint_equals_the_per_pair_loop(family):
+    """Each polyline against the next, whole and clipped at the middle tick
+    as the forward-disjointness property clips them.  The loop's verdict on
+    whole polylines is read from its crossings: no case touches, so two
+    polylines are disjoint exactly when the loop finds no crossing of them."""
+    verdicts = set()
+    for (routed, ticks), expected in zip(_routed_family(family), _oracle_family(family)):
+        met = {(a, b) for a, b, _point in expected}
+        polys = routed.polylines
+        for pa, pb in zip(polys, polys[1:]):
+            verdict = pieces_disjoint(pa.points, pb.points)
+            assert verdict == ((pa.orbit, pb.orbit) not in met)
+            verdicts.add(verdict)
+            for tick in ticks[len(ticks) // 2 :][:1]:
+                a, b = clip_forward(pa, tick.x), clip_forward(pb, tick.x)
+                verdict = pieces_disjoint(a, b)
+                assert verdict == pieces_disjoint(b, a) == _oracle_disjoint(a, b)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _pt(x, y):
+    return (Fraction(x), Fraction(y))
+
+
+def _set(*polylines):
+    return PolylineSet(tuple(Polyline(name, tuple(_pt(*xy) for xy in points)) for name, points in polylines))
+
+
+TOUCHES = {
+    "collinear overlap": _set(("a", [(0, 0), (2, 0)]), ("b", [(1, 0), (3, 0)])),
+    # One endpoint on the other segment's interior, for each of the four.
+    "first endpoint of b on a": _set(("a", [(0, 0), (2, 0)]), ("b", [(1, 0), (1, 2)])),
+    "second endpoint of b on a": _set(("a", [(0, 0), (2, 0)]), ("b", [(1, 2), (1, 0)])),
+    "first endpoint of a on b": _set(("a", [(1, 0), (1, 2)]), ("b", [(0, 0), (2, 0)])),
+    "second endpoint of a on b": _set(("a", [(1, 2), (1, 0)]), ("b", [(0, 0), (2, 0)])),
+    "shared vertex": _set(("a", [(0, 0), (1, 1), (2, 0)]), ("b", [(0, 2), (1, 1), (2, 2)])),
+    "touch after a crossing": _set(("a", [(0, 0), (2, 2), (4, 1), (6, 1)]), ("b", [(0, 2), (2, 0), (4, 1), (6, 3)])),
+    "touching pair after a crossing pair": _set(
+        ("a", [(0, 0), (4, 4)]), ("b", [(0, 4), (4, 0)]), ("c", [(0, 0), (4, -4)])
+    ),
+    "first of two touching pairs": _set(("a", [(0, 5), (4, 5)]), ("b", [(0, 0), (4, 0)]), ("c", [(2, 0), (2, 5)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOUCHES))
+def test_touches_raise_the_loop_error(name):
+    p = TOUCHES[name]
+    expected = _outcome(_oracle_crossings, p)
+    assert expected[0] == "DegeneracyError"
+    assert _outcome(crossing_points, p) == expected
+    first, second = p.polylines[0].points, p.polylines[-1].points
+    assert pieces_disjoint(first, second) == _oracle_disjoint(first, second)
+
+
+def test_touch_errors_name_the_first_touching_pair():
+    assert _outcome(crossing_points, TOUCHES["touching pair after a crossing pair"])[1] == (
+        "trajectories 'a' and 'c' touch without crossing"
+    )
+    assert _outcome(crossing_points, TOUCHES["first of two touching pairs"])[1] == (
+        "trajectories 'a' and 'c' touch without crossing"
+    )
+
+
+def test_crossings_and_touches_equal_the_loop_on_small_integer_polylines():
+    """Random polylines on a 5x5 grid: collinear runs, shared vertices and
+    endpoints on segments are common, and none of them is x-monotone."""
+    rng = random.Random(20250101)
+    kinds = set()
+    for _ in range(1500):
+        polylines = [
+            (name, [(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(1, 5))]) for name in "abc"
+        ]
+        p = _set(*polylines[: rng.randrange(1, 4)])
+        found = _outcome(crossing_points, p)
+        assert found == _outcome(_oracle_crossings, p)
+        kinds.add("touch" if isinstance(found, tuple) and found and found[0] == "DegeneracyError" else "other")
+        a, b = p.polylines[0].points, p.polylines[-1].points
+        assert pieces_disjoint(a, b) == _oracle_disjoint(a, b)
+        for s1, s2 in _segments(a):
+            for t1, t2 in _segments(b):
+                assert segment_relation(s1, s2, t1, t2) == _relation(s1, s2, t1, t2)
+    assert kinds == {"touch", "other"}
