@@ -174,23 +174,30 @@ def _relations_template() -> tuple[str, str, str, str, str]:
     return head, sep, tail, template(_MARKS), template(_row_values(*id_marks, relations.DISJOINT_PAIR))
 
 
-def _relations_json(s: Scenario) -> str:
-    """``dumps({"pairs": rows})`` of the pair rows, each filled into a
-    template; each orbit id and each verdict is encoded once.  Each run of
-    Disjoint rows with the same ``a`` is one ``join`` over the ``b`` ids."""
+def _write_relations_json(s: Scenario) -> None:
+    """Write ``dumps({"pairs": rows})`` of the pair rows and a newline to
+    stdout, the head, each run of rows and the tail as they are made.  Each
+    row is filled into a template; each orbit id and each verdict is
+    encoded once.  Each run of Disjoint rows with the same ``a`` is one
+    ``join`` over the ``b`` ids."""
     head, sep, tail, row, disjoint = _relations_template()
     # ``dumps`` never writes a raw NUL, so this splits at the two ids.
     d_head, d_mid, d_tail = (disjoint % ("\0", "\0")).split("\0")
     encode = functools.cache(dumps)
-    rows: list[str] = []
+    out = sys.stdout
+    wrote = False
     runs = itertools.groupby(relations.all_pair_relations(s), lambda r: (r[0], r[2] is relations.DISJOINT_PAIR))
     for (a, is_disjoint), run in runs:
+        out.write(sep if wrote else head)
+        wrote = True
         if is_disjoint:
             opened = d_head + encode(a) + d_mid
-            rows.append(opened + (d_tail + sep + opened).join(encode(b) for _a, b, _p in run) + d_tail)
+            out.write(opened)
+            out.write((d_tail + sep + opened).join(encode(b) for _a, b, _p in run))
+            out.write(d_tail)
         else:
-            rows.extend(row % tuple(map(encode, _row_values(a, b, p))) for a, b, p in run)
-    return head + sep.join(rows) + tail if rows else dumps({"pairs": []})
+            out.write(sep.join(row % tuple(map(encode, _row_values(a, b, p))) for a, b, p in run))
+    out.write((tail if wrote else dumps({"pairs": []})) + "\n")
 
 
 def _cmd_relations(args) -> int:
@@ -204,7 +211,7 @@ def _cmd_relations(args) -> int:
         print(_pair_line(s, a, b))
         return 0
     if args.json:
-        print(_relations_json(s))
+        _write_relations_json(s)
         return 0
     lines = []
     for a, b, p in relations.all_pair_relations(s):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -335,13 +336,16 @@ def _in_bounds(t: Point, p: Point, q: Point) -> bool:
     return min(p[0], q[0]) <= t[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= t[1] <= max(p[1], q[1])
 
 
-def _classify(p1: Point, p2: Point, q1: Point, q2: Point, o1, o2, o3, o4):
-    """Classify two segments from their four orientations: ``o1``, ``o2`` of
-    q1, q2 against p1p2 and ``o3``, ``o4`` of p1, p2 against q1q2.
+def segment_relation(p1: Point, p2: Point, q1: Point, q2: Point):
+    """Classify two segments: ("cross", point), ("touch", None) or ("none", None).
 
-    A proper crossing needs strict opposite signs on both sides.  Otherwise
-    the segments touch exactly when some endpoint with orientation 0 lies
-    within the other segment's bounds (Shewchuk 1997)."""
+    ``o1``, ``o2`` are the orientations of q1, q2 against p1p2 and ``o3``,
+    ``o4`` those of p1, p2 against q1q2.  A proper crossing needs strict
+    opposite signs on both sides.  Otherwise the segments touch exactly when
+    some endpoint with orientation 0 lies within the other segment's bounds
+    (Shewchuk 1997)."""
+    o1, o2 = _orient(p1, p2, q1), _orient(p1, p2, q2)
+    o3, o4 = _orient(q1, q2, p1), _orient(q1, q2, p2)
     if (o1 > 0 > o2 or o1 < 0 < o2) and (o3 > 0 > o4 or o3 < 0 < o4):
         t = o1 / (o1 - o2)
         return "cross", (q1[0] + t * (q2[0] - q1[0]), q1[1] + t * (q2[1] - q1[1]))
@@ -355,47 +359,54 @@ def _classify(p1: Point, p2: Point, q1: Point, q2: Point, o1, o2, o3, o4):
     return "none", None
 
 
-def segment_relation(p1: Point, p2: Point, q1: Point, q2: Point):
-    """Classify two segments: ("cross", point), ("touch", None) or ("none", None)."""
-    o1, o2 = _orient(p1, p2, q1), _orient(p1, p2, q2)
-    return _classify(p1, p2, q1, q2, o1, o2, _orient(q1, q2, p1), _orient(q1, q2, p2))
+def _ranks(values) -> dict[Fraction, int]:
+    """Each distinct value's position in sorted order."""
+    return {v: r for r, v in enumerate(sorted(set(values)))}
 
 
-def _orientations(a: tuple[Point, ...], b: tuple[Point, ...]) -> list[list[Fraction]]:
-    """Row k holds every point of ``b`` against segment k of ``a``."""
-    rows = []
-    for (x0, y0), (x1, y1) in zip(a, a[1:]):
-        dx, dy = x1 - x0, y1 - y0
-        rows.append([dx * (y - y0) - dy * (x - x0) for x, y in b])
-    return rows
+def _meetings(pieces: tuple[tuple[Point, ...], ...]):
+    """``(i, j, k, l, kind, point)`` for every segment ``k`` of piece ``i``
+    and segment ``l`` of piece ``j > i`` that meet, in no set order.
 
-
-def _relations(a: tuple[Point, ...], b: tuple[Point, ...]):
-    """``_classify`` of every segment pair of two pieces, ``a``'s segment in
-    the outer loop; each orientation is computed once, in one of two tables."""
-    of_b = _orientations(a, b)
-    of_a = _orientations(b, a)
-    for k, row in enumerate(of_b):
-        p1, p2 = a[k], a[k + 1]
-        for l in range(len(b) - 1):
-            yield _classify(p1, p2, b[l], b[l + 1], row[l], row[l + 1], of_a[l][k], of_a[l][k + 1])
-
-
-def _segments(poly: Polyline):
-    return zip(poly.points, poly.points[1:])
+    An x-sweep (Shamos–Hoey 1976; Bentley–Ottmann 1979): the distinct x and y
+    coordinates are ranked once, the segments are visited by the rank of
+    their left end, and a heap keyed by the rank of the right end holds the
+    segments whose closed x-span still reaches the one visited.  Of those,
+    only segments of other pieces whose closed y-span also overlaps are
+    classified, by ``segment_relation``.  Two segments can share a point
+    only inside both their closed boxes, so no meeting is missed; the pairs
+    come from the segments' own coordinates alone."""
+    xr = _ranks(x for piece in pieces for x, _y in piece)
+    yr = _ranks(y for piece in pieces for _x, y in piece)
+    segments = []
+    for i, piece in enumerate(pieces):
+        ranked = [(xr[x], yr[y]) for x, y in piece]
+        for k, ((xp, yp), (xq, yq)) in enumerate(zip(ranked, ranked[1:])):
+            segments.append((min(xp, xq), max(xp, xq), min(yp, yq), max(yp, yq), i, k))
+    segments.sort()
+    active: list[tuple[int, int, int, int, int]] = []  # a heap on the right end's rank
+    for x0, x1, y0, y1, i, k in segments:
+        while active and active[0][0] < x0:
+            heapq.heappop(active)
+        for _x1, j, l, v0, v1 in active:
+            if j != i and v0 <= y1 and y0 <= v1:
+                i1, k1, j1, l1 = (j, l, i, k) if j < i else (i, k, j, l)
+                a, b = pieces[i1], pieces[j1]
+                kind, point = segment_relation(a[k1], a[k1 + 1], b[l1], b[l1 + 1])
+                if kind != "none":
+                    yield i1, j1, k1, l1, kind, point
+        heapq.heappush(active, (x1, i, k, y0, y1))
 
 
 def crossing_points(p: PolylineSet) -> tuple[tuple[str, str, Point], ...]:
-    """Every pairwise transversal intersection; touching is an error."""
-    found = []
+    """Every pairwise transversal intersection, polyline i < j, then i's
+    segment, then j's; touching is an error, raised at the first touch."""
     polys = p.polylines
-    for i, pa in enumerate(polys):
-        for pb in polys[i + 1 :]:
-            for kind, point in _relations(pa.points, pb.points):
-                if kind == "touch":
-                    raise DegeneracyError(f"trajectories {pa.orbit!r} and {pb.orbit!r} touch without crossing")
-                if kind == "cross":
-                    found.append((pa.orbit, pb.orbit, point))
+    found = []
+    for i, j, _k, _l, kind, point in sorted(_meetings(tuple(poly.points for poly in polys))):
+        if kind == "touch":
+            raise DegeneracyError(f"trajectories {polys[i].orbit!r} and {polys[j].orbit!r} touch without crossing")
+        found.append((polys[i].orbit, polys[j].orbit, point))
     return tuple(found)
 
 
@@ -425,7 +436,7 @@ def y_at(poly: Polyline, x: Fraction) -> Fraction:
     pts = poly.points
     if not pts[0][0] <= x <= pts[-1][0]:
         raise FoliageError("coordinate outside trajectory range")
-    for p, q in _segments(poly):
+    for p, q in zip(pts, pts[1:]):
         if p[0] <= x <= q[0]:
             if p[0] == q[0]:
                 return p[1]
@@ -450,7 +461,7 @@ def clip_forward(poly: Polyline, x: Fraction) -> tuple[Point, ...]:
 
 def pieces_disjoint(a: tuple[Point, ...], b: tuple[Point, ...]) -> bool:
     """No shared point between two polyline pieces of different orbits."""
-    return all(kind == "none" for kind, _point in _relations(a, b))
+    return next(_meetings((a, b)), None) is None
 
 
 _PALETTE = (

@@ -246,6 +246,14 @@ def test_chord_on_a_1200_deep_chain_skips_the_layout(tmp_path, capsys):
         assert svg.count(f">{o.id}+</text>") == 1
 
 
+def test_svg_on_a_400_deep_chain_draws_every_crossing(tmp_path, capsys):
+    s = _chain(400)
+    path, svg = tmp_path / "chain.json", tmp_path / "chain.svg"
+    path.write_text(emit_scenario(s), encoding="utf-8")
+    assert main(["diagram", str(path), "--format", "boundary", "--svg", str(svg)]) == 0
+    assert svg.read_text(encoding="utf-8").count("<circle ") == 795
+
+
 def test_chord_without_orbits_is_usage_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text('{"domains": [{"id": "D", "left": [], "right": []}], "orbits": []}', encoding="utf-8")

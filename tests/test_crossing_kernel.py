@@ -1,12 +1,16 @@
-"""The crossing oracle's orientation tables against the per-pair loop.
+"""The crossing oracle's sweep against two slower oracles.
 
-``geometry.crossing_points`` and ``geometry.pieces_disjoint`` classify
-every segment pair of two polylines from two orientation tables built once
-per pair.  The oracle below is the loop they replaced: one
-``segment_relation`` per segment pair, each computing its own four
-orientations and, for pairs that do not cross, the touch test's again.
-Crossing points must be the same ``Fraction``s in the same order, and a
-touch must raise the same ``DegeneracyError`` at the same pair.
+``geometry.crossing_points`` and ``geometry.pieces_disjoint`` sweep the
+segments in x and classify, with ``segment_relation``, only the pairs of
+segments whose closed boxes overlap.  The first oracle below is the
+per-pair loop: one classification per segment pair, each computing its
+own four orientations and, for pairs that do not cross, the touch test's
+again.  The second is the orientation-table kernel the sweep replaced:
+two tables per pair of polylines, every vertex of one against every
+segment of the other, and each segment pair classified from its four
+entries.  Crossing points must be the same ``Fraction``s in the same
+order, and a touch must raise the same ``DegeneracyError`` at the same
+pair.
 """
 
 import functools
@@ -16,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from foliage import geometry
 from foliage.decompose import reduce_scenario
 from foliage.generator import GeneratorConfig, generate_scenario
 from foliage.geometry import (
@@ -81,6 +86,51 @@ def _oracle_crossings(p):
 
 def _oracle_disjoint(a, b):
     return all(_relation(s1, s2, t1, t2)[0] == "none" for s1, s2 in _segments(a) for t1, t2 in _segments(b))
+
+
+def _classify(p1, p2, q1, q2, o1, o2, o3, o4):
+    """One segment pair, classified from its four orientations: ``o1``,
+    ``o2`` of q1, q2 against p1p2 and ``o3``, ``o4`` of p1, p2 against q1q2."""
+    if (o1 > 0 > o2 or o1 < 0 < o2) and (o3 > 0 > o4 or o3 < 0 < o4):
+        t = o1 / (o1 - o2)
+        return "cross", (q1[0] + t * (q2[0] - q1[0]), q1[1] + t * (q2[1] - q1[1]))
+    for o, (p, q, t) in zip((o1, o2, o3, o4), ((p1, p2, q1), (p1, p2, q2), (q1, q2, p1), (q1, q2, p2))):
+        if o == 0 and _within(t[0], p[0], q[0]) and _within(t[1], p[1], q[1]):
+            return "touch", None
+    return "none", None
+
+
+def _orientations(a, b):
+    """Row k holds every point of ``b`` against segment k of ``a``."""
+    rows = []
+    for (x0, y0), (x1, y1) in zip(a, a[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        rows.append([dx * (y - y0) - dy * (x - x0) for x, y in b])
+    return rows
+
+
+def _relations(a, b):
+    """Every segment pair of two pieces, ``a``'s segment in the outer loop,
+    classified from two orientation tables built once."""
+    of_b = _orientations(a, b)
+    of_a = _orientations(b, a)
+    for k, row in enumerate(of_b):
+        p1, p2 = a[k], a[k + 1]
+        for l in range(len(b) - 1):
+            yield _classify(p1, p2, b[l], b[l + 1], row[l], row[l + 1], of_a[l][k], of_a[l][k + 1])
+
+
+def _table_crossings(p):
+    found = []
+    polys = p.polylines
+    for i, pa in enumerate(polys):
+        for pb in polys[i + 1 :]:
+            for kind, point in _relations(pa.points, pb.points):
+                if kind == "touch":
+                    raise DegeneracyError(f"trajectories {pa.orbit!r} and {pb.orbit!r} touch without crossing")
+                if kind == "cross":
+                    found.append((pa.orbit, pb.orbit, point))
+    return tuple(found)
 
 
 def _outcome(fn, *args):
@@ -175,6 +225,9 @@ TOUCHES = {
         ("a", [(0, 0), (4, 4)]), ("b", [(0, 4), (4, 0)]), ("c", [(0, 0), (4, -4)])
     ),
     "first of two touching pairs": _set(("a", [(0, 5), (4, 5)]), ("b", [(0, 0), (4, 0)]), ("c", [(2, 0), (2, 5)])),
+    # Segments whose x-spans share only one end.
+    "end to end": _set(("a", [(0, 0), (1, 0)]), ("b", [(1, 0), (2, 1)])),
+    "end on a vertical segment": _set(("a", [(0, 0), (1, 0)]), ("b", [(1, -1), (1, 1)])),
 }
 
 
@@ -197,6 +250,13 @@ def test_touch_errors_name_the_first_touching_pair():
     )
 
 
+def test_crossings_come_in_segment_order_on_a_polyline_that_doubles_back():
+    """The sweep meets b's last segment first; the output is in segment order."""
+    p = _set(("a", [(0, 0), (4, 0)]), ("b", [(3, -1), (4, 1), (1, 1), (2, -1)]))
+    expected = (("a", "b", _pt(Fraction(7, 2), 0)), ("a", "b", _pt(Fraction(3, 2), 0)))
+    assert crossing_points(p) == _oracle_crossings(p) == expected
+
+
 def test_crossings_and_touches_equal_the_loop_on_small_integer_polylines():
     """Random polylines on a 5x5 grid: collinear runs, shared vertices and
     endpoints on segments are common, and none of them is x-monotone."""
@@ -216,3 +276,34 @@ def test_crossings_and_touches_equal_the_loop_on_small_integer_polylines():
             for t1, t2 in _segments(b):
                 assert segment_relation(s1, s2, t1, t2) == _relation(s1, s2, t1, t2)
     assert kinds == {"touch", "other"}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_crossing_points_equal_the_table_kernel(family):
+    for routed, _ticks in _routed_family(family):
+        assert _outcome(crossing_points, routed) == _outcome(_table_crossings, routed)
+
+
+def test_the_sweep_tests_a_linear_number_of_pairs_on_chains(monkeypatch):
+    """Each segment pair the sweep tests goes through ``segment_relation``.
+    On chains the count grows linearly with the depth, far below the number
+    of segment pairs of different orbits."""
+    calls = []
+
+    def counted(*segments):
+        calls.append(segments)
+        return segment_relation(*segments)
+
+    monkeypatch.setattr(geometry, "segment_relation", counted)
+    tested, total = [], []
+    for k in (20, 40, 80):
+        s = _chain(k)
+        r = reduce_scenario(s)
+        routed = route(s, r, layout(s, r))
+        calls.clear()
+        crossing_points(routed)
+        sizes = [len(poly.points) - 1 for poly in routed.polylines]
+        tested.append(len(calls))
+        total.append(sum(m * n for m, n in itertools.combinations(sizes, 2)))
+    assert tested[2] - tested[1] == 2 * (tested[1] - tested[0]) > 0
+    assert tested[2] * 100 < total[2]
