@@ -242,18 +242,15 @@ def _cmd_diagram(args) -> int:
         _write(args.chord, geometry.emit_chord_svg(geometry.chord_diagram(order)))
     ids = sorted(o.id for o in s.orbits)
     if matrix is not None:
+        # One lookup per pair; a pair that does not cross has no entry.
+        none = realize.PairEntry("", "", 0, None)
+        entries = [(a, b, matrix.entry(a, b) or none) for a, b in itertools.combinations(ids, 2)]
         if args.json:
-            doc = {
-                "pairs": [
-                    {"pair": [a, b], "crossings": matrix.count(a, b), "witness": matrix.witness(a, b)}
-                    for a, b in itertools.combinations(ids, 2)
-                ]
-            }
-            print(dumps(doc))
+            pairs = [{"pair": [a, b], "crossings": e.count, "witness": e.witness} for a, b, e in entries]
+            print(dumps({"pairs": pairs}))
         else:
-            for a, b in itertools.combinations(ids, 2):
-                witness = matrix.witness(a, b)
-                print(f"{a},{b} {matrix.count(a, b)}" + (f" witness={witness}" if witness else ""))
+            lines = (f"{a},{b} {e.count}" + (f" witness={e.witness}\n" if e.witness else "\n") for a, b, e in entries)
+            sys.stdout.write("".join(lines))
     else:
         if order is None:
             return _usage_error("boundary order requires at least one orbit")

@@ -10,8 +10,9 @@ each corridor is sized so that its slanted walls clear every piece of
 subtree content that pokes back toward the parent.  Each box's subtree is
 built in the box's own local frame, which keeps its bounds and one map
 ``(f, dx, dy)`` into its parent's frame; the maps are composed top-down once
-the forest has been walked, and every point is mapped once.  All coordinates
-stay in ``fractions.Fraction`` so the crossing counts below are exact.
+the forest has been walked, as integer numerators over one denominator, and
+every point is mapped once, into a ``fractions.Fraction``.  The crossing
+oracle runs on ints scaled by a common denominator, so its counts are exact.
 
 Trajectories are polylines: a short backward whisker, one straight segment
 per traversed box, one strand per corridor, and a forward whisker.  They are
@@ -48,10 +49,9 @@ from .realize import (
     run_nested,
 )
 
-Rational = Fraction
 Point = tuple[Fraction, Fraction]
 
-BOX_WIDTH = Fraction(4)
+BOX_WIDTH = 4
 WHISKER = Fraction(1, 2)
 
 
@@ -156,33 +156,44 @@ class _Frame:
 
     ``bounds`` is the hull of the subtree's boxes and whisker tips, and
     ``place`` the map ``(f, dx, dy)``, ``p -> f·p + (dx, dy)``, into the
-    parent frame; once composed, into the page.  ``connect`` is the port run
-    of the corridor to the parent, on the side at ``connect_x``.
+    parent frame; ``page``, once composed, the map into the page as integers
+    ``(f, dx, dy, d)``, over ``d``.  ``connect`` is the port run of the
+    corridor to the parent, on the side at ``connect_x``.
     """
 
     parent: Optional["_Frame"]
-    bounds: tuple[Fraction, Fraction, Fraction, Fraction] = ()
-    place: tuple[Fraction, Fraction, Fraction] = ()
-    connect_x: Fraction = Fraction(0)
+    bounds: tuple = ()
+    place: tuple = ()
+    page: tuple[int, int, int, int] = ()
+    connect_x: Fraction | int = 0
     connect: Optional[SideItem] = None
 
-    def at(self, p: Point) -> Point:
-        f, dx, dy = self.place
-        return (f * p[0] + dx, f * p[1] + dy)
+    def x(self, v: Fraction | int) -> Fraction:
+        f, dx, _dy, d = self.page
+        return Fraction(f * v.numerator + dx * v.denominator, d * v.denominator)
 
-    def placed_bounds(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        b = self.bounds
-        return (*self.at(b[:2]), *self.at(b[2:]))
+    def y(self, v: Fraction | int) -> Fraction:
+        f, _dx, dy, d = self.page
+        return Fraction(f * v.numerator + dy * v.denominator, d * v.denominator)
+
+
+def _compose(outer: tuple[int, int, int, int], place: tuple) -> tuple[int, int, int, int]:
+    """The integer map ``outer`` after the map ``place``, gcd-reduced."""
+    d = math.lcm(*(v.denominator for v in place))
+    f, dx, dy = (v.numerator * (d // v.denominator) for v in place)
+    of, odx, ody, od = outer
+    f, dx, dy, d = of * f, of * dx + odx * d, of * dy + ody * d, od * d
+    g = math.gcd(f, dx, dy, d)
+    return f // g, dx // g, dy // g, d // g
 
 
 def _hull(a: tuple, b: tuple) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
 
 
-def _scale_factor(span: Fraction, above: Fraction, below: Fraction) -> Fraction:
-    half = Fraction(1, 4) + span / 2
-    f = min(Fraction(1), half / (above + span / 2), half / (below + span / 2))
-    return f
+def _scale_factor(span: int, above: Fraction | int, below: Fraction | int) -> Fraction:
+    half = Fraction(2 * span + 1, 4)
+    return min(Fraction(1), Fraction(half, above + Fraction(span, 2)), Fraction(half, below + Fraction(span, 2)))
 
 
 def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]] = None) -> Layout:
@@ -205,24 +216,24 @@ def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]
         plan = plans[mid]
         frame = _Frame(parent)
         boxes.append((frame, mid))
-        height = Fraction(len(plan.entry_seq) + 2)
-        bounds = (Fraction(0), Fraction(0), BOX_WIDTH, height)
+        height = len(plan.entry_seq) + 2
+        bounds = (0, 0, BOX_WIDTH, height)
 
         chain_len = len(m.chain)
         for j, leaf in enumerate(m.internal, start=1):
-            x = BOX_WIDTH * j / chain_len
+            x = Fraction(BOX_WIDTH * j, chain_len)
             ticks.append((frame, Tick(leaf, "internal", x, Fraction(1, 4), height - Fraction(1, 4))))
 
         sides = (
-            ("entry", entry_items(s, m, plan), Fraction(0), Fraction(-1)),
-            ("exit", exit_items(s, m, plan), BOX_WIDTH, Fraction(1)),
+            ("entry", entry_items(s, m, plan), 0, -1, -WHISKER),
+            ("exit", exit_items(s, m, plan), BOX_WIDTH, 1, BOX_WIDTH + WHISKER),
         )
         corridor_leaves = set()
-        for side, items, side_x, direction in sides:
+        for side, items, side_x, direction, tip_x in sides:
             for item in items:
-                lo, hi = Fraction(item.lo), Fraction(item.hi)
+                lo, hi = item.lo, item.hi
                 if item.kind == "stub":
-                    tip = (side_x + direction * WHISKER, lo + 1)
+                    tip = (tip_x, lo + 1)
                     whiskers[side].append((frame, item.orbits[0], tip))
                     bounds = _hull(bounds, tip + tip)
                     continue
@@ -238,31 +249,32 @@ def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]
                     raise FoliageError(f"corridor hand-off mismatch at leaf {item.leaf!r}")
                 span = hi - lo
                 cb = child.bounds
-                hull_top, hull_bot = Fraction(child.connect.lo + 1), Fraction(child.connect.hi + 1)
+                hull_top, hull_bot = child.connect.lo + 1, child.connect.hi + 1
                 f = _scale_factor(span, hull_top - cb[1], cb[3] - hull_bot)
                 # How far the subtree reaches back past its own connecting side.
                 overhang = child.connect_x - cb[0] if child.connect_x == 0 else cb[2] - child.connect_x
                 g = (2 * span + 1) * overhang + 1
                 target_x = side_x + direction * g
-                dy = (lo + 1) + span * (1 - f) / 2 - f * hull_top
-                child.place = (f, target_x - f * child.connect_x, dy)
-                bounds = _hull(bounds, child.placed_bounds())
+                dy = (lo + 1) + Fraction(span * (1 - f), 2) - f * hull_top
+                dx = target_x - f * child.connect_x
+                child.place = (f, dx, dy)
+                bounds = _hull(bounds, (f * cb[0] + dx, f * cb[1] + dy, f * cb[2] + dx, f * cb[3] + dy))
                 parent_iv = (lo + Fraction(3, 4), hi + Fraction(5, 4))
-                child_iv = (f * hull_top + dy - f / 4, f * hull_bot + dy + f / 4)
+                child_iv = (f * hull_top + dy - Fraction(f, 4), f * hull_bot + dy + Fraction(f, 4))
                 if side == "entry":
                     up_x, up_iv, down_x, down_iv = target_x, child_iv, side_x, parent_iv
                 else:
                     up_x, up_iv, down_x, down_iv = side_x, parent_iv, target_x, child_iv
                 quad = ((up_x, up_iv[0]), (up_x, up_iv[1]), (down_x, down_iv[1]), (down_x, down_iv[0]))
                 corridors.append((frame, Corridor(edge_by_leaf[item.leaf], quad)))
-                mid_y0, mid_y1 = (up_iv[0] + down_iv[0]) / 2, (up_iv[1] + down_iv[1]) / 2
-                ticks[slot] = (frame, Tick(item.leaf, "critical", (up_x + down_x) / 2, mid_y0, mid_y1))
+                mid_y0, mid_y1 = Fraction(up_iv[0] + down_iv[0], 2), Fraction(up_iv[1] + down_iv[1], 2)
+                ticks[slot] = (frame, Tick(item.leaf, "critical", Fraction(up_x + down_x, 2), mid_y0, mid_y1))
 
         # Decorative ticks for boundary leaves with no corridor of their own.
-        for side_x, leaves in ((Fraction(0), m.right), (BOX_WIDTH, m.left)):
+        for side_x, leaves in ((0, m.right), (BOX_WIDTH, m.left)):
             for pos, leaf in enumerate(leaves):
                 if leaf not in corridor_leaves:
-                    y = height * (pos + 1) / (len(leaves) + 1)
+                    y = Fraction(height * (pos + 1), len(leaves) + 1)
                     ticks.append((frame, Tick(leaf, "fringe", side_x, y - Fraction(1, 4), y + Fraction(1, 4))))
         frame.bounds = bounds
         return frame
@@ -271,38 +283,35 @@ def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]
     if not roots:
         raise FoliageError("layout requires a non-empty forest")
     # The trees side by side, two units apart, top edges on y = 0.
-    cursor = Fraction(0)
+    cursor, depth = 0, 0
     for root in roots:
         b = root.bounds
-        root.place = (Fraction(1), cursor - b[0], -b[1])
+        root.place = (1, cursor - b[0], -b[1])
         cursor += (b[2] - b[0]) + 2
+        depth = max(depth, b[3] - b[1])
     for frame, _mid in boxes:  # every parent comes before its children
-        if frame.parent is not None:
-            big, bdx, bdy = frame.parent.place
-            f, dx, dy = frame.place
-            frame.place = (big * f, big * dx + bdx, big * dy + bdy)
+        frame.page = _compose(frame.parent.page if frame.parent is not None else (1, 0, 0, 1), frame.place)
 
     placed_boxes = []
     entry_ports: dict[tuple[str, str], Point] = {}
     exit_ports: dict[tuple[str, str], Point] = {}
     for frame, mid in boxes:
         plan = plans[mid]
-        corner = (BOX_WIDTH, len(plan.entry_seq) + 2)
-        placed_boxes.append((mid, BoxRect(*frame.at((0, 0)), *frame.at(corner))))
-        for i, orbit in enumerate(plan.entry_seq):
-            entry_ports[(mid, orbit)] = frame.at((0, i + 1))
-        for i, orbit in enumerate(plan.exit_seq):
-            exit_ports[(mid, orbit)] = frame.at((BOX_WIDTH, i + 1))
-    placed_corridors = (Corridor(c.edge, tuple(frame.at(q) for q in c.quad)) for frame, c in corridors)
+        # Both sides carry the same orbits, so port i has one height on either side.
+        x0, x1, ys = frame.x(0), frame.x(BOX_WIDTH), [frame.y(i) for i in range(len(plan.entry_seq) + 3)]
+        placed_boxes.append((mid, BoxRect(x0, ys[0], x1, ys[-1])))
+        entry_ports.update({(mid, orbit): (x0, ys[i + 1]) for i, orbit in enumerate(plan.entry_seq)})
+        exit_ports.update({(mid, orbit): (x1, ys[i + 1]) for i, orbit in enumerate(plan.exit_seq)})
+    placed_corridors = (Corridor(c.edge, tuple((frame.x(x), frame.y(y)) for x, y in c.quad)) for frame, c in corridors)
     return Layout(
         boxes=dict(sorted(placed_boxes)),
         corridors=tuple(sorted(placed_corridors, key=lambda c: c.edge)),
         entry_ports=entry_ports,
         exit_ports=exit_ports,
-        back_whiskers={orbit: frame.at(tip) for frame, orbit, tip in whiskers["entry"]},
-        fwd_whiskers={orbit: frame.at(tip) for frame, orbit, tip in whiskers["exit"]},
-        ticks=tuple(Tick(t.leaf, t.kind, *frame.at((t.x, t.y0)), frame.at((t.x, t.y1))[1]) for frame, t in ticks),
-        bounds=functools.reduce(_hull, (root.placed_bounds() for root in roots)),
+        back_whiskers={orbit: (frame.x(x), frame.y(y)) for frame, orbit, (x, y) in whiskers["entry"]},
+        fwd_whiskers={orbit: (frame.x(x), frame.y(y)) for frame, orbit, (x, y) in whiskers["exit"]},
+        ticks=tuple(Tick(t.leaf, t.kind, frame.x(t.x), frame.y(t.y0), frame.y(t.y1)) for frame, t in ticks),
+        bounds=(Fraction(0), Fraction(0), Fraction(cursor - 2), Fraction(depth)),
     )
 
 
@@ -343,12 +352,13 @@ def segment_relation(p1: Point, p2: Point, q1: Point, q2: Point):
     ``o4`` those of p1, p2 against q1q2.  A proper crossing needs strict
     opposite signs on both sides.  Otherwise the segments touch exactly when
     some endpoint with orientation 0 lies within the other segment's bounds
-    (Shewchuk 1997)."""
+    (Shewchuk 1997).  On ints and ``Fraction``s alike, the crossing point
+    ``q1 + o1·(q2 − q1)/(o1 − o2)`` is one ``Fraction`` per coordinate."""
     o1, o2 = _orient(p1, p2, q1), _orient(p1, p2, q2)
     o3, o4 = _orient(q1, q2, p1), _orient(q1, q2, p2)
     if (o1 > 0 > o2 or o1 < 0 < o2) and (o3 > 0 > o4 or o3 < 0 < o4):
-        t = o1 / (o1 - o2)
-        return "cross", (q1[0] + t * (q2[0] - q1[0]), q1[1] + t * (q2[1] - q1[1]))
+        d = o1 - o2
+        return "cross", tuple(Fraction(a * d + o1 * (b - a), d) for a, b in zip(q1, q2))
     if (
         (o1 == 0 and _in_bounds(q1, p1, p2))
         or (o2 == 0 and _in_bounds(q2, p1, p2))
@@ -359,40 +369,41 @@ def segment_relation(p1: Point, p2: Point, q1: Point, q2: Point):
     return "none", None
 
 
-def _ranks(values) -> dict[Fraction, int]:
-    """Each distinct value's position in sorted order."""
-    return {v: r for r, v in enumerate(sorted(set(values)))}
-
-
 def _meetings(pieces: tuple[tuple[Point, ...], ...]):
     """``(i, j, k, l, kind, point)`` for every segment ``k`` of piece ``i``
     and segment ``l`` of piece ``j > i`` that meet, in no set order.
 
-    An x-sweep (Shamos–Hoey 1976; Bentley–Ottmann 1979): the distinct x and y
-    coordinates are ranked once, the segments are visited by the rank of
-    their left end, and a heap keyed by the rank of the right end holds the
-    segments whose closed x-span still reaches the one visited.  Of those,
-    only segments of other pieces whose closed y-span also overlaps are
-    classified, by ``segment_relation``.  Two segments can share a point
+    The coordinates are scaled by the LCM of their denominators, so that
+    the predicates run on ints, exact by construction (Yap 1997), and each
+    crossing point is divided back by it.  Then an x-sweep (Shamos–Hoey
+    1976; Bentley–Ottmann 1979): the segments are visited by their left
+    end, and a heap keyed by the right end holds the segments whose closed
+    x-span still reaches the one visited.  Of those, only segments of other
+    pieces whose closed y-span also overlaps are classified, by
+    ``segment_relation``.  Two segments can share a point
     only inside both their closed boxes, so no meeting is missed; the pairs
     come from the segments' own coordinates alone."""
-    xr = _ranks(x for piece in pieces for x, _y in piece)
-    yr = _ranks(y for piece in pieces for _x, y in piece)
+    scale = math.lcm(*{c.denominator for piece in pieces for point in piece for c in point})
+    scaled = [
+        [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator)) for x, y in piece]
+        for piece in pieces
+    ]
     segments = []
-    for i, piece in enumerate(pieces):
-        ranked = [(xr[x], yr[y]) for x, y in piece]
-        for k, ((xp, yp), (xq, yq)) in enumerate(zip(ranked, ranked[1:])):
+    for i, piece in enumerate(scaled):
+        for k, ((xp, yp), (xq, yq)) in enumerate(zip(piece, piece[1:])):
             segments.append((min(xp, xq), max(xp, xq), min(yp, yq), max(yp, yq), i, k))
     segments.sort()
-    active: list[tuple[int, int, int, int, int]] = []  # a heap on the right end's rank
+    active: list[tuple[int, int, int, int, int]] = []  # a heap on the right end
     for x0, x1, y0, y1, i, k in segments:
         while active and active[0][0] < x0:
             heapq.heappop(active)
         for _x1, j, l, v0, v1 in active:
             if j != i and v0 <= y1 and y0 <= v1:
                 i1, k1, j1, l1 = (j, l, i, k) if j < i else (i, k, j, l)
-                a, b = pieces[i1], pieces[j1]
+                a, b = scaled[i1], scaled[j1]
                 kind, point = segment_relation(a[k1], a[k1 + 1], b[l1], b[l1 + 1])
+                if kind == "cross":
+                    point = (point[0] / scale, point[1] / scale)
                 if kind != "none":
                     yield i1, j1, k1, l1, kind, point
         heapq.heappush(active, (x1, i, k, y0, y1))

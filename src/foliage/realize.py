@@ -59,15 +59,16 @@ class CrossingMatrix:
     def __post_init__(self):
         object.__setattr__(self, "_by_pair", {(e.a, e.b): e for e in self.entries})
 
-    def _entry(self, a: str, b: str) -> Optional[PairEntry]:
+    def entry(self, a: str, b: str) -> Optional[PairEntry]:
+        """The pair's entry; None when the pair does not cross."""
         return self._by_pair.get((min(a, b), max(a, b)))
 
     def count(self, a: str, b: str) -> int:
-        e = self._entry(a, b)
+        e = self.entry(a, b)
         return e.count if e is not None else 0
 
     def witness(self, a: str, b: str) -> Optional[str]:
-        e = self._entry(a, b)
+        e = self.entry(a, b)
         return e.witness if e is not None else None
 
     def as_dict(self) -> dict[tuple[str, str], int]:

@@ -21,6 +21,7 @@ COMMANDS = {
     "relations": ["relations", "{file}", "--json"],
     "relations-text": ["relations", "{file}"],
     "matrix": ["diagram", "{file}", "--format", "matrix", "--json"],
+    "matrix-text": ["diagram", "{file}"],
     "boundary": ["diagram", "{file}", "--format", "boundary", "--json"],
     "chord": ["diagram", "{file}", "--format", "boundary", "--chord", "{chord}"],
     "svg": ["diagram", "{file}", "--svg", "{svg}"],
@@ -69,6 +70,15 @@ DIGESTS = {
     ("S4", "relations-text"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("chain20", "relations-text"): "1b9af495354114f1cfca71be927c4a847d137886d926f6c4893b283673565a4e",
     ("chain60", "relations-text"): "89655035dfc4519323d04d902f619f53f857225f12de3f8205f7cc8d0aa80c77",
+    # The plain-text crossing matrix, the default format, recorded before it
+    # was written in one piece.  S0 and S4 have one orbit, so no pair.
+    ("S0", "matrix-text"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("S1", "matrix-text"): "6c294e9fc390fa2ed33cafb85447a8982cb337adb6cf0f4a25451368ab5d0de6",
+    ("S2", "matrix-text"): "12c48ffac24f500e5f16133f45881b9348fff00af02d6c902bcc66288659e1cb",
+    ("S3", "matrix-text"): "307890c16ae92f874d294154db37c93f26ccb32ae1ce57e5d1a62c1a8d7bcaaa",
+    ("S4", "matrix-text"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("chain20", "matrix-text"): "4f22cc44d2eaa35c40b700c7c7789694de3370ff3605e6127fdbbddb47de8e4a",
+    ("chain60", "matrix-text"): "646c4bef6d34dad9adf142d9265b2288e1d4e6e5ba7634e06534581b2ff1f237",
 }
 
 

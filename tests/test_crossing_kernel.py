@@ -1,18 +1,22 @@
 """The crossing oracle's sweep against two slower oracles.
 
-``geometry.crossing_points`` and ``geometry.pieces_disjoint`` sweep the
+``geometry.crossing_points`` and ``geometry.pieces_disjoint`` scale every
+coordinate to an int by the common multiple of the denominators, sweep the
 segments in x and classify, with ``segment_relation``, only the pairs of
 segments whose closed boxes overlap.  The first oracle below is the
-per-pair loop: one classification per segment pair, each computing its
-own four orientations and, for pairs that do not cross, the touch test's
-again.  The second is the orientation-table kernel the sweep replaced:
-two tables per pair of polylines, every vertex of one against every
-segment of the other, and each segment pair classified from its four
-entries.  Crossing points must be the same ``Fraction``s in the same
-order, and a touch must raise the same ``DegeneracyError`` at the same
-pair.
+per-pair loop: one classification per segment pair, in ``Fraction``s,
+each computing its own four orientations and, for pairs that do not cross,
+the touch test's again.  The second is the orientation-table kernel the
+sweep replaced: two tables per pair of polylines, every vertex of one
+against every segment of the other, and each segment pair classified from
+its four entries.  Crossing points must be the same ``Fraction``s in the
+same order, and a touch must raise the same ``DegeneracyError`` at the
+same pair.  Every coordinate the geometry hands out is checked to be a
+``Fraction``: a float equal to the exact value would pass every equality.
 """
 
+import collections
+import dataclasses
 import functools
 import itertools
 import random
@@ -33,6 +37,7 @@ from foliage.geometry import (
     pieces_disjoint,
     route,
     segment_relation,
+    y_at,
 )
 from foliage.model import FIXTURE_NAMES, fixture
 from test_realize import _chain
@@ -148,7 +153,7 @@ FAMILIES = ("in-code", "default", "wide")
 
 @functools.cache
 def _routed_family(family):
-    """The routed polylines and layout ticks of every scenario of a family
+    """The routed polylines and the layout of every scenario of a family
     that has a layout: S0-S4 and chains k = 2, 5, 20, 40, or seeds 1..300
     at the default bounds or at 25/14/6."""
     if family == "in-code":
@@ -162,20 +167,20 @@ def _routed_family(family):
         if not r.maxdomains:
             continue
         lay = layout(s, r)
-        out.append((route(s, r, lay), lay.ticks))
+        out.append((route(s, r, lay), lay))
     return out
 
 
 @functools.cache
 def _oracle_family(family):
     """The per-pair loop's outcome on every case of the family."""
-    return [_outcome(_oracle_crossings, routed) for routed, _ticks in _routed_family(family)]
+    return [_outcome(_oracle_crossings, routed) for routed, _lay in _routed_family(family)]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_crossing_points_equal_the_per_pair_loop(family):
     crossing = 0
-    for (routed, _ticks), expected in zip(_routed_family(family), _oracle_family(family)):
+    for (routed, _lay), expected in zip(_routed_family(family), _oracle_family(family)):
         found = _outcome(crossing_points, routed)
         assert found == expected
         crossing += bool(found)
@@ -189,14 +194,14 @@ def test_pieces_disjoint_equals_the_per_pair_loop(family):
     whole polylines is read from its crossings: no case touches, so two
     polylines are disjoint exactly when the loop finds no crossing of them."""
     verdicts = set()
-    for (routed, ticks), expected in zip(_routed_family(family), _oracle_family(family)):
+    for (routed, lay), expected in zip(_routed_family(family), _oracle_family(family)):
         met = {(a, b) for a, b, _point in expected}
         polys = routed.polylines
         for pa, pb in zip(polys, polys[1:]):
             verdict = pieces_disjoint(pa.points, pb.points)
             assert verdict == ((pa.orbit, pb.orbit) not in met)
             verdicts.add(verdict)
-            for tick in ticks[len(ticks) // 2 :][:1]:
+            for tick in lay.ticks[len(lay.ticks) // 2 :][:1]:
                 a, b = clip_forward(pa, tick.x), clip_forward(pb, tick.x)
                 verdict = pieces_disjoint(a, b)
                 assert verdict == pieces_disjoint(b, a) == _oracle_disjoint(a, b)
@@ -278,10 +283,56 @@ def test_crossings_and_touches_equal_the_loop_on_small_integer_polylines():
     assert kinds == {"touch", "other"}
 
 
+def _points(values):
+    return [c for point in values if point is not None for c in point]
+
+
+def test_crossings_and_touches_equal_the_loop_on_polylines_with_coprime_denominators():
+    """Each polyline's coordinates are multiples of its own 1/2, 1/3, 1/5
+    or 1/7, so the sweep scales by a true common multiple and a crossing
+    point's denominator is not a plain product.  The grids share their
+    integer points, so touches still occur."""
+    rng = random.Random(20261019)
+    kinds = set()
+    for _ in range(1000):
+        names = rng.sample("abc", rng.randrange(1, 4))
+        polylines = []
+        for name, den in zip(names, rng.sample((2, 3, 5, 7), len(names))):
+            grid = [Fraction(n, den) for n in range(3 * den + 1)]
+            polylines.append((name, [(rng.choice(grid), rng.choice(grid)) for _ in range(rng.randrange(1, 5))]))
+        p = _set(*polylines)
+        found = _outcome(crossing_points, p)
+        assert found == _outcome(_oracle_crossings, p)
+        if found and found[0] == "DegeneracyError":
+            kinds.add("touch")
+        elif found:
+            kinds.add("cross")
+            assert all(type(c) is Fraction for c in _points(point for _a, _b, point in found))
+        a, b = p.polylines[0].points, p.polylines[-1].points
+        assert pieces_disjoint(a, b) == _oracle_disjoint(a, b)
+        for s1, s2 in _segments(a):
+            for t1, t2 in _segments(b):
+                kind, point = segment_relation(s1, s2, t1, t2)
+                assert (kind, point) == _relation(s1, s2, t1, t2)
+                assert all(type(c) is Fraction for c in _points([point]))
+    assert kinds == {"touch", "cross"}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_crossing_points_equal_the_table_kernel(family):
-    for routed, _ticks in _routed_family(family):
+    for routed, _lay in _routed_family(family):
         assert _outcome(crossing_points, routed) == _outcome(_table_crossings, routed)
+
+
+def test_crossing_points_equal_the_table_kernel_on_a_deep_chain():
+    """On an 80-domain chain the coordinates carry denominators of more
+    than 250 bits, so the sweep's ints are far wider than a machine word."""
+    s = _chain(80)
+    r = reduce_scenario(s)
+    routed = route(s, r, layout(s, r))
+    assert max(c.denominator.bit_length() for c in _points(p for poly in routed.polylines for p in poly.points)) > 250
+    found = crossing_points(routed)
+    assert found and found == _table_crossings(routed)
 
 
 def test_the_sweep_tests_a_linear_number_of_pairs_on_chains(monkeypatch):
@@ -307,3 +358,43 @@ def test_the_sweep_tests_a_linear_number_of_pairs_on_chains(monkeypatch):
         total.append(sum(m * n for m, n in itertools.combinations(sizes, 2)))
     assert tested[2] - tested[1] == 2 * (tested[1] - tested[0]) > 0
     assert tested[2] * 100 < total[2]
+
+
+def _numbers(value):
+    """Every leaf of a value built from dataclasses, dicts, tuples and
+    lists that is not a string; dict keys are skipped."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _numbers(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _numbers(v)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _numbers(v)
+    elif not isinstance(value, str):
+        yield value
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_coordinate_is_a_fraction(family):
+    """Every field of every layout, every routed point, every crossing
+    point, and ``y_at`` and ``clip_forward`` at every tick over every
+    polyline that spans it.  ``int / int`` is a float in Python, and a float
+    equal to the exact value would slip past the equalities above and past
+    the SVG pins, which round to six decimals."""
+    kinds = collections.Counter()
+    for routed, lay in _routed_family(family):
+        values = {"layout": list(_numbers(lay))}
+        values["route"] = _points(p for poly in routed.polylines for p in poly.points)
+        values["crossing"] = _points(point for _a, _b, point in crossing_points(routed))
+        values["y_at"], values["clip_forward"] = [], []
+        for tick in lay.ticks:
+            for poly in routed.polylines:
+                if poly.points[0][0] <= tick.x <= poly.points[-1][0]:
+                    values["y_at"].append(y_at(poly, tick.x))
+                    values["clip_forward"] += _points(clip_forward(poly, tick.x))
+        for kind, found in values.items():
+            assert [v for v in found if type(v) is not Fraction] == [], kind
+            kinds[kind] += len(found)
+    assert all(kinds[kind] for kind in ("layout", "route", "crossing", "y_at", "clip_forward"))
