@@ -57,7 +57,7 @@ def _usage_error(message: str) -> int:
     return USAGE_ERROR
 
 
-def _require_valid(s: Scenario) -> None:
+def _exit_on_findings(s: Scenario) -> None:
     report = validate(s)
     if not report.ok:
         for f in report.findings:
@@ -80,7 +80,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_decompose(args) -> int:
     s = _load(args.file)
-    _require_valid(s)
+    _exit_on_findings(s)
     r = reduce_scenario(s)
     if args.json:
         doc = {
@@ -202,7 +202,7 @@ def _write_relations_json(s: Scenario) -> None:
 
 def _cmd_relations(args) -> int:
     s = _load(args.file)
-    _require_valid(s)
+    _exit_on_findings(s)
     ids = sorted(o.id for o in s.orbits)
     if args.pair:
         a, b = args.pair
@@ -226,7 +226,7 @@ def _cmd_relations(args) -> int:
 
 def _cmd_diagram(args) -> int:
     s = _load(args.file)
-    _require_valid(s)
+    _exit_on_findings(s)
     r = reduce_scenario(s)
     plans = realize.all_port_plans(s, r)
     # Only the matrix format reads the crossing matrix.
@@ -331,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("relations", help="pairwise relation matrices")
     p.add_argument("file")
-    p.add_argument("--pair", nargs=2, metavar=("ORBIT", "ORBIT"))
-    p.add_argument("--json", action="store_true")
+    one_output = p.add_mutually_exclusive_group()
+    one_output.add_argument("--pair", nargs=2, metavar=("ORBIT", "ORBIT"))
+    one_output.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_relations)
 
     p = subs.add_parser("diagram", help="crossing matrix, boundary order, SVG output")

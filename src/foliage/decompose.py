@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import FoliageError, Scenario, _UnionFind, index, require_valid
+from .model import FoliageError, Scenario, _UnionFind, index
 
 
 @dataclass(frozen=True)
@@ -152,15 +152,15 @@ def _mergeable(idx, edge: tuple[str, str, str]) -> bool:
 def reduce_scenario(s: Scenario) -> ReducedStructure:
     """Partition the crossed skeleton into maximal domains and critical leaves.
 
-    Computed on first use and kept on ``s``.
+    Computed on first use and kept on the scenario's index.
     """
-    if s._reduced is None:
-        object.__setattr__(s, "_reduced", _reduce(s))
-    return s._reduced
+    idx = index(s)
+    if idx.reduced is None:
+        idx.reduced = _reduce(s)
+    return idx.reduced
 
 
 def _reduce(s: Scenario) -> ReducedStructure:
-    require_valid(s)
     idx = index(s)
     crossed = [d for d in s.domains if idx.domain_orbits[d.id]]
     uf = _UnionFind(d.id for d in crossed)

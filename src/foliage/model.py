@@ -8,7 +8,9 @@ the minimum).  A leaf appearing in the ``left`` list of one domain and the
 orbits are directed paths in that forest, decorated with an entry cut, an
 exit cut and a tie rank.
 
-Everything downstream consumes only scenarios that passed :func:`validate`.
+:func:`validate` checks a scenario and builds its :class:`ScenarioIndex` in
+one walk; a scenario is valid exactly when it holds an index, and everything
+downstream reads scenarios through :func:`index`.
 """
 
 from __future__ import annotations
@@ -96,15 +98,14 @@ class Scenario:
     """A skeleton forest and its orbits.
 
     Hash and equality use ``domains`` and ``orbits`` only.  The private
-    fields hold what is derived from them, set once per object by
-    :func:`validate`, :func:`index` and ``decompose.reduce_scenario``.
+    ``_index`` holds everything derived from them: :func:`validate` sets it
+    once per object, when it finds nothing, so a scenario is valid exactly
+    when it holds an index.
     """
 
     domains: tuple[SkeletonDomain, ...]
     orbits: tuple[Orbit, ...]
-    _valid: bool = field(default=False, init=False, compare=False, repr=False)
     _index: Optional[ScenarioIndex] = field(default=None, init=False, compare=False, repr=False)
-    _reduced: Optional[ReducedStructure] = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -333,130 +334,125 @@ def derived_edges(s: Scenario) -> tuple[tuple[str, str, str], ...]:
 
 
 def validate(s: Scenario) -> ValidationReport:
-    """Check every model invariant; findings are data, never exceptions."""
-    findings: list[Finding] = []
+    """Check every model invariant; findings are data, never exceptions.
 
-    def add(code: str, message: str) -> None:
-        findings.append(Finding(code, message))
-
-    seen_domain_ids: set[str] = set()
-    for d in s.domains:
-        if not d.id:
-            add("empty-id", "domain with empty id")
-        if d.id in seen_domain_ids:
-            add("duplicate-id", f"duplicate domain id {d.id!r}")
-        seen_domain_ids.add(d.id)
-        members = list(d.left) + list(d.right)
-        if len(members) != len(set(members)):
-            add("boundary-repeat", f"leaf repeated within the boundary of {d.id!r}")
-
-    left_owner: dict[str, str] = {}
-    right_owner: dict[str, str] = {}
-    for d in s.domains:
-        for leaf in d.left:
-            if leaf in left_owner and left_owner[leaf] != d.id:
-                add("left-reuse", f"leaf {leaf!r} appears in the left list of {left_owner[leaf]!r} and {d.id!r}")
-            left_owner.setdefault(leaf, d.id)
-        for leaf in d.right:
-            if leaf in right_owner and right_owner[leaf] != d.id:
-                add("right-reuse", f"leaf {leaf!r} appears in the right list of {right_owner[leaf]!r} and {d.id!r}")
-            right_owner.setdefault(leaf, d.id)
-
-    # Derived edges must leave the undirected domain graph acyclic.
-    uf = _UnionFind(d.id for d in s.domains)
-    edges = _edges(left_owner, right_owner)
-    edge_set = set(edges)
-    for a, leaf, b in edges:
-        if a == b or not uf.union(a, b):
-            add("forest-violation", f"forest violation: leaf {leaf!r} closes a cycle through {a!r} and {b!r}")
-
-    domain_by_id = {d.id: d for d in s.domains}
-    seen_orbit_ids: set[str] = set()
-    for o in s.orbits:
-        if not o.id:
-            add("empty-id", "orbit with empty id")
-        if o.id in seen_orbit_ids:
-            add("duplicate-id", f"duplicate orbit id {o.id!r}")
-        seen_orbit_ids.add(o.id)
-        if len(o.path) % 2 == 0 or not o.path:
-            add("path-alternation", f"path of {o.id!r} must have odd length")
-            continue
-        bad = False
-        for pos, name in enumerate(o.path):
-            if pos % 2 == 0 and name not in domain_by_id:
-                add("unknown-domain", f"unknown domain {name!r} in path of {o.id!r}")
-                bad = True
-        if bad:
-            continue
-        for i in range(1, len(o.path) - 1, 2):
-            triple = (o.path[i - 1], o.path[i], o.path[i + 1])
-            if triple not in edge_set:
-                add("not-an-edge", f"path of {o.id!r} uses {triple[1]!r} which does not join {triple[0]!r} to {triple[2]!r}")
-        if len(set(o.domains)) != len(o.domains):
-            add("domain-revisit", f"path of {o.id!r} visits a domain twice")
-        first, last = domain_by_id[o.alpha], domain_by_id[o.omega]
-        if not 0 <= o.entry_cut <= len(first.right):
-            add("cut-out-of-range", f"cut out of range: entry_cut {o.entry_cut} of {o.id!r} over {len(first.right)} leaves")
-        if not 0 <= o.exit_cut <= len(last.left):
-            add("cut-out-of-range", f"cut out of range: exit_cut {o.exit_cut} of {o.id!r} over {len(last.left)} leaves")
-
-    findings.sort(key=lambda f: (f.code, f.message))
-    report = ValidationReport(tuple(findings))
-    if report.ok:
-        object.__setattr__(s, "_valid", True)
-    return report
-
-
-def require_valid(s: Scenario) -> None:
-    """Precondition helper: validate once, then trust the cached mark."""
-    if s._valid:
-        return
-    report = validate(s)
-    if not report.ok:
-        raise InvalidScenarioError(report)
+    The checks build the scenario's index in the same walk, and ``s`` keeps
+    it when there are no findings; a scenario that holds an index is valid.
+    """
+    if s._index is not None:
+        return ValidationReport(())
+    idx = ScenarioIndex(s)
+    if not idx.findings:
+        object.__setattr__(s, "_index", idx)
+    return ValidationReport(idx.findings)
 
 
 class ScenarioIndex:
-    """Derived lookup tables for one validated scenario."""
+    """Derived lookup tables for one scenario, built while it is validated.
+
+    ``findings`` are the scenario's validation findings; the tables are
+    meant to be read only when there are none.
+    """
 
     def __init__(self, s: Scenario):
-        require_valid(s)
-        self.domain_by_id = {d.id: d for d in s.domains}
-        self.orbit_by_id = {o.id: o for o in s.orbits}
+        findings: list[Finding] = []
+
+        def add(code: str, message: str) -> None:
+            findings.append(Finding(code, message))
+
         # A valid scenario holds each leaf in at most one left and one right
-        # list, so one owner and one position per leaf and side suffice.
-        self.left_owner = {leaf: d.id for d in s.domains for leaf in d.left}
-        self.right_owner = {leaf: d.id for d in s.domains for leaf in d.right}
-        self.left_rank = {leaf: i for d in s.domains for i, leaf in enumerate(d.left)}
-        self.right_rank = {leaf: i for d in s.domains for i, leaf in enumerate(d.right)}
+        # list, so one owner and one position per leaf and side suffice.  The
+        # first owner is kept; a later one is a reuse finding.
+        self.domain_by_id: dict[str, SkeletonDomain] = {}
+        self.left_owner: dict[str, str] = {}
+        self.right_owner: dict[str, str] = {}
+        self.left_rank: dict[str, int] = {}
+        self.right_rank: dict[str, int] = {}
+        dom_acc: dict[str, set[str]] = {}
+        for d in s.domains:
+            if not d.id:
+                add("empty-id", "domain with empty id")
+            if d.id in self.domain_by_id:
+                add("duplicate-id", f"duplicate domain id {d.id!r}")
+            self.domain_by_id[d.id] = d
+            dom_acc[d.id] = set()
+            members = d.left + d.right
+            if len(members) != len(set(members)):
+                add("boundary-repeat", f"leaf repeated within the boundary of {d.id!r}")
+            for side, leaves, owner, rank in (
+                ("left", d.left, self.left_owner, self.left_rank),
+                ("right", d.right, self.right_owner, self.right_rank),
+            ):
+                for i, leaf in enumerate(leaves):
+                    prior = owner.setdefault(leaf, d.id)
+                    if prior != d.id:
+                        add(f"{side}-reuse", f"leaf {leaf!r} appears in the {side} list of {prior!r} and {d.id!r}")
+                    rank[leaf] = i
+
+        # Derived edges must leave the undirected domain graph acyclic.
         self.edges = _edges(self.left_owner, self.right_owner)
         self.edge_by_leaf = {leaf: (a, b) for a, leaf, b in self.edges}
-        self.domain_orbits: dict[str, frozenset[str]] = {}
-        self.leaf_orbits: dict[str, frozenset[str]] = {}
-        dom_acc: dict[str, set[str]] = {d.id: set() for d in s.domains}
-        leaf_acc: dict[str, set[str]] = {}
+        uf = _UnionFind(self.domain_by_id)
+        for a, leaf, b in self.edges:
+            if a == b or not uf.union(a, b):
+                add("forest-violation", f"forest violation: leaf {leaf!r} closes a cycle through {a!r} and {b!r}")
+
+        self.orbit_by_id: dict[str, Orbit] = {}
         self.domain_pos: dict[str, dict[str, int]] = {}
+        leaf_acc: dict[str, set[str]] = {}
         for o in s.orbits:
-            self.domain_pos[o.id] = {}
-            for pos, name in enumerate(o.path):
-                if pos % 2 == 0:
-                    dom_acc[name].add(o.id)
-                    self.domain_pos[o.id][name] = pos
-                else:
-                    leaf_acc.setdefault(name, set()).add(o.id)
+            if not o.id:
+                add("empty-id", "orbit with empty id")
+            if o.id in self.orbit_by_id:
+                add("duplicate-id", f"duplicate orbit id {o.id!r}")
+            self.orbit_by_id[o.id] = o
+            path = o.path
+            if len(path) % 2 == 0:
+                add("path-alternation", f"path of {o.id!r} must have odd length")
+                continue
+            unknown = [name for name in path[0::2] if name not in self.domain_by_id]
+            for name in unknown:
+                add("unknown-domain", f"unknown domain {name!r} in path of {o.id!r}")
+            if unknown:
+                continue
+            for i in range(1, len(path) - 1, 2):
+                a, leaf, b = path[i - 1 : i + 2]
+                if self.edge_by_leaf.get(leaf) != (a, b):
+                    add("not-an-edge", f"path of {o.id!r} uses {leaf!r} which does not join {a!r} to {b!r}")
+            pos = {name: 2 * k for k, name in enumerate(path[0::2])}
+            if len(pos) != len(path) // 2 + 1:
+                add("domain-revisit", f"path of {o.id!r} visits a domain twice")
+            first, last = self.domain_by_id[o.alpha], self.domain_by_id[o.omega]
+            if not 0 <= o.entry_cut <= len(first.right):
+                add("cut-out-of-range", f"cut out of range: entry_cut {o.entry_cut} of {o.id!r} over {len(first.right)} leaves")
+            if not 0 <= o.exit_cut <= len(last.left):
+                add("cut-out-of-range", f"cut out of range: exit_cut {o.exit_cut} of {o.id!r} over {len(last.left)} leaves")
+            self.domain_pos[o.id] = pos
+            for name in pos:
+                dom_acc[name].add(o.id)
+            for leaf in path[1::2]:
+                leaf_acc.setdefault(leaf, set()).add(o.id)
         self.domain_orbits = {k: frozenset(v) for k, v in dom_acc.items()}
         self.leaf_orbits = {k: frozenset(v) for k, v in leaf_acc.items()}
-        # Filled by ``decompose.common_subpath``, keyed by the ordered pair.
+        findings.sort(key=lambda f: (f.code, f.message))
+        self.findings = tuple(findings)
+        # Filled by ``decompose.common_subpath``, keyed by the ordered pair,
+        # and by ``decompose.reduce_scenario``.
         self.subpaths: dict[tuple[str, str], Optional[CommonSubpath]] = {}
+        self.reduced: Optional[ReducedStructure] = None
 
     def orbits_crossing(self, leaf: str) -> frozenset[str]:
         return self.leaf_orbits.get(leaf, frozenset())
 
 
 def index(s: Scenario) -> ScenarioIndex:
-    """The scenario's lookup tables, built on first use and kept on ``s``."""
+    """The index that :func:`validate` kept on ``s``; a scenario not yet
+    validated is validated here, and an invalid one raises
+    :class:`InvalidScenarioError`."""
     if s._index is None:
-        object.__setattr__(s, "_index", ScenarioIndex(s))
+        report = validate(s)
+        if not report.ok:
+            raise InvalidScenarioError(report)
     return s._index
 
 
@@ -471,5 +467,5 @@ def fixture_text(name: str) -> str:
 
 def fixture(name: str) -> Scenario:
     s = parse_scenario(fixture_text(name))
-    require_valid(s)
+    index(s)
     return s

@@ -66,6 +66,12 @@ def test_relations_unknown_pair_is_usage_error(s1_path, capsys):
     assert main(["relations", s1_path, "--pair", "O_a", "nope"]) == 2
 
 
+def test_relations_pair_with_json_is_usage_error(s1_path, capsys):
+    assert main(["relations", s1_path, "--pair", "O_a", "O_b", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument" in captured.err
+
+
 def test_decompose_text(s2_path, capsys):
     assert main(["decompose", s2_path]) == 0
     out = capsys.readouterr().out
@@ -156,7 +162,21 @@ def test_out_of_range_generator_arguments_are_usage_errors(argv, capsys):
     assert err.startswith("foliage: ") and "Traceback" not in err
 
 
-def test_relations_builds_one_index(s2_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "{file}", "--json"],
+        ["relations", "{file}"],
+        ["relations", "{file}", "--json"],
+        ["relations", "{file}", "--pair", "O1", "O2"],
+        ["diagram", "{file}"],
+        ["diagram", "{file}", "--format", "boundary", "--json"],
+        ["diagram", "{file}", "--svg", "{svg}"],
+        ["check", "--cases", "3"],
+    ],
+    ids=" ".join,
+)
+def test_one_index_per_scenario_object(argv, s2_path, tmp_path, monkeypatch, capsys):
     built = []
     init = model.ScenarioIndex.__init__
 
@@ -165,8 +185,11 @@ def test_relations_builds_one_index(s2_path, monkeypatch, capsys):
         init(self, s)
 
     monkeypatch.setattr(model.ScenarioIndex, "__init__", counting_init)
-    assert main(["relations", s2_path, "--json"]) == 0
-    assert len(built) == 1
+    argv = [arg.format(file=s2_path, svg=tmp_path / "out.svg") for arg in argv]
+    assert main(argv) == 0
+    assert built and len({id(s) for s in built}) == len(built)
+    if argv[0] != "check":
+        assert len(built) == 1
 
 
 def test_missing_file_is_usage_error(capsys):
