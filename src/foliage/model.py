@@ -436,8 +436,8 @@ class ScenarioIndex:
         self.leaf_orbits = {k: frozenset(v) for k, v in leaf_acc.items()}
         findings.sort(key=lambda f: (f.code, f.message))
         self.findings = tuple(findings)
-        # Filled by ``decompose.common_subpath``, keyed by the ordered pair,
-        # and by ``decompose.reduce_scenario``.
+        # Filled by ``decompose``: the common subpath of each ordered pair
+        # compared, and the reduced structure.
         self.subpaths: dict[tuple[str, str], Optional[CommonSubpath]] = {}
         self.reduced: Optional[ReducedStructure] = None
 

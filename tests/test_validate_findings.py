@@ -96,8 +96,8 @@ def test_findings_are_pinned_over_a_seeded_family():
 
 def _invalid() -> Scenario:
     s = parse_scenario(fixture_text("S1"))
-    last = s.orbits[0]
-    bad = Orbit(last.id, last.path, last.entry_cut, 99, last.tie_rank)
+    o = s.orbits[0]
+    bad = Orbit(o.id, o.path, o.entry_cut, 99, o.tie_rank)  # exit cut out of range
     return Scenario(s.domains, (bad,) + s.orbits[1:])
 
 
