@@ -236,23 +236,30 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def emit_scenario(s: Scenario) -> str:
-    """Serialize canonically: sorted keys, declaration-order arrays, LF."""
-    doc = {
-        "domains": [
-            {"id": d.id, "left": list(d.left), "right": list(d.right)} for d in s.domains
-        ],
-        "orbits": [
-            {
-                "entry_cut": o.entry_cut,
-                "exit_cut": o.exit_cut,
-                "id": o.id,
-                "path": list(o.path),
-                "tie_rank": o.tie_rank,
-            }
-            for o in s.orbits
-        ],
-    }
-    return dumps(doc, ensure_ascii=False) + "\n"
+    """Serialize canonically: sorted keys, declaration-order arrays, LF.
+
+    The text is ``dumps(doc, ensure_ascii=False)`` of the scenario's
+    document, plus LF; a scenario's shape is fixed, so it is written
+    directly."""
+
+    def array(items: list[str], indent: str) -> str:
+        inner = "\n" + indent + "  "
+        return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]" if items else "[]"
+
+    def ids(values: tuple[str, ...]) -> str:
+        return array([encode_basestring(v) for v in values], "      ")
+
+    domains = [
+        f'{{\n      "id": {encode_basestring(d.id)},\n      "left": {ids(d.left)},\n      "right": {ids(d.right)}\n    }}'
+        for d in s.domains
+    ]
+    orbits = [
+        f'{{\n      "entry_cut": {int.__repr__(o.entry_cut)},\n      "exit_cut": {int.__repr__(o.exit_cut)},\n'
+        f'      "id": {encode_basestring(o.id)},\n      "path": {ids(o.path)},\n'
+        f'      "tie_rank": {int.__repr__(o.tie_rank)}\n    }}'
+        for o in s.orbits
+    ]
+    return f'{{\n  "domains": {array(domains, "  ")},\n  "orbits": {array(orbits, "  ")}\n}}\n'
 
 
 def dumps(doc: object, ensure_ascii: bool = True) -> str:

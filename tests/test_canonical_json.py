@@ -1,11 +1,13 @@
-"""The canonical JSON writer against the standard library's encoder."""
+"""The canonical JSON writer against the standard library's encoder, and
+the scenario writer against the canonical writer."""
 
 import json
 import random
 
 import pytest
 
-from foliage.model import dumps
+from foliage.generator import GeneratorConfig, generate_scenario
+from foliage.model import Orbit, Scenario, SkeletonDomain, dumps, emit_scenario, parse_scenario
 
 STRINGS = ("", "a", 'say "hi"', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f", "é", "€", " ", "😀", "\ud834")
 INTS = (0, 1, -1, 2**31, -(2**63), 2**200, -(10**40))
@@ -60,3 +62,46 @@ def test_dumps_escapes_non_ascii_by_default():
 def test_dumps_rejects_types_outside_the_documents(doc):
     with pytest.raises(TypeError):
         dumps(doc)
+
+
+def _emit_by_dumps(s):
+    """The scenario's document through the generic writer."""
+    doc = {
+        "domains": [{"id": d.id, "left": list(d.left), "right": list(d.right)} for d in s.domains],
+        "orbits": [
+            {"entry_cut": o.entry_cut, "exit_cut": o.exit_cut, "id": o.id, "path": list(o.path), "tie_rank": o.tie_rank}
+            for o in s.orbits
+        ],
+    }
+    return dumps(doc, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("bounds", ({}, {"max_domains": 25, "max_orbits": 14, "max_boundary": 6}, {"max_boundary": 0}))
+def test_emit_scenario_equals_the_generic_writer_on_generated_scenarios(bounds):
+    for seed in range(1, 201):
+        s = generate_scenario(GeneratorConfig(seed=seed, **bounds))
+        assert emit_scenario(s) == _emit_by_dumps(s), seed
+
+
+ODD_IDS = ('say "hi"', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f", "é", "€", "😀", "\ud834", "")
+
+
+@pytest.mark.parametrize(
+    "s",
+    (
+        Scenario(domains=(), orbits=()),
+        Scenario(domains=(SkeletonDomain("D"),), orbits=()),
+        Scenario(domains=(SkeletonDomain("D", left=("a",)),), orbits=(Orbit("O", ("D",)),)),
+        Scenario(
+            domains=tuple(SkeletonDomain(i, left=ODD_IDS, right=(i,)) for i in ODD_IDS),
+            orbits=tuple(Orbit(i, (i, i, i), entry_cut=-3, exit_cut=2**70, tie_rank=7) for i in ODD_IDS),
+        ),
+    ),
+)
+def test_emit_scenario_equals_the_generic_writer_on_edge_cases(s):
+    assert emit_scenario(s) == _emit_by_dumps(s)
+
+
+def test_emitted_odd_ids_parse_back():
+    s = Scenario(domains=tuple(SkeletonDomain(i) for i in ODD_IDS if i), orbits=())
+    assert parse_scenario(emit_scenario(s)).domains == s.domains

@@ -1,6 +1,11 @@
+import itertools
+import random
+import time
+
 import pytest
 
-from foliage.checks import PROPERTIES, _Context, run_check, shrink
+from foliage.checks import PROPERTIES, _Context, _strict_total, run_check, shrink
+from foliage.cli import main
 from foliage.generator import GeneratorConfig
 from foliage.model import FIXTURE_NAMES, fixture, parse_scenario
 
@@ -122,3 +127,72 @@ def test_a_case_whose_context_raises_fails_every_property(monkeypatch):
         assert len(parse_scenario(f.shrunk).orbits) == 3
     for _name, passes, fails in report.results:
         assert passes + fails == 5 and fails == len(context_failures)
+
+
+def _strict_total_by_loops(items, cmp):
+    """The cubic definition that ``_strict_total`` falls back to."""
+    bad = []
+    for a, b in itertools.combinations(items, 2):
+        if cmp(a, b) == 0 or cmp(a, b) != -cmp(b, a):
+            bad.append(f"not antisymmetric on {a},{b}")
+    for a, b, c in itertools.permutations(items, 3):
+        if cmp(a, b) < 0 and cmp(b, c) < 0 and not cmp(a, c) < 0:
+            bad.append(f"not transitive on {a},{b},{c}")
+    return bad
+
+
+def _outcome(fn, items, cmp):
+    try:
+        return fn(items, cmp)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+BROKEN = ("non-antisymmetric", "cyclic", "tying", "raising", "scaled")
+
+
+def _comparator(kind, items, rng):
+    """A total order by random rank, broken as ``kind`` says on random items."""
+    rank = {o: rng.random() for o in items}
+    x, y, z = rng.sample(items, 3)
+    forced = {"cyclic": {(x, y): -1, (y, z): -1, (z, x): -1}}.get(kind, {})
+    forced = {**forced, **{(b, a): -v for (a, b), v in forced.items()}}
+
+    def cmp(a, b):
+        if (a, b) in forced:
+            return forced[(a, b)]
+        if {a, b} == {x, y}:
+            if kind == "non-antisymmetric":
+                return -1
+            if kind == "tying":
+                return 0
+            if kind == "raising":
+                raise ValueError(f"cannot compare {a} with {b}")
+        c = (rank[a] > rank[b]) - (rank[a] < rank[b])
+        return 2 * c if kind == "scaled" and a == x else c
+
+    return cmp
+
+
+@pytest.mark.parametrize("kind", ("total",) + BROKEN)
+@pytest.mark.parametrize("seed", range(8))
+def test_strict_total_agrees_with_the_cubic_loops(kind, seed):
+    rng = random.Random(f"{kind}/{seed}")
+    items = [f"o{i}" for i in range(rng.randint(3, 9))]
+    cmp = _comparator(kind, items, rng)
+    got = _outcome(_strict_total, items, cmp)
+    assert got == _outcome(_strict_total_by_loops, items, cmp)
+    assert (got == []) == (kind == "total")
+
+
+def test_strict_total_on_no_or_one_item():
+    assert _strict_total([], None) == []
+    assert _strict_total(["a"], lambda a, b: 0) == []
+
+
+def test_check_on_100_orbits_in_one_domain_is_quick(capsys):
+    start = time.perf_counter()
+    argv = ["check", "--seed", "2", "--cases", "1", "--max-domains", "1", "--max-orbits", "120", "--max-boundary", "4"]
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 2.0
+    assert "result: all properties hold" in capsys.readouterr().out

@@ -315,3 +315,18 @@ def test_oversized_number_is_a_parse_finding(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
     limit = sys.get_int_max_str_digits()
     assert capsys.readouterr().err == f"finding: parse: number longer than {limit} digits\n"
+
+
+def test_python_dash_m_foliage_validates_s0(tmp_path):
+    import os
+    import subprocess
+    from pathlib import Path
+
+    path = tmp_path / "S0.json"
+    path.write_text(fixture_text("S0"), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "foliage", "validate", str(path)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 findings\n", "")
