@@ -239,38 +239,35 @@ def prop_embedding(ctx: _Context) -> list[str]:
         if ctx.layout.box_of(point) is None:
             bad.append(f"crossing of {a},{b} lies outside every box")
     for poly in ctx.routed.polylines:
-        for i in range(len(poly.points) - 1):
-            if poly.points[i][0] >= poly.points[i + 1][0]:
+        for p, q in zip(poly.scaled, poly.scaled[1:]):
+            if p[0] >= q[0]:
                 bad.append(f"trajectory of {poly.orbit} is not x-monotone")
     return bad
 
 
 def prop_forward_disjointness(ctx: _Context) -> list[str]:
+    """On the integer form: the tick's x and the polylines are ints over the layout's ``den``."""
     if ctx.routed is None:
         return []
     bad = []
     s = ctx.scenario
     idx = index(s)
     for leaf in ctx.crossed_leaves:
-        tick = ctx.layout.tick_for(leaf)
+        tick = ctx.layout.tick_for(leaf, scaled=True)
         if tick is None:
             bad.append(f"crossed leaf {leaf} has no tick")
             continue
         orbs = sorted(idx.leaf_orbits[leaf])
         for a, b in itertools.combinations(orbs, 2):
             pa, pb = ctx.routed.by_orbit(a), ctx.routed.by_orbit(b)
-            ya, yb = geometry.y_at(pa, tick.x), geometry.y_at(pb, tick.x)
-            if ya == yb:
+            sign = geometry.height_order(pa, pb, tick.x)
+            if sign == 0:
                 continue  # the pair crosses exactly at the leaf line
-            first, second = (a, b) if ya < yb else (b, a)
+            (first, pf), (second, ps) = ((a, pa), (b, pb)) if sign < 0 else ((b, pb), (a, pa))
             v = relations.compare_left(s, first, second)
             if v.direction not in (Direction.FIRST_LESS, Direction.EQUIVALENT):
                 continue  # order at the leaf is not compatible; nothing asserted
-            pieces = (
-                geometry.clip_forward(ctx.routed.by_orbit(first), tick.x),
-                geometry.clip_forward(ctx.routed.by_orbit(second), tick.x),
-            )
-            if not geometry.pieces_disjoint(*pieces):
+            if not geometry.forward_disjoint(pf, ps, tick.x):
                 bad.append(f"forward pieces of {first},{second} meet beyond leaf {leaf}")
     return bad
 

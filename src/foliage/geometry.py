@@ -8,11 +8,15 @@ fits inside the horizontal band owned by that run, and the corridor is a
 single quadrilateral across the gap between the two box sides.  The gap of
 each corridor is sized so that its slanted walls clear every piece of
 subtree content that pokes back toward the parent.  Each box's subtree is
-built in the box's own local frame, which keeps its bounds and one map
-``(f, dx, dy)`` into its parent's frame; the maps are composed top-down once
-the forest has been walked, as integer numerators over one denominator, and
-every point is mapped once, into a ``fractions.Fraction``.  The crossing
-oracle runs on ints scaled by a common denominator, so its counts are exact.
+built in the box's own local frame, on ints: the box's own points over one
+unit per box, each corridor over one unit per child, and the frame's bounds
+over one gcd-reduced denominator.  Each child keeps one map ``(f, dx, dy)``
+into its parent's frame, as ints over one denominator; the maps are
+composed top-down once the forest has been walked, and every point is
+mapped once, to an int over one page denominator.  That integer form is
+what ``route``, the crossing oracle and the checks read, so the predicates
+are exact by construction (Yap 1997); ``fractions.Fraction`` coordinates
+are views of it, built only where a caller reads them.
 
 Trajectories are polylines: a short backward whisker, one straight segment
 per traversed box, one strand per corridor, and a forward whisker.  They are
@@ -52,7 +56,6 @@ from .realize import (
 Point = tuple[Fraction, Fraction]
 
 BOX_WIDTH = 4
-WHISKER = Fraction(1, 2)
 
 
 class DegeneracyError(FoliageError):
@@ -87,8 +90,33 @@ class Tick:
     y1: Fraction
 
 
-@dataclass
+_FIELDS = ("boxes", "corridors", "entry_ports", "exit_ports", "back_whiskers", "fwd_whiskers", "ticks", "bounds")
+
+
+def _coords(name: str, value, fn):
+    """The value of the ``Layout`` field ``name`` with ``fn`` applied to every coordinate."""
+    if name == "boxes":
+        return {mid: BoxRect(fn(b.x0), fn(b.y0), fn(b.x1), fn(b.y1)) for mid, b in value.items()}
+    if name == "corridors":
+        return tuple(Corridor(c.edge, tuple((fn(x), fn(y)) for x, y in c.quad)) for c in value)
+    if name == "ticks":
+        return tuple(Tick(t.leaf, t.kind, fn(t.x), fn(t.y0), fn(t.y1)) for t in value)
+    if name == "bounds":
+        return tuple(map(fn, value))
+    return {key: (fn(x), fn(y)) for key, (x, y) in value.items()}
+
+
+@dataclass(init=False)
 class Layout:
+    """The placed boxes, corridors, ports, whiskers and ticks.
+
+    ``layout`` builds the integer form: ``scaled`` holds each field by name
+    with every coordinate an int over the one denominator ``den``.  It is
+    what ``route``, ``box_of`` and the checks read.  Each field below is a
+    view of it in ``Fraction``s, built on first read.  A layout given in
+    ``Fraction``s keeps them, and is scaled to the integer form once.
+    """
+
     boxes: dict[str, BoxRect]
     corridors: tuple[Corridor, ...]
     entry_ports: dict[tuple[str, str], Point]
@@ -97,51 +125,117 @@ class Layout:
     fwd_whiskers: dict[str, Point]
     ticks: tuple[Tick, ...]
     bounds: tuple[Fraction, Fraction, Fraction, Fraction]
-    _tick_by_leaf: dict[str, Tick] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __init__(self, boxes, corridors, entry_ports, exit_ports, back_whiskers, fwd_whiskers, ticks, bounds, den=None):
+        scaled = dict(zip(_FIELDS, (boxes, corridors, entry_ports, exit_ports, back_whiskers, fwd_whiskers, ticks, bounds)))
+        if den is None:
+            self.__dict__.update(scaled)
+            dens = set()
+            for name, value in scaled.items():
+                _coords(name, value, lambda c: dens.add(c.denominator))
+            den = math.lcm(*dens)
+            scaled = {name: _coords(name, value, lambda c: c.numerator * (den // c.denominator)) for name, value in scaled.items()}
+        self.den, self.scaled, self._fractions = den, scaled, {}
         # Reversed, so that the first tick of a leaf is the one kept.
-        self._tick_by_leaf = {t.leaf: t for t in reversed(self.ticks) if t.kind in ("critical", "internal")}
+        kept = ("critical", "internal")
+        self._tick_at = {t.leaf: i for i, t in reversed(list(enumerate(scaled["ticks"]))) if t.kind in kept}
 
-    def tick_for(self, leaf: str) -> Optional[Tick]:
-        """The first critical or internal tick drawn for the leaf."""
-        return self._tick_by_leaf.get(leaf)
+    def __getattr__(self, name: str):
+        if name not in _FIELDS:
+            raise AttributeError(name)
+        view = self.__dict__[name] = _coords(name, self.scaled[name], self.fraction)
+        return view
+
+    def fraction(self, c: int) -> Fraction:
+        """``c/den`` as a ``Fraction``, built once per distinct c and shared
+        by every view, the routed polylines' too."""
+        view = self._fractions.get(c)
+        if view is None:
+            view = self._fractions[c] = Fraction(c, self.den)
+        return view
+
+    def tick_for(self, leaf: str, scaled: bool = False) -> Optional[Tick]:
+        """The first critical or internal tick drawn for the leaf; in the integer form if ``scaled``."""
+        i = self._tick_at.get(leaf)
+        return None if i is None else (self.scaled["ticks"] if scaled else self.ticks)[i]
 
     @functools.cached_property
-    def _boxes_by_x0(self) -> tuple[list[Fraction], list[Fraction], list[tuple[int, str]]]:
-        """The boxes sorted by ``(x0, position in boxes)``: their ``x0``s,
-        the running maximum of their ``x1``s, and ``(position, id)``."""
-        ranked = sorted((box.x0, k, mid) for k, (mid, box) in enumerate(self.boxes.items()))
-        reach = itertools.accumulate((self.boxes[mid].x1 for _x0, _k, mid in ranked), max)
+    def _boxes_by_x0(self) -> tuple[list[int], list[int], list[tuple[int, str]]]:
+        """The boxes sorted by ``(x0, position in boxes)``: their scaled
+        ``x0``s, the running maximum of their ``x1``s, and ``(position, id)``."""
+        boxes = self.scaled["boxes"]
+        ranked = sorted((box.x0, k, mid) for k, (mid, box) in enumerate(boxes.items()))
+        reach = itertools.accumulate((boxes[mid].x1 for _x0, _k, mid in ranked), max)
         return [x0 for x0, _k, _mid in ranked], list(reach), [(k, mid) for _x0, k, mid in ranked]
 
     def box_of(self, p: Point) -> Optional[str]:
         """The first box, in ``boxes`` order, whose interior holds p."""
         starts, reach, ranked = self._boxes_by_x0
+        boxes = self.scaled["boxes"]
+        # p's coordinates as x/xd and y/yd over den, against the boxes' times xd and yd.
+        (x, xd), (y, yd) = ((c.numerator * self.den, c.denominator) for c in p)
         found = None
         # Boxes at i and after start at or right of p; walk left while some
         # box at or before i - 1 still reaches past p.
-        i = bisect.bisect_left(starts, p[0])
-        while i > 0 and reach[i - 1] > p[0]:
+        i = bisect.bisect_left(starts, x, key=lambda x0: x0 * xd)
+        while i > 0 and reach[i - 1] * xd > x:
             i -= 1
-            if self.boxes[ranked[i][1]].contains_interior(p) and (found is None or ranked[i] < found):
+            b = boxes[ranked[i][1]]
+            if b.x0 * xd < x < b.x1 * xd and b.y0 * yd < y < b.y1 * yd and (found is None or ranked[i] < found):
                 found = ranked[i]
         return found[1] if found is not None else None
 
 
-@dataclass(frozen=True)
+def _scaled(pieces) -> tuple[int, tuple]:
+    """The LCM of the denominators of pieces of ``Fraction`` points, and
+    the pieces as ints over it."""
+    den = math.lcm(*{c.denominator for piece in pieces for point in piece for c in point})
+    return den, tuple(
+        tuple((x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)) for x, y in piece)
+        for piece in pieces
+    )
+
+
+@dataclass(frozen=True, init=False)
 class Polyline:
+    """One orbit's trajectory, in ``Fraction`` points and in the integer
+    form: ``scaled``, the points as ints over ``den``.  ``route`` builds the
+    integer form, and ``points`` is built from it on first read, by the
+    layout's ``fraction``; a polyline given in ``Fraction``s is scaled once."""
+
     orbit: str
     points: tuple[Point, ...]
+
+    def __init__(self, orbit: str, points: tuple[Point, ...] = (), scaled=None, den: int = 1, fraction=None):
+        if scaled is None:
+            self.__dict__["points"] = points = tuple(points)
+            den, (scaled,) = _scaled((points,))
+        self.__dict__.update(orbit=orbit, scaled=scaled, den=den, _fraction=fraction)
+
+    def __getattr__(self, name: str):
+        if name != "points":
+            raise AttributeError(name)
+        fraction = self._fraction or functools.partial(Fraction, denominator=self.den)
+        points = self.__dict__["points"] = tuple((fraction(x), fraction(y)) for x, y in self.scaled)
+        return points
 
 
 @dataclass(frozen=True)
 class PolylineSet:
+    """The trajectories, and in ``scaled`` all their points as ints over one
+    denominator ``den``: the polylines' own when they share it, as those of
+    ``route`` do, or else rescaled to the least common one."""
+
     polylines: tuple[Polyline, ...]
     _by_orbit: dict[str, Polyline] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_orbit", {p.orbit: p for p in self.polylines})
+        den = math.lcm(*(p.den for p in self.polylines))
+        scaled = tuple(
+            p.scaled if p.den == den else tuple((x * (den // p.den), y * (den // p.den)) for x, y in p.scaled)
+            for p in self.polylines
+        )
+        self.__dict__.update(_by_orbit={p.orbit: p for p in self.polylines}, den=den, scaled=scaled)
 
     def by_orbit(self, orbit: str) -> Polyline:
         try:
@@ -150,50 +244,41 @@ class PolylineSet:
             raise FoliageError(f"no polyline for orbit {orbit!r}") from None
 
 
-@dataclass
+@dataclass(eq=False)
 class _Frame:
     """One box and its subtree, in the box's own coordinates.
 
-    ``bounds`` is the hull of the subtree's boxes and whisker tips, and
-    ``place`` the map ``(f, dx, dy)``, ``p -> f·p + (dx, dy)``, into the
-    parent frame; ``page``, once composed, the map into the page as integers
-    ``(f, dx, dy, d)``, over ``d``.  ``connect`` is the port run of the
+    The box's own points are ints over ``unit``.  ``bounds`` is the hull of
+    the subtree's boxes and whisker tips, as ints ``(x0, y0, x1, y1, d)``
+    over ``d``.  ``place`` is the map into the parent frame and ``page``,
+    once composed, the map into the page, both as ints ``(f, dx, dy, d)``
+    for ``p -> (f·p + (dx, dy))/d``.  ``connect`` is the port run of the
     corridor to the parent, on the side at ``connect_x``.
     """
 
     parent: Optional["_Frame"]
-    bounds: tuple = ()
-    place: tuple = ()
+    unit: int
+    bounds: tuple[int, int, int, int, int] = ()
+    place: tuple[int, int, int, int] = ()
     page: tuple[int, int, int, int] = ()
-    connect_x: Fraction | int = 0
+    connect_x: int = 0
     connect: Optional[SideItem] = None
 
-    def x(self, v: Fraction | int) -> Fraction:
-        f, dx, _dy, d = self.page
-        return Fraction(f * v.numerator + dx * v.denominator, d * v.denominator)
 
-    def y(self, v: Fraction | int) -> Fraction:
-        f, _dx, dy, d = self.page
-        return Fraction(f * v.numerator + dy * v.denominator, d * v.denominator)
-
-
-def _compose(outer: tuple[int, int, int, int], place: tuple) -> tuple[int, int, int, int]:
+def _compose(outer: tuple[int, int, int, int], place: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     """The integer map ``outer`` after the map ``place``, gcd-reduced."""
-    d = math.lcm(*(v.denominator for v in place))
-    f, dx, dy = (v.numerator * (d // v.denominator) for v in place)
+    f, dx, dy, d = place
     of, odx, ody, od = outer
     f, dx, dy, d = of * f, of * dx + odx * d, of * dy + ody * d, od * d
     g = math.gcd(f, dx, dy, d)
     return f // g, dx // g, dy // g, d // g
 
 
-def _hull(a: tuple, b: tuple) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    return (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
-
-
-def _scale_factor(span: int, above: Fraction | int, below: Fraction | int) -> Fraction:
-    half = Fraction(2 * span + 1, 4)
-    return min(Fraction(1), Fraction(half, above + Fraction(span, 2)), Fraction(half, below + Fraction(span, 2)))
+def _hull(a: tuple, b: tuple) -> tuple[int, int, int, int, int]:
+    """The hull of two boxes ``(x0, y0, x1, y1, d)`` of ints over d, over the LCM of their ds."""
+    d = math.lcm(a[4], b[4])
+    (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = ([v * (d // t[4]) for v in t[:4]] for t in (a, b))
+    return min(ax0, bx0), min(ay0, by0), max(ax1, bx1), max(ay1, by1), d
 
 
 def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]] = None) -> Layout:
@@ -205,37 +290,40 @@ def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]
     """
     plans = plans if plans is not None else all_port_plans(s, r)
     edge_by_leaf = {leaf: (a, leaf, b) for a, leaf, b in r.forest_edges}
-    # Everything drawn, in local coordinates and in the order the layout lists it.
+    # Everything drawn, in local coordinates over a unit of its frame, in the order the layout lists it.
     boxes: list[tuple[_Frame, str]] = []
-    ticks: list[Optional[tuple[_Frame, Tick]]] = []
-    whiskers: dict[str, list[tuple[_Frame, str, Point]]] = {"entry": [], "exit": []}
-    corridors: list[tuple[_Frame, Corridor]] = []
+    ticks: list[Optional[tuple[_Frame, int, Tick]]] = []
+    whiskers: dict[str, list[tuple[_Frame, str, tuple[int, int]]]] = {"entry": [], "exit": []}
+    corridors: list[tuple[_Frame, int, Corridor]] = []
 
     def build(mid: str, parent_leaf: Optional[str], parent: Optional[_Frame]):
         m = r.maxdomain(mid)
         plan = plans[mid]
-        frame = _Frame(parent)
-        boxes.append((frame, mid))
         height = len(plan.entry_seq) + 2
-        bounds = (0, 0, BOX_WIDTH, height)
-
         chain_len = len(m.chain)
+        # Quarters, halves, internal ticks at 4j/chain_len and fringe ticks
+        # at height·(pos + 1)/(count + 1) are all multiples of 1/u.
+        u = 4 * math.lcm(chain_len, len(m.right) + 1, len(m.left) + 1)
+        q = u // 4
+        frame = _Frame(parent, u)
+        boxes.append((frame, mid))
+        bounds = (0, 0, BOX_WIDTH * u, height * u, u)
+
         for j, leaf in enumerate(m.internal, start=1):
-            x = Fraction(BOX_WIDTH * j, chain_len)
-            ticks.append((frame, Tick(leaf, "internal", x, Fraction(1, 4), height - Fraction(1, 4))))
+            ticks.append((frame, u, Tick(leaf, "internal", BOX_WIDTH * j * u // chain_len, q, height * u - q)))
 
         sides = (
-            ("entry", entry_items(s, m, plan), 0, -1, -WHISKER),
-            ("exit", exit_items(s, m, plan), BOX_WIDTH, 1, BOX_WIDTH + WHISKER),
+            ("entry", entry_items(s, m, plan), 0, -1, -2 * q),
+            ("exit", exit_items(s, m, plan), BOX_WIDTH, 1, BOX_WIDTH * u + 2 * q),
         )
         corridor_leaves = set()
         for side, items, side_x, direction, tip_x in sides:
             for item in items:
                 lo, hi = item.lo, item.hi
                 if item.kind == "stub":
-                    tip = (tip_x, lo + 1)
+                    tip = (tip_x, (lo + 1) * u)
                     whiskers[side].append((frame, item.orbits[0], tip))
-                    bounds = _hull(bounds, tip + tip)
+                    bounds = _hull(bounds, tip + tip + (u,))
                     continue
                 corridor_leaves.add(item.leaf)
                 if item.leaf == parent_leaf:
@@ -248,77 +336,119 @@ def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]
                 if child.connect.orbits != item.orbits:
                     raise FoliageError(f"corridor hand-off mismatch at leaf {item.leaf!r}")
                 span = hi - lo
-                cb = child.bounds
-                hull_top, hull_bot = child.connect.lo + 1, child.connect.hi + 1
-                f = _scale_factor(span, hull_top - cb[1], cb[3] - hull_bot)
-                # How far the subtree reaches back past its own connecting side.
-                overhang = child.connect_x - cb[0] if child.connect_x == 0 else cb[2] - child.connect_x
-                g = (2 * span + 1) * overhang + 1
-                target_x = side_x + direction * g
-                dy = (lo + 1) + Fraction(span * (1 - f), 2) - f * hull_top
-                dx = target_x - f * child.connect_x
-                child.place = (f, dx, dy)
-                bounds = _hull(bounds, (f * cb[0] + dx, f * cb[1] + dy, f * cb[2] + dx, f * cb[3] + dy))
-                parent_iv = (lo + Fraction(3, 4), hi + Fraction(5, 4))
-                child_iv = (f * hull_top + dy - Fraction(f, 4), f * hull_bot + dy + Fraction(f, 4))
+                bx0, by0, bx1, by1, cd = child.bounds
+                cx, top, bot = child.connect_x, child.connect.lo + 1, child.connect.hi + 1
+                # The scale f = fn/fd = min(1, half/(above + span/2), half/(below + span/2)),
+                # half = (2·span + 1)/4, with the child's reach above its top port and below its bottom one.
+                fn = (2 * span + 1) * cd
+                fd = max(fn, 2 * (2 * (top * cd - by0) + span * cd), 2 * (2 * (by1 - bot * cd) + span * cd))
+                g = math.gcd(fn, fd)
+                fn, fd = fn // g, fd // g
+                # The gap is (2·span + 1) times how far the subtree reaches back
+                # past its own connecting side, plus one; tx is target_x over cd.
+                overhang = -bx0 if cx == 0 else bx1 - cx * cd
+                tx = side_x * cd + direction * ((2 * span + 1) * overhang + cd)
+                ey = 4 * fd * (lo + 1) + 2 * span * (fd - fn) - 4 * fn * top  # dy over 4·fd
+                fx, dx, dy = 4 * fn, 4 * (tx * fd - fn * cx * cd), cd * ey  # over 4·cd·fd, f times cd
+                child.place = (fx * cd, dx, dy, 4 * cd * fd)
+                bounds = _hull(bounds, (fx * bx0 + dx, fx * by0 + dy, fx * bx1 + dx, fx * by1 + dy, 4 * cd * fd))
+                # Both sides' x and port intervals, and the critical tick on the
+                # midpoints, over w; then reduced by one gcd.
+                w = 16 * cd * fd
+                target, wall = (16 * fd * tx, 16 * fd * cd * side_x)
+                parent_iv = (4 * cd * fd * (4 * lo + 3), 4 * cd * fd * (4 * hi + 5))
+                child_iv = (4 * cd * (4 * fn * top + ey - fn), 4 * cd * (4 * fn * bot + ey + fn))
                 if side == "entry":
-                    up_x, up_iv, down_x, down_iv = target_x, child_iv, side_x, parent_iv
+                    up_x, up_iv, down_x, down_iv = target, child_iv, wall, parent_iv
                 else:
-                    up_x, up_iv, down_x, down_iv = side_x, parent_iv, target_x, child_iv
-                quad = ((up_x, up_iv[0]), (up_x, up_iv[1]), (down_x, down_iv[1]), (down_x, down_iv[0]))
-                corridors.append((frame, Corridor(edge_by_leaf[item.leaf], quad)))
-                mid_y0, mid_y1 = Fraction(up_iv[0] + down_iv[0], 2), Fraction(up_iv[1] + down_iv[1], 2)
-                ticks[slot] = (frame, Tick(item.leaf, "critical", Fraction(up_x + down_x, 2), mid_y0, mid_y1))
+                    up_x, up_iv, down_x, down_iv = wall, parent_iv, target, child_iv
+                quad = (up_x, up_iv[0], up_x, up_iv[1], down_x, down_iv[1], down_x, down_iv[0])
+                centre = ((up_x + down_x) // 2, (up_iv[0] + down_iv[0]) // 2, (up_iv[1] + down_iv[1]) // 2)
+                g = math.gcd(w, *quad, *centre)
+                quad = tuple(v // g for v in quad)
+                corridor = Corridor(edge_by_leaf[item.leaf], tuple(zip(quad[::2], quad[1::2])))
+                corridors.append((frame, w // g, corridor))
+                ticks[slot] = (frame, w // g, Tick(item.leaf, "critical", *(v // g for v in centre)))
 
         # Decorative ticks for boundary leaves with no corridor of their own.
         for side_x, leaves in ((0, m.right), (BOX_WIDTH, m.left)):
             for pos, leaf in enumerate(leaves):
                 if leaf not in corridor_leaves:
-                    y = Fraction(height * (pos + 1), len(leaves) + 1)
-                    ticks.append((frame, Tick(leaf, "fringe", side_x, y - Fraction(1, 4), y + Fraction(1, 4))))
-        frame.bounds = bounds
+                    y = height * (pos + 1) * u // (len(leaves) + 1)
+                    ticks.append((frame, u, Tick(leaf, "fringe", side_x * u, y - q, y + q)))
+        g = math.gcd(*bounds)
+        frame.bounds = tuple(v // g for v in bounds)
         return frame
 
     roots = [run_nested(build(comp[0], None, None)) for comp in forest_components(r)]
     if not roots:
         raise FoliageError("layout requires a non-empty forest")
-    # The trees side by side, two units apart, top edges on y = 0.
-    cursor, depth = 0, 0
+    # The trees side by side, two units apart, top edges on y = 0; the
+    # cursor is an int over cd and the depth over dd.
+    cursor, cd, depth, dd = 0, 1, 0, 1
     for root in roots:
-        b = root.bounds
-        root.place = (1, cursor - b[0], -b[1])
-        cursor += (b[2] - b[0]) + 2
-        depth = max(depth, b[3] - b[1])
+        x0, y0, x1, y1, d = root.bounds
+        root.place = (d * cd, cursor * d - x0 * cd, -y0 * cd, d * cd)
+        cursor, cd = cursor * d + (x1 - x0 + 2 * d) * cd, cd * d
+        g = math.gcd(cursor, cd)
+        cursor, cd = cursor // g, cd // g
+        if (y1 - y0) * dd > depth * d:
+            depth, dd = y1 - y0, d
     for frame, _mid in boxes:  # every parent comes before its children
         frame.page = _compose(frame.parent.page if frame.parent is not None else (1, 0, 0, 1), frame.place)
 
+    # One page denominator over every unit of every frame; then each point is
+    # mapped by one multiply and add per coordinate.
+    units = {(frame, frame.unit) for frame, _mid in boxes} | {(frame, w) for frame, w, _c in corridors}
+    g = math.gcd(depth, dd)
+    depth, dd = depth // g, dd // g
+    den = math.lcm(cd, dd, *{frame.page[3] * w for frame, w in units})
+    maps = {}
+    for frame, w in units:
+        f, dx, dy, d = frame.page
+        k = den // (d * w)
+        maps[frame, w] = (f * k, dx * w * k, dy * w * k)
+
+    def place(frame: _Frame, w: int, x: int, y: int) -> tuple[int, int]:
+        a, bx, by = maps[frame, w]
+        return a * x + bx, a * y + by
+
     placed_boxes = []
-    entry_ports: dict[tuple[str, str], Point] = {}
-    exit_ports: dict[tuple[str, str], Point] = {}
+    entry_ports: dict[tuple[str, str], tuple[int, int]] = {}
+    exit_ports: dict[tuple[str, str], tuple[int, int]] = {}
     for frame, mid in boxes:
         plan = plans[mid]
+        a, x0, y0 = maps[frame, frame.unit]
         # Both sides carry the same orbits, so port i has one height on either side.
-        x0, x1, ys = frame.x(0), frame.x(BOX_WIDTH), [frame.y(i) for i in range(len(plan.entry_seq) + 3)]
+        step = a * frame.unit
+        x1, ys = x0 + BOX_WIDTH * step, [y0 + i * step for i in range(len(plan.entry_seq) + 3)]
         placed_boxes.append((mid, BoxRect(x0, ys[0], x1, ys[-1])))
         entry_ports.update({(mid, orbit): (x0, ys[i + 1]) for i, orbit in enumerate(plan.entry_seq)})
         exit_ports.update({(mid, orbit): (x1, ys[i + 1]) for i, orbit in enumerate(plan.exit_seq)})
-    placed_corridors = (Corridor(c.edge, tuple((frame.x(x), frame.y(y)) for x, y in c.quad)) for frame, c in corridors)
+    placed_corridors = (Corridor(c.edge, tuple(place(frame, w, *p) for p in c.quad)) for frame, w, c in corridors)
+    placed_ticks = []
+    for frame, w, t in ticks:
+        a, bx, by = maps[frame, w]
+        placed_ticks.append(Tick(t.leaf, t.kind, a * t.x + bx, a * t.y0 + by, a * t.y1 + by))
     return Layout(
         boxes=dict(sorted(placed_boxes)),
         corridors=tuple(sorted(placed_corridors, key=lambda c: c.edge)),
         entry_ports=entry_ports,
         exit_ports=exit_ports,
-        back_whiskers={orbit: (frame.x(x), frame.y(y)) for frame, orbit, (x, y) in whiskers["entry"]},
-        fwd_whiskers={orbit: (frame.x(x), frame.y(y)) for frame, orbit, (x, y) in whiskers["exit"]},
-        ticks=tuple(Tick(t.leaf, t.kind, frame.x(t.x), frame.y(t.y0), frame.y(t.y1)) for frame, t in ticks),
-        bounds=(Fraction(0), Fraction(0), Fraction(cursor - 2), Fraction(depth)),
+        back_whiskers={orbit: place(frame, frame.unit, *tip) for frame, orbit, tip in whiskers["entry"]},
+        fwd_whiskers={orbit: place(frame, frame.unit, *tip) for frame, orbit, tip in whiskers["exit"]},
+        ticks=tuple(placed_ticks),
+        bounds=(0, 0, (cursor - 2 * cd) * (den // cd), depth * (den // dd)),
+        den=den,
     )
 
 
 def route(s: Scenario, r: ReducedStructure, lay: Layout) -> PolylineSet:
-    """Assemble one x-monotone polyline per orbit through the layout."""
+    """Assemble one x-monotone polyline per orbit through the layout, in its integer form."""
     idx = index(s)
     membership = r.membership()
+    placed = lay.scaled
+    entry_ports, exit_ports = placed["entry_ports"], placed["exit_ports"]
     polylines = []
     for oid in sorted(idx.orbit_by_id):
         o = idx.orbit_by_id[oid]
@@ -327,12 +457,12 @@ def route(s: Scenario, r: ReducedStructure, lay: Layout) -> PolylineSet:
             mid = membership[d]
             if not mids or mids[-1] != mid:
                 mids.append(mid)
-        points: list[Point] = [lay.back_whiskers[oid]]
+        points = [placed["back_whiskers"][oid]]
         for mid in mids:
-            points.append(lay.entry_ports[(mid, oid)])
-            points.append(lay.exit_ports[(mid, oid)])
-        points.append(lay.fwd_whiskers[oid])
-        polylines.append(Polyline(orbit=oid, points=tuple(points)))
+            points.append(entry_ports[(mid, oid)])
+            points.append(exit_ports[(mid, oid)])
+        points.append(placed["fwd_whiskers"][oid])
+        polylines.append(Polyline(oid, scaled=tuple(points), den=lay.den, fraction=lay.fraction))
     return PolylineSet(polylines=tuple(polylines))
 
 
@@ -345,7 +475,7 @@ def _in_bounds(t: Point, p: Point, q: Point) -> bool:
     return min(p[0], q[0]) <= t[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= t[1] <= max(p[1], q[1])
 
 
-def segment_relation(p1: Point, p2: Point, q1: Point, q2: Point):
+def segment_relation(p1: Point, p2: Point, q1: Point, q2: Point, den: int = 1):
     """Classify two segments: ("cross", point), ("touch", None) or ("none", None).
 
     ``o1``, ``o2`` are the orientations of q1, q2 against p1p2 and ``o3``,
@@ -353,12 +483,13 @@ def segment_relation(p1: Point, p2: Point, q1: Point, q2: Point):
     opposite signs on both sides.  Otherwise the segments touch exactly when
     some endpoint with orientation 0 lies within the other segment's bounds
     (Shewchuk 1997).  On ints and ``Fraction``s alike, the crossing point
-    ``q1 + o1·(q2 − q1)/(o1 − o2)`` is one ``Fraction`` per coordinate."""
+    ``q1 + o1·(q2 − q1)/(o1 − o2)``, divided by ``den``, is one ``Fraction``
+    per coordinate."""
     o1, o2 = _orient(p1, p2, q1), _orient(p1, p2, q2)
     o3, o4 = _orient(q1, q2, p1), _orient(q1, q2, p2)
     if (o1 > 0 > o2 or o1 < 0 < o2) and (o3 > 0 > o4 or o3 < 0 < o4):
         d = o1 - o2
-        return "cross", tuple(Fraction(a * d + o1 * (b - a), d) for a, b in zip(q1, q2))
+        return "cross", tuple(Fraction(a * d + o1 * (b - a), d * den) for a, b in zip(q1, q2))
     if (
         (o1 == 0 and _in_bounds(q1, p1, p2))
         or (o2 == 0 and _in_bounds(q2, p1, p2))
@@ -369,27 +500,22 @@ def segment_relation(p1: Point, p2: Point, q1: Point, q2: Point):
     return "none", None
 
 
-def _meetings(pieces: tuple[tuple[Point, ...], ...]):
+def _meetings(pieces: tuple[tuple[tuple[int, int], ...], ...], den: int = 1):
     """``(i, j, k, l, kind, point)`` for every segment ``k`` of piece ``i``
     and segment ``l`` of piece ``j > i`` that meet, in no set order.
 
-    The coordinates are scaled by the LCM of their denominators, so that
-    the predicates run on ints, exact by construction (Yap 1997), and each
-    crossing point is divided back by it.  Then an x-sweep (Shamos–Hoey
-    1976; Bentley–Ottmann 1979): the segments are visited by their left
-    end, and a heap keyed by the right end holds the segments whose closed
-    x-span still reaches the one visited.  Of those, only segments of other
-    pieces whose closed y-span also overlaps are classified, by
-    ``segment_relation``.  Two segments can share a point
+    The pieces' points are ints, their coordinates times ``den``, so the
+    predicates are exact by construction (Yap 1997), and each crossing
+    point is divided back by ``den`` in its one ``Fraction``.  Then an
+    x-sweep (Shamos–Hoey 1976; Bentley–Ottmann 1979): the segments are
+    visited by their left end, and a heap keyed by the right end holds the
+    segments whose closed x-span still reaches the one visited.  Of those,
+    only segments of other pieces whose closed y-span also overlaps are
+    classified, by ``segment_relation``.  Two segments can share a point
     only inside both their closed boxes, so no meeting is missed; the pairs
     come from the segments' own coordinates alone."""
-    scale = math.lcm(*{c.denominator for piece in pieces for point in piece for c in point})
-    scaled = [
-        [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator)) for x, y in piece]
-        for piece in pieces
-    ]
     segments = []
-    for i, piece in enumerate(scaled):
+    for i, piece in enumerate(pieces):
         for k, ((xp, yp), (xq, yq)) in enumerate(zip(piece, piece[1:])):
             segments.append((min(xp, xq), max(xp, xq), min(yp, yq), max(yp, yq), i, k))
     segments.sort()
@@ -400,10 +526,8 @@ def _meetings(pieces: tuple[tuple[Point, ...], ...]):
         for _x1, j, l, v0, v1 in active:
             if j != i and v0 <= y1 and y0 <= v1:
                 i1, k1, j1, l1 = (j, l, i, k) if j < i else (i, k, j, l)
-                a, b = scaled[i1], scaled[j1]
-                kind, point = segment_relation(a[k1], a[k1 + 1], b[l1], b[l1 + 1])
-                if kind == "cross":
-                    point = (point[0] / scale, point[1] / scale)
+                a, b = pieces[i1], pieces[j1]
+                kind, point = segment_relation(a[k1], a[k1 + 1], b[l1], b[l1 + 1], den)
                 if kind != "none":
                     yield i1, j1, k1, l1, kind, point
         heapq.heappush(active, (x1, i, k, y0, y1))
@@ -414,7 +538,7 @@ def crossing_points(p: PolylineSet) -> tuple[tuple[str, str, Point], ...]:
     segment, then j's; touching is an error, raised at the first touch."""
     polys = p.polylines
     found = []
-    for i, j, _k, _l, kind, point in sorted(_meetings(tuple(poly.points for poly in polys))):
+    for i, j, _k, _l, kind, point in sorted(_meetings(p.scaled, p.den)):
         if kind == "touch":
             raise DegeneracyError(f"trajectories {polys[i].orbit!r} and {polys[j].orbit!r} touch without crossing")
         found.append((polys[i].orbit, polys[j].orbit, point))
@@ -442,37 +566,59 @@ def tally_crossings(
     return CrossingMatrix(orbits=orbits, entries=entries)
 
 
+def _height(pts: tuple[tuple[int, int], ...], x: int, xd: int = 1) -> tuple[int, int]:
+    """The height over ``x/xd`` of an x-monotone polyline of int points, as
+    ``(n, k)`` for ``n/k``, with ``xd`` dividing ``k > 0``."""
+    if not pts[0][0] * xd <= x <= pts[-1][0] * xd:
+        raise FoliageError("coordinate outside trajectory range")
+    for (px, py), (qx, qy) in zip(pts, pts[1:]):
+        if px * xd <= x <= qx * xd:
+            k = max(qx - px, 1) * xd  # at a vertical step x is px, and the height py
+            return py * k + (x - px * xd) * (qy - py), k
+    raise FoliageError("coordinate outside trajectory range")
+
+
+def _clip(pts: tuple[tuple[int, int], ...], x: int, xd: int = 1) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The part of an x-monotone polyline of int points with first
+    coordinate at least ``x/xd``, as ints over ``k``, and ``k``."""
+    if x <= pts[0][0] * xd:
+        return pts, 1
+    if x > pts[-1][0] * xd:
+        return (), 1
+    n, k = _height(pts, x, xd)
+    return ((x * (k // xd), n),) + tuple((px * k, py * k) for px, py in pts if px * xd > x), k
+
+
 def y_at(poly: Polyline, x: Fraction) -> Fraction:
     """Height of an x-monotone polyline over x; x must lie in its range."""
-    pts = poly.points
-    if not pts[0][0] <= x <= pts[-1][0]:
-        raise FoliageError("coordinate outside trajectory range")
-    for p, q in zip(pts, pts[1:]):
-        if p[0] <= x <= q[0]:
-            if p[0] == q[0]:
-                return p[1]
-            t = (x - p[0]) / (q[0] - p[0])
-            return p[1] + t * (q[1] - p[1])
-    raise FoliageError("coordinate outside trajectory range")
+    n, k = _height(poly.scaled, x.numerator * poly.den, x.denominator)
+    return Fraction(n, k * poly.den)
 
 
 def clip_forward(poly: Polyline, x: Fraction) -> tuple[Point, ...]:
     """The part of the polyline with first coordinate at least x."""
-    pts = poly.points
-    if x <= pts[0][0]:
-        return pts
-    if x > pts[-1][0]:
-        return ()
-    out: list[Point] = [(x, y_at(poly, x))]
-    for p in pts:
-        if p[0] > x:
-            out.append(p)
-    return tuple(out)
+    piece, k = _clip(poly.scaled, x.numerator * poly.den, x.denominator)
+    d = k * poly.den
+    return tuple((Fraction(px, d), Fraction(py, d)) for px, py in piece)
 
 
 def pieces_disjoint(a: tuple[Point, ...], b: tuple[Point, ...]) -> bool:
     """No shared point between two polyline pieces of different orbits."""
-    return next(_meetings((a, b)), None) is None
+    return next(_meetings(_scaled((a, b))[1]), None) is None
+
+
+def height_order(a: Polyline, b: Polyline, x: int) -> int:
+    """The sign of a's height minus b's over x, an int over their shared ``den``."""
+    (na, ka), (nb, kb) = _height(a.scaled, x), _height(b.scaled, x)
+    return (na * kb > nb * ka) - (na * kb < nb * ka)
+
+
+def forward_disjoint(a: Polyline, b: Polyline, x: int) -> bool:
+    """``pieces_disjoint`` of the two polylines clipped at x, an int over
+    their shared ``den``, on the integer form."""
+    (pa, ka), (pb, kb) = _clip(a.scaled, x), _clip(b.scaled, x)
+    pieces = (tuple((u * kb, v * kb) for u, v in pa), tuple((u * ka, v * ka) for u, v in pb))
+    return next(_meetings(pieces), None) is None
 
 
 _PALETTE = (

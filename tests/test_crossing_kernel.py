@@ -209,6 +209,48 @@ def test_pieces_disjoint_equals_the_per_pair_loop(family):
     assert verdicts == {True, False}
 
 
+def _y_at_by_fractions(pts, x):
+    """Height over x of x-monotone ``Fraction`` points, segment by segment."""
+    for p, q in zip(pts, pts[1:]):
+        if p[0] <= x <= q[0]:
+            return p[1] if p[0] == q[0] else p[1] + (x - p[0]) / (q[0] - p[0]) * (q[1] - p[1])
+    raise AssertionError("coordinate outside trajectory range")
+
+
+def _clip_by_fractions(pts, x):
+    if x <= pts[0][0]:
+        return pts
+    if x > pts[-1][0]:
+        return ()
+    return ((x, _y_at_by_fractions(pts, x)),) + tuple(p for p in pts if p[0] > x)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_integer_form_readers_equal_fraction_arithmetic(family):
+    """``y_at`` and ``clip_forward`` against the same steps in ``Fraction``s,
+    and ``height_order`` and ``forward_disjoint``, which the
+    forward-disjointness property runs on the integer form, against those
+    and the per-pair loop: at every fifth tick over each polyline and the
+    next, where both span it."""
+    seen = collections.Counter()
+    for routed, lay in _routed_family(family):
+        polys = routed.polylines
+        for tick, scaled in list(zip(lay.ticks, lay.scaled["ticks"]))[::5]:
+            for pa, pb in zip(polys, polys[1:]):
+                if not all(p.points[0][0] <= tick.x <= p.points[-1][0] for p in (pa, pb)):
+                    continue
+                ya, yb = _y_at_by_fractions(pa.points, tick.x), _y_at_by_fractions(pb.points, tick.x)
+                assert (y_at(pa, tick.x), y_at(pb, tick.x)) == (ya, yb)
+                a, b = _clip_by_fractions(pa.points, tick.x), _clip_by_fractions(pb.points, tick.x)
+                assert (clip_forward(pa, tick.x), clip_forward(pb, tick.x)) == (a, b)
+                sign = (ya > yb) - (ya < yb)
+                assert geometry.height_order(pa, pb, scaled.x) == sign
+                verdict = _oracle_disjoint(a, b)
+                assert geometry.forward_disjoint(pa, pb, scaled.x) == verdict
+                seen[sign, verdict] += 1
+    assert {sign for sign, _v in seen} >= {-1, 1} and {v for _s, v in seen} == {True, False}, seen
+
+
 def _pt(x, y):
     return (Fraction(x), Fraction(y))
 

@@ -1,18 +1,28 @@
-"""The exact layout, pinned, and a layout far deeper than the call stack.
+"""The exact layout, pinned, against its ``Fraction`` oracle, and a layout
+far deeper than the call stack.
 
 The ``--svg`` pins in ``test_cli_bytes.py`` round every coordinate to six
 decimals, so they cannot see a change below 1e-6.  Here the sha256 covers
 ``repr`` of every ``Layout`` field and of the routed polylines, exact
 ``Fraction``s and dict order included, over 604 scenarios: seeds 1..300 at
 default bounds and at 25/14/6, and chains of 2, 5, 40 and 80 domains.  The
-digest was recorded before the layout placed each point only once.
+digest was recorded before the layout placed each point only once.  The
+same scenarios and a chain of 300 are laid out again by the layout as it
+was first written, in ``Fraction``s throughout (``fraction_layout.py``),
+and every field must be equal, in value, type and dict order.
 """
 
+import dataclasses
 import hashlib
+import math
+from fractions import Fraction
 
+import pytest
+
+import fraction_layout
 from foliage.decompose import reduce_scenario
 from foliage.generator import GeneratorConfig, generate_scenario
-from foliage.geometry import layout, route
+from foliage.geometry import Layout, Polyline, PolylineSet, crossing_points, layout, route
 from test_realize import _chain
 
 LAYOUT_DIGEST = "208de4dd78b785a58ad098138758a5b0609355dfffc48f06da8a2b83ec846622"
@@ -59,3 +69,57 @@ def test_layout_and_route_on_a_1200_deep_forest():
     for ports in (lay.entry_ports, lay.exit_ports):
         assert sorted(ports) == expected
         assert len(set(ports.values())) == len(ports)
+
+
+def _fractions(value):
+    """Every coordinate in a layout field's value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    for v in value:
+        if isinstance(v, (tuple, list)):
+            yield from _fractions(v)
+        elif hasattr(v, "__dataclass_fields__"):
+            yield from _fractions([getattr(v, name) for name in v.__dataclass_fields__ if name not in ("leaf", "kind", "edge")])
+        else:
+            yield v
+
+
+FIELDS = [f.name for f in dataclasses.fields(Layout)]
+
+
+def _oracle_cases():
+    yield from _scenarios()
+    yield _chain(300)
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_the_integer_layout_equals_the_fraction_oracle(part):
+    for n, s in enumerate(_oracle_cases()):
+        if n % 4 != part:
+            continue
+        r = reduce_scenario(s)
+        fast, slow = layout(s, r), fraction_layout.layout(s, r)
+        for name in FIELDS:
+            got, expected = getattr(fast, name), getattr(slow, name)
+            assert got == expected, name
+            if isinstance(got, dict):
+                assert list(got) == list(expected), name
+            assert all(type(c) is Fraction for c in _fractions(got)), name
+        routed = route(s, r, fast)
+        # The integer hand-off and a set built from the same points in Fractions.
+        again = PolylineSet(tuple(Polyline(p.orbit, p.points) for p in routed.polylines))
+        assert crossing_points(routed) == crossing_points(again)
+        assert routed.den % again.den == 0
+
+
+def test_a_layout_given_in_fractions_is_scaled_once():
+    s = generate_scenario(GeneratorConfig(seed=3, max_domains=25, max_orbits=14, max_boundary=6))
+    r = reduce_scenario(s)
+    given = fraction_layout.layout(s, r)
+    coords = {name: list(_fractions(getattr(given, name))) for name in FIELDS}
+    assert given.den == math.lcm(*(c.denominator for cs in coords.values() for c in cs))
+    for name in FIELDS:
+        assert [Fraction(c, given.den) for c in _fractions(given.scaled[name])] == coords[name], name
+    built = layout(s, r)
+    for point in built.entry_ports.values():
+        assert given.box_of(point) == built.box_of(point)
