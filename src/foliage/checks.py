@@ -8,10 +8,10 @@ every property, and shrinks failing scenarios by deterministic deletion
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property, cmp_to_key
 from typing import Callable, Iterable, Optional
 
 from . import geometry, realize, relations
@@ -40,7 +40,7 @@ class _Context:
         idx = index(self.scenario)
         self.crossed_leaves = sorted(leaf for leaf, orbs in idx.leaf_orbits.items() if orbs)
 
-    @functools.cached_property
+    @cached_property
     def crossing_points(self):
         """The geometric oracle's crossings, found once per case on first use."""
         return geometry.crossing_points(self.routed)
@@ -112,11 +112,11 @@ def _strict_total(items: list[str], cmp: Callable[[str, str], int]) -> list[str]
     any sort yields the candidate, so a pass costs O(n²) calls.  Otherwise,
     or when a comparison raises, the cubic loops name the witnesses."""
     try:
-        seq = sorted(items, key=functools.cmp_to_key(cmp))
+        seq = sorted(items, key=cmp_to_key(cmp))
         if all((c := cmp(a, b)) < 0 and cmp(b, a) == -c for a, b in itertools.combinations(seq, 2)):
             return []
     except Exception:
-        pass  # the loops below raise it again, at the same call as ever
+        pass  # the loops below raise it again, where they always have
     bad = []
     for a, b in itertools.combinations(items, 2):
         if cmp(a, b) == 0 or cmp(a, b) != -cmp(b, a):

@@ -186,16 +186,6 @@ class Layout:
         return found[1] if found is not None else None
 
 
-def _scaled(pieces) -> tuple[int, tuple]:
-    """The LCM of the denominators of pieces of ``Fraction`` points, and
-    the pieces as ints over it."""
-    den = math.lcm(*{c.denominator for piece in pieces for point in piece for c in point})
-    return den, tuple(
-        tuple((x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)) for x, y in piece)
-        for piece in pieces
-    )
-
-
 @dataclass(frozen=True, init=False)
 class Polyline:
     """One orbit's trajectory, in ``Fraction`` points and in the integer
@@ -209,7 +199,8 @@ class Polyline:
     def __init__(self, orbit: str, points: tuple[Point, ...] = (), scaled=None, den: int = 1, fraction=None):
         if scaled is None:
             self.__dict__["points"] = points = tuple(points)
-            den, (scaled,) = _scaled((points,))
+            den = math.lcm(*(c.denominator for point in points for c in point))
+            scaled = tuple(tuple(c.numerator * (den // c.denominator) for c in point) for point in points)
         self.__dict__.update(orbit=orbit, scaled=scaled, den=den, _fraction=fraction)
 
     def __getattr__(self, name: str):
@@ -355,15 +346,13 @@ def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]
                 # Both sides' x and port intervals, and the critical tick on the
                 # midpoints, over w; then reduced by one gcd.
                 w = 16 * cd * fd
-                target, wall = (16 * fd * tx, 16 * fd * cd * side_x)
-                parent_iv = (4 * cd * fd * (4 * lo + 3), 4 * cd * fd * (4 * hi + 5))
-                child_iv = (4 * cd * (4 * fn * top + ey - fn), 4 * cd * (4 * fn * bot + ey + fn))
-                if side == "entry":
-                    up_x, up_iv, down_x, down_iv = target, child_iv, wall, parent_iv
-                else:
-                    up_x, up_iv, down_x, down_iv = wall, parent_iv, target, child_iv
-                quad = (up_x, up_iv[0], up_x, up_iv[1], down_x, down_iv[1], down_x, down_iv[0])
-                centre = ((up_x + down_x) // 2, (up_iv[0] + down_iv[0]) // 2, (up_iv[1] + down_iv[1]) // 2)
+                ends = [
+                    (16 * fd * tx, 4 * cd * (4 * fn * top + ey - fn), 4 * cd * (4 * fn * bot + ey + fn)),
+                    (16 * fd * cd * side_x, 4 * cd * fd * (4 * lo + 3), 4 * cd * fd * (4 * hi + 5)),
+                ]  # the child's side and the parent's: x, then the port interval
+                (ux, u0, u1), (vx, v0, v1) = ends if side == "entry" else ends[::-1]
+                quad = (ux, u0, ux, u1, vx, v1, vx, v0)
+                centre = ((ux + vx) // 2, (u0 + v0) // 2, (u1 + v1) // 2)
                 g = math.gcd(w, *quad, *centre)
                 quad = tuple(v // g for v in quad)
                 corridor = Corridor(edge_by_leaf[item.leaf], tuple(zip(quad[::2], quad[1::2])))
@@ -383,35 +372,31 @@ def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]
     roots = [run_nested(build(comp[0], None, None)) for comp in forest_components(r)]
     if not roots:
         raise FoliageError("layout requires a non-empty forest")
-    # The trees side by side, two units apart, top edges on y = 0; the
-    # cursor is an int over cd and the depth over dd.
-    cursor, cd, depth, dd = 0, 1, 0, 1
+    # The trees side by side, two units apart, top edges on y = 0; the next
+    # tree's left edge is at cursor/cd.
+    cursor, cd = 0, 1
     for root in roots:
-        x0, y0, x1, y1, d = root.bounds
+        x0, y0, x1, _y1, d = root.bounds
         root.place = (d * cd, cursor * d - x0 * cd, -y0 * cd, d * cd)
         cursor, cd = cursor * d + (x1 - x0 + 2 * d) * cd, cd * d
         g = math.gcd(cursor, cd)
         cursor, cd = cursor // g, cd // g
-        if (y1 - y0) * dd > depth * d:
-            depth, dd = y1 - y0, d
     for frame, _mid in boxes:  # every parent comes before its children
         frame.page = _compose(frame.parent.page if frame.parent is not None else (1, 0, 0, 1), frame.place)
 
     # One page denominator over every unit of every frame; then each point is
-    # mapped by one multiply and add per coordinate.
+    # placed by one multiply and add per coordinate.
     units = {(frame, frame.unit) for frame, _mid in boxes} | {(frame, w) for frame, w, _c in corridors}
-    g = math.gcd(depth, dd)
-    depth, dd = depth // g, dd // g
-    den = math.lcm(cd, dd, *{frame.page[3] * w for frame, w in units})
+    den = math.lcm(*{frame.page[3] * w for frame, w in units})
     maps = {}
     for frame, w in units:
         f, dx, dy, d = frame.page
         k = den // (d * w)
         maps[frame, w] = (f * k, dx * w * k, dy * w * k)
 
-    def place(frame: _Frame, w: int, x: int, y: int) -> tuple[int, int]:
+    def place(frame: _Frame, w: int, x: int, *ys: int) -> tuple[int, ...]:
         a, bx, by = maps[frame, w]
-        return a * x + bx, a * y + by
+        return (a * x + bx, *(a * y + by for y in ys))
 
     placed_boxes = []
     entry_ports: dict[tuple[str, str], tuple[int, int]] = {}
@@ -425,20 +410,20 @@ def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]
         placed_boxes.append((mid, BoxRect(x0, ys[0], x1, ys[-1])))
         entry_ports.update({(mid, orbit): (x0, ys[i + 1]) for i, orbit in enumerate(plan.entry_seq)})
         exit_ports.update({(mid, orbit): (x1, ys[i + 1]) for i, orbit in enumerate(plan.exit_seq)})
+    fwd_whiskers = {orbit: place(frame, frame.unit, *tip) for frame, orbit, tip in whiskers["exit"]}
+    right = max([b.x1 for _mid, b in placed_boxes] + [x for x, _y in fwd_whiskers.values()])
     placed_corridors = (Corridor(c.edge, tuple(place(frame, w, *p) for p in c.quad)) for frame, w, c in corridors)
-    placed_ticks = []
-    for frame, w, t in ticks:
-        a, bx, by = maps[frame, w]
-        placed_ticks.append(Tick(t.leaf, t.kind, a * t.x + bx, a * t.y0 + by, a * t.y1 + by))
     return Layout(
         boxes=dict(sorted(placed_boxes)),
         corridors=tuple(sorted(placed_corridors, key=lambda c: c.edge)),
         entry_ports=entry_ports,
         exit_ports=exit_ports,
         back_whiskers={orbit: place(frame, frame.unit, *tip) for frame, orbit, tip in whiskers["entry"]},
-        fwd_whiskers={orbit: place(frame, frame.unit, *tip) for frame, orbit, tip in whiskers["exit"]},
-        ticks=tuple(placed_ticks),
-        bounds=(0, 0, (cursor - 2 * cd) * (den // cd), depth * (den // dd)),
+        fwd_whiskers=fwd_whiskers,
+        ticks=tuple(Tick(t.leaf, t.kind, *place(frame, w, t.x, t.y0, t.y1)) for frame, w, t in ticks),
+        # The hull of the boxes and whisker tips: only forward whiskers reach
+        # past the boxes to the right, and none reaches below its box.
+        bounds=(0, 0, right, max(b.y1 for _mid, b in placed_boxes)),
         den=den,
     )
 
@@ -578,15 +563,21 @@ def _height(pts: tuple[tuple[int, int], ...], x: int, xd: int = 1) -> tuple[int,
     raise FoliageError("coordinate outside trajectory range")
 
 
-def _clip(pts: tuple[tuple[int, int], ...], x: int, xd: int = 1) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The part of an x-monotone polyline of int points with first
-    coordinate at least ``x/xd``, as ints over ``k``, and ``k``."""
+def _clip(poly: Polyline, x: int, xd: int = 1) -> Polyline:
+    """The part of the polyline with first coordinate at least ``x/xd``,
+    with x over the polyline's ``den``, in the integer form."""
+    pts = poly.scaled
     if x <= pts[0][0] * xd:
-        return pts, 1
+        return poly
     if x > pts[-1][0] * xd:
-        return (), 1
+        return Polyline(poly.orbit)
     n, k = _height(pts, x, xd)
-    return ((x * (k // xd), n),) + tuple((px * k, py * k) for px, py in pts if px * xd > x), k
+    scaled = ((x * (k // xd), n),) + tuple((px * k, py * k) for px, py in pts if px * xd > x)
+    return Polyline(poly.orbit, scaled=scaled, den=k * poly.den)
+
+
+def _disjoint(a: Polyline, b: Polyline) -> bool:
+    return next(_meetings(PolylineSet((a, b)).scaled), None) is None
 
 
 def y_at(poly: Polyline, x: Fraction) -> Fraction:
@@ -597,14 +588,12 @@ def y_at(poly: Polyline, x: Fraction) -> Fraction:
 
 def clip_forward(poly: Polyline, x: Fraction) -> tuple[Point, ...]:
     """The part of the polyline with first coordinate at least x."""
-    piece, k = _clip(poly.scaled, x.numerator * poly.den, x.denominator)
-    d = k * poly.den
-    return tuple((Fraction(px, d), Fraction(py, d)) for px, py in piece)
+    return _clip(poly, x.numerator * poly.den, x.denominator).points
 
 
 def pieces_disjoint(a: tuple[Point, ...], b: tuple[Point, ...]) -> bool:
     """No shared point between two polyline pieces of different orbits."""
-    return next(_meetings(_scaled((a, b))[1]), None) is None
+    return _disjoint(Polyline("a", a), Polyline("b", b))
 
 
 def height_order(a: Polyline, b: Polyline, x: int) -> int:
@@ -616,9 +605,7 @@ def height_order(a: Polyline, b: Polyline, x: int) -> int:
 def forward_disjoint(a: Polyline, b: Polyline, x: int) -> bool:
     """``pieces_disjoint`` of the two polylines clipped at x, an int over
     their shared ``den``, on the integer form."""
-    (pa, ka), (pb, kb) = _clip(a.scaled, x), _clip(b.scaled, x)
-    pieces = (tuple((u * kb, v * kb) for u, v in pa), tuple((u * ka, v * ka) for u, v in pb))
-    return next(_meetings(pieces), None) is None
+    return _disjoint(_clip(a, x), _clip(b, x))
 
 
 _PALETTE = (
