@@ -127,18 +127,20 @@ class Layout:
     bounds: tuple[Fraction, Fraction, Fraction, Fraction]
 
     def __init__(self, boxes, corridors, entry_ports, exit_ports, back_whiskers, fwd_whiskers, ticks, bounds, den=None):
-        scaled = dict(zip(_FIELDS, (boxes, corridors, entry_ports, exit_ports, back_whiskers, fwd_whiskers, ticks, bounds)))
+        fields = (boxes, corridors, entry_ports, exit_ports, back_whiskers, fwd_whiskers, ticks, bounds)
+        scaled = dict(zip(_FIELDS, fields))
         if den is None:
             self.__dict__.update(scaled)
             dens = set()
             for name, value in scaled.items():
-                _coords(name, value, lambda c: dens.add(c.denominator))
+                _coords(name, value, lambda c: dens.add(c.denominator))  # collects every denominator
             den = math.lcm(*dens)
-            scaled = {name: _coords(name, value, lambda c: c.numerator * (den // c.denominator)) for name, value in scaled.items()}
+            for name, value in scaled.items():
+                scaled[name] = _coords(name, value, lambda c: c.numerator * (den // c.denominator))
         self.den, self.scaled, self._fractions = den, scaled, {}
         # Reversed, so that the first tick of a leaf is the one kept.
-        kept = ("critical", "internal")
-        self._tick_at = {t.leaf: i for i, t in reversed(list(enumerate(scaled["ticks"]))) if t.kind in kept}
+        ticks = reversed(list(enumerate(scaled["ticks"])))
+        self._tick_at = {t.leaf: i for i, t in ticks if t.kind in ("critical", "internal")}
 
     def __getattr__(self, name: str):
         if name not in _FIELDS:

@@ -250,7 +250,8 @@ def emit_scenario(s: Scenario) -> str:
         return array([encode_basestring(v) for v in values], "      ")
 
     domains = [
-        f'{{\n      "id": {encode_basestring(d.id)},\n      "left": {ids(d.left)},\n      "right": {ids(d.right)}\n    }}'
+        f'{{\n      "id": {encode_basestring(d.id)},\n      "left": {ids(d.left)},\n'
+        f'      "right": {ids(d.right)}\n    }}'
         for d in s.domains
     ]
     orbits = [

@@ -1,7 +1,8 @@
 """The crossing oracle's sweep against two slower oracles.
 
-``geometry.crossing_points`` and ``geometry.pieces_disjoint`` scale every
-coordinate to an int by the common multiple of the denominators, sweep the
+``geometry.crossing_points`` and ``geometry.pieces_disjoint`` run on every
+coordinate as an int over one common denominator (the layout's, for routed
+polylines; a set given in ``Fraction``s is scaled once), sweep the
 segments in x and classify, with ``segment_relation``, only the pairs of
 segments whose closed boxes overlap.  The first oracle below is the
 per-pair loop: one classification per segment pair, in ``Fraction``s,

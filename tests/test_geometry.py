@@ -279,3 +279,18 @@ def test_box_of_takes_the_first_box_in_order_when_boxes_overlap():
     assert lay.box_of((Fraction(5, 2), Fraction(2))) == "b"
     assert lay.box_of((Fraction(3, 2), Fraction(2))) == "a"
     assert lay.box_of((Fraction(11), Fraction(2))) is None
+
+
+def test_box_of_leaves_out_every_edge():
+    """Points on a box's edges are outside it, in every order of three
+    overlapping boxes: a half-unit grid hits every edge."""
+
+    def box(*corners):
+        return geometry.BoxRect(*map(Fraction, corners))
+
+    boxes = {"b": box(2, 0, 6, 4), "a": box(0, 0, 10, 10), "c": box(1, 1, 3, 3)}
+    bounds = (Fraction(0), Fraction(0), Fraction(10), Fraction(10))
+    grid = [(Fraction(x, 2), Fraction(y, 2)) for x, y in itertools.product(range(-1, 22), repeat=2)]
+    for order in itertools.permutations(boxes):
+        lay = geometry.Layout({mid: boxes[mid] for mid in order}, (), {}, {}, {}, {}, (), bounds)
+        assert [lay.box_of(point) for point in grid] == [_box_by_scan(lay, point) for point in grid], order

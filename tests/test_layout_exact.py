@@ -79,7 +79,8 @@ def _fractions(value):
         if isinstance(v, (tuple, list)):
             yield from _fractions(v)
         elif hasattr(v, "__dataclass_fields__"):
-            yield from _fractions([getattr(v, name) for name in v.__dataclass_fields__ if name not in ("leaf", "kind", "edge")])
+            names = [name for name in v.__dataclass_fields__ if name not in ("leaf", "kind", "edge")]
+            yield from _fractions([getattr(v, name) for name in names])
         else:
             yield v
 
@@ -121,5 +122,15 @@ def test_a_layout_given_in_fractions_is_scaled_once():
     for name in FIELDS:
         assert [Fraction(c, given.den) for c in _fractions(given.scaled[name])] == coords[name], name
     built = layout(s, r)
-    for point in built.entry_ports.values():
-        assert given.box_of(point) == built.box_of(point)
+    routed = route(s, r, built)
+    probes = [point for _a, _b, point in crossing_points(routed)]
+    for poly in routed.polylines:
+        probes += [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p, q in zip(poly.points, poly.points[1:])]
+    for b in built.boxes.values():  # each box's centre and the midpoints of its sides
+        xm, ym = (b.x0 + b.x1) / 2, (b.y0 + b.y1) / 2
+        probes += [(xm, ym), (xm, b.y0), (xm, b.y1), (b.x0, ym), (b.x1, ym)]
+    found = [built.box_of(point) for point in probes]
+    assert [given.box_of(point) for point in probes] == found
+    scan = [next((mid for mid, b in built.boxes.items() if b.contains_interior(point)), None) for point in probes]
+    assert found == scan
+    assert None in found and len(set(found)) > 2
