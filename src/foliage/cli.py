@@ -233,6 +233,8 @@ def _cmd_diagram(args) -> int:
     matrix = realize.crossing_matrix(s, r, plans) if args.format == "matrix" else None
     order = realize.boundary_order(s, r, plans) if r.maxdomains else None
     if args.svg:
+        if order is None:
+            return _usage_error("SVG diagram requires at least one orbit")
         lay = geometry.layout(s, r, plans)
         routed = geometry.route(s, r, lay)
         _write(args.svg, geometry.emit_svg(lay, routed, roles=r))

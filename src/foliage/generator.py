@@ -17,6 +17,9 @@ from .model import FoliageError, Orbit, Scenario, SkeletonDomain, validate
 
 _MASK = (1 << 64) - 1
 
+# The largest domain, orbit or boundary bound: a draw at it on all three takes seconds.
+MAX_BOUND = 1000
+
 
 class SplitMix64:
     """The standard splitmix64 generator over 64-bit state."""
@@ -58,6 +61,8 @@ class GeneratorConfig:
             raise FoliageError("domain and orbit bounds must be at least 1")
         if self.max_boundary < 0:
             raise FoliageError("max_boundary must be non-negative")
+        if max(self.max_domains, self.max_orbits, self.max_boundary) > MAX_BOUND:
+            raise FoliageError(f"domain, orbit and boundary bounds must be at most {MAX_BOUND}")
         if not 0 <= self.weak_bias <= 1:
             raise FoliageError("weak_bias must lie in [0, 1]")
 

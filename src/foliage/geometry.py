@@ -14,9 +14,10 @@ over one gcd-reduced denominator.  Each child keeps one map ``(f, dx, dy)``
 into its parent's frame, as ints over one denominator; the maps are
 composed top-down once the forest has been walked, and every point is
 mapped once, to an int over one page denominator.  That integer form is
-what ``route``, the crossing oracle and the checks read, so the predicates
-are exact by construction (Yap 1997); ``fractions.Fraction`` coordinates
-are views of it, built only where a caller reads them.
+what ``route``, the crossing oracle, the checks and ``emit_svg`` read, so
+the predicates are exact by construction (Yap 1997); the layout's and
+polylines' ``fractions.Fraction`` coordinates are views of it, built only
+for callers of the API that read them.
 
 Trajectories are polylines: a short backward whisker, one straight segment
 per traversed box, one strand per corridor, and a forward whisker.  They are
@@ -112,9 +113,8 @@ class Layout:
 
     ``layout`` builds the integer form: ``scaled`` holds each field by name
     with every coordinate an int over the one denominator ``den``.  It is
-    what ``route``, ``box_of`` and the checks read.  Each field below is a
-    view of it in ``Fraction``s, built on first read.  A layout given in
-    ``Fraction``s keeps them, and is scaled to the integer form once.
+    what ``route``, ``box_of``, the checks and ``emit_svg`` read.  Each
+    field below is a view of it in ``Fraction``s, built on first read.
     """
 
     boxes: dict[str, BoxRect]
@@ -126,34 +126,17 @@ class Layout:
     ticks: tuple[Tick, ...]
     bounds: tuple[Fraction, Fraction, Fraction, Fraction]
 
-    def __init__(self, boxes, corridors, entry_ports, exit_ports, back_whiskers, fwd_whiskers, ticks, bounds, den=None):
+    def __init__(self, boxes, corridors, entry_ports, exit_ports, back_whiskers, fwd_whiskers, ticks, bounds, den):
         fields = (boxes, corridors, entry_ports, exit_ports, back_whiskers, fwd_whiskers, ticks, bounds)
-        scaled = dict(zip(_FIELDS, fields))
-        if den is None:
-            self.__dict__.update(scaled)
-            dens = set()
-            for name, value in scaled.items():
-                _coords(name, value, lambda c: dens.add(c.denominator))  # collects every denominator
-            den = math.lcm(*dens)
-            for name, value in scaled.items():
-                scaled[name] = _coords(name, value, lambda c: c.numerator * (den // c.denominator))
-        self.den, self.scaled, self._fractions = den, scaled, {}
+        self.den, self.scaled = den, dict(zip(_FIELDS, fields))
         # Reversed, so that the first tick of a leaf is the one kept.
-        ticks = reversed(list(enumerate(scaled["ticks"])))
+        ticks = reversed(list(enumerate(ticks)))
         self._tick_at = {t.leaf: i for i, t in ticks if t.kind in ("critical", "internal")}
 
     def __getattr__(self, name: str):
         if name not in _FIELDS:
             raise AttributeError(name)
-        view = self.__dict__[name] = _coords(name, self.scaled[name], self.fraction)
-        return view
-
-    def fraction(self, c: int) -> Fraction:
-        """``c/den`` as a ``Fraction``, built once per distinct c and shared
-        by every view, the routed polylines' too."""
-        view = self._fractions.get(c)
-        if view is None:
-            view = self._fractions[c] = Fraction(c, self.den)
+        view = self.__dict__[name] = _coords(name, self.scaled[name], lambda c: Fraction(c, self.den))
         return view
 
     def tick_for(self, leaf: str, scaled: bool = False) -> Optional[Tick]:
@@ -192,24 +175,24 @@ class Layout:
 class Polyline:
     """One orbit's trajectory, in ``Fraction`` points and in the integer
     form: ``scaled``, the points as ints over ``den``.  ``route`` builds the
-    integer form, and ``points`` is built from it on first read, by the
-    layout's ``fraction``; a polyline given in ``Fraction``s is scaled once."""
+    integer form, and ``points`` is built from it on first read; a polyline
+    given in ``Fraction``s is scaled once."""
 
     orbit: str
     points: tuple[Point, ...]
 
-    def __init__(self, orbit: str, points: tuple[Point, ...] = (), scaled=None, den: int = 1, fraction=None):
+    def __init__(self, orbit: str, points: tuple[Point, ...] = (), scaled=None, den: int = 1):
         if scaled is None:
             self.__dict__["points"] = points = tuple(points)
             den = math.lcm(*(c.denominator for point in points for c in point))
             scaled = tuple(tuple(c.numerator * (den // c.denominator) for c in point) for point in points)
-        self.__dict__.update(orbit=orbit, scaled=scaled, den=den, _fraction=fraction)
+        self.__dict__.update(orbit=orbit, scaled=scaled, den=den)
 
     def __getattr__(self, name: str):
         if name != "points":
             raise AttributeError(name)
-        fraction = self._fraction or functools.partial(Fraction, denominator=self.den)
-        points = self.__dict__["points"] = tuple((fraction(x), fraction(y)) for x, y in self.scaled)
+        den = self.den
+        points = self.__dict__["points"] = tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.scaled)
         return points
 
 
@@ -449,7 +432,7 @@ def route(s: Scenario, r: ReducedStructure, lay: Layout) -> PolylineSet:
             points.append(entry_ports[(mid, oid)])
             points.append(exit_ports[(mid, oid)])
         points.append(placed["fwd_whiskers"][oid])
-        polylines.append(Polyline(oid, scaled=tuple(points), den=lay.den, fraction=lay.fraction))
+        polylines.append(Polyline(oid, scaled=tuple(points), den=lay.den))
     return PolylineSet(polylines=tuple(polylines))
 
 
@@ -624,15 +607,23 @@ _PALETTE = (
 )
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.6f}"
+def _escape(text: str) -> str:
+    """Text with ``&``, ``<`` and ``>`` written as XML entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _fmt(n: int, d: int) -> str:
+    """``n/d`` to six decimals: int true division rounds correctly, as ``float(Fraction(n, d))`` does."""
+    return f"{n / d:.6f}"
 
 
 def emit_svg(lay: Layout, p: PolylineSet, roles: Optional[ReducedStructure] = None) -> str:
-    """Deterministic SVG rendering of the layout and trajectories."""
+    """Deterministic SVG rendering of the layout and trajectories, formatted from
+    their integer forms as ints over a multiple of ``lay.den`` or ``p.den``."""
     orbits = sorted(poly.orbit for poly in p.polylines)
     color = {o: _PALETTE[i % len(_PALETTE)] for i, o in enumerate(orbits)}
-    x0, y0, x1, y1 = lay.bounds
+    placed, den = lay.scaled, lay.den
+    x0, y0, x1, y1 = placed["bounds"]
     legend_lines = []
     if roles is not None:
         for mid, rr in roles.roles:
@@ -643,57 +634,56 @@ def emit_svg(lay: Layout, p: PolylineSet, roles: Optional[ReducedStructure] = No
                 f"Oin={{{','.join(sorted(rr.incoming))}}} "
                 f"Oout={{{','.join(sorted(rr.outgoing))}}}"
             )
-    margin = Fraction(1)
-    legend_h = Fraction(len(legend_lines)) if legend_lines else Fraction(0)
-    vb = (x0 - margin, y0 - margin, (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin + legend_h)
+    # A margin of one unit on every side, and one more unit per legend line below.
+    w, h = x1 - x0 + 2 * den, y1 - y0 + (2 + len(legend_lines)) * den
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(vb[0])} {_fmt(vb[1])} {_fmt(vb[2])} {_fmt(vb[3])}" '
-        f'width="{_fmt(vb[2] * 40)}" height="{_fmt(vb[3] * 40)}">',
+        f'viewBox="{_fmt(x0 - den, den)} {_fmt(y0 - den, den)} {_fmt(w, den)} {_fmt(h, den)}" '
+        f'width="{_fmt(w * 40, den)}" height="{_fmt(h * 40, den)}">',
     ]
-    for c in lay.corridors:
-        pts = " ".join(f"{_fmt(q[0])},{_fmt(q[1])}" for q in c.quad)
+    for c in placed["corridors"]:
+        pts = " ".join(f"{_fmt(x, den)},{_fmt(y, den)}" for x, y in c.quad)
         out.append(f'<polygon points="{pts}" fill="#eef3f7" stroke="#9fb3c8" stroke-width="0.02"/>')
-    for mid in sorted(lay.boxes):
-        b = lay.boxes[mid]
+    for mid in sorted(placed["boxes"]):
+        b = placed["boxes"][mid]
         out.append(
-            f'<rect x="{_fmt(b.x0)}" y="{_fmt(b.y0)}" width="{_fmt(b.x1 - b.x0)}" '
-            f'height="{_fmt(b.y1 - b.y0)}" fill="#dce8f2" stroke="#3d5a80" stroke-width="0.04"/>'
+            f'<rect x="{_fmt(b.x0, den)}" y="{_fmt(b.y0, den)}" width="{_fmt(b.x1 - b.x0, den)}" '
+            f'height="{_fmt(b.y1 - b.y0, den)}" fill="#dce8f2" stroke="#3d5a80" stroke-width="0.04"/>'
         )
-        size = (b.y1 - b.y0) / 8
+        # The label's font is an eighth of the box's height, its baseline half that above the box.
         out.append(
-            f'<text x="{_fmt((b.x0 + b.x1) / 2)}" y="{_fmt(b.y0 - size / 2)}" '
-            f'font-size="{_fmt(size)}" text-anchor="middle" fill="#3d5a80">{mid}</text>'
+            f'<text x="{_fmt(b.x0 + b.x1, 2 * den)}" y="{_fmt(16 * b.y0 - (b.y1 - b.y0), 16 * den)}" '
+            f'font-size="{_fmt(b.y1 - b.y0, 8 * den)}" text-anchor="middle" fill="#3d5a80">{_escape(mid)}</text>'
         )
-    for t in lay.ticks:
+    for t in placed["ticks"]:
         dash = ' stroke-dasharray="0.1,0.1"' if t.kind == "fringe" else ""
         out.append(
-            f'<line x1="{_fmt(t.x)}" y1="{_fmt(t.y0)}" x2="{_fmt(t.x)}" y2="{_fmt(t.y1)}" '
+            f'<line x1="{_fmt(t.x, den)}" y1="{_fmt(t.y0, den)}" x2="{_fmt(t.x, den)}" y2="{_fmt(t.y1, den)}" '
             f'stroke="#222222" stroke-width="0.03"{dash}/>'
         )
-        size = (t.y1 - t.y0) / 4
+        # The label's font is a quarter of the tick's length, its baseline half that above the tick.
         out.append(
-            f'<text x="{_fmt(t.x)}" y="{_fmt(t.y0 - size / 2)}" font-size="{_fmt(size)}" '
-            f'text-anchor="middle" fill="#222222">{t.leaf}</text>'
+            f'<text x="{_fmt(t.x, den)}" y="{_fmt(8 * t.y0 - (t.y1 - t.y0), 8 * den)}" '
+            f'font-size="{_fmt(t.y1 - t.y0, 4 * den)}" text-anchor="middle" fill="#222222">{_escape(t.leaf)}</text>'
         )
-    for poly in p.polylines:
-        d = "M " + " L ".join(f"{_fmt(q[0])} {_fmt(q[1])}" for q in poly.points)
+    for poly, pts in zip(p.polylines, p.scaled):
+        d = "M " + " L ".join(f"{_fmt(x, p.den)} {_fmt(y, p.den)}" for x, y in pts)
         out.append(f'<path d="{d}" fill="none" stroke="{color[poly.orbit]}" stroke-width="0.06"/>')
-        tail = poly.points[-1]
+        tx, ty = pts[-1]
         out.append(
-            f'<text x="{_fmt(tail[0] + Fraction(1, 10))}" y="{_fmt(tail[1])}" font-size="0.3" '
-            f'fill="{color[poly.orbit]}">{poly.orbit}</text>'
+            f'<text x="{_fmt(10 * tx + p.den, 10 * p.den)}" y="{_fmt(ty, p.den)}" font-size="0.3" '
+            f'fill="{color[poly.orbit]}">{_escape(poly.orbit)}</text>'
         )
-    for a, b, point in crossing_points(p):
+    for _a, _b, (cx, cy) in crossing_points(p):
         out.append(
-            f'<circle cx="{_fmt(point[0])}" cy="{_fmt(point[1])}" r="0.09" '
+            f'<circle cx="{_fmt(cx.numerator, cx.denominator)}" cy="{_fmt(cy.numerator, cy.denominator)}" r="0.09" '
             f'fill="none" stroke="#111111" stroke-width="0.03"/>'
         )
     for i, line in enumerate(legend_lines):
         out.append(
-            f'<text x="{_fmt(x0)}" y="{_fmt(y1 + margin / 2 + i)}" font-size="0.5" '
-            f'fill="#111111">{line}</text>'
+            f'<text x="{_fmt(x0, den)}" y="{_fmt(2 * y1 + (2 * i + 1) * den, 2 * den)}" font-size="0.5" '
+            f'fill="#111111">{_escape(line)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -744,7 +734,7 @@ def emit_chord_svg(cd: ChordDiagram) -> str:
         mark = "-" if kind == BACKWARD else "+"
         out.append(
             f'<text x="{1.12 * x:.6f}" y="{1.12 * y:.6f}" font-size="0.1" text-anchor="middle" '
-            f'fill="{color[orbit]}">{orbit}{mark}</text>'
+            f'fill="{color[orbit]}">{_escape(orbit)}{mark}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

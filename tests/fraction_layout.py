@@ -15,11 +15,25 @@ from fractions import Fraction
 from typing import Optional
 
 from foliage.decompose import ReducedStructure
-from foliage.geometry import BOX_WIDTH, BoxRect, Corridor, Layout, Point, Tick
+from foliage.geometry import BOX_WIDTH, BoxRect, Corridor, Point, Tick
 from foliage.model import FoliageError, Scenario
 from foliage.realize import PortPlan, SideItem, all_port_plans, entry_items, exit_items, forest_components, run_nested
 
 WHISKER = Fraction(1, 2)
+
+
+@dataclass
+class FractionLayout:
+    """The fields of ``foliage.geometry.Layout``, each coordinate a ``Fraction``."""
+
+    boxes: dict[str, BoxRect]
+    corridors: tuple[Corridor, ...]
+    entry_ports: dict[tuple[str, str], Point]
+    exit_ports: dict[tuple[str, str], Point]
+    back_whiskers: dict[str, Point]
+    fwd_whiskers: dict[str, Point]
+    ticks: tuple[Tick, ...]
+    bounds: tuple[Fraction, Fraction, Fraction, Fraction]
 
 
 @dataclass
@@ -68,7 +82,7 @@ def _scale_factor(span: int, above: Fraction | int, below: Fraction | int) -> Fr
     return min(Fraction(1), Fraction(half, above + Fraction(span, 2)), Fraction(half, below + Fraction(span, 2)))
 
 
-def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]] = None) -> Layout:
+def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]] = None) -> FractionLayout:
     """Deterministic nested embedding of the reduced forest.
 
     Each box's subtree is built in the box's own frame, which keeps only its
@@ -175,7 +189,7 @@ def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]
         entry_ports.update({(mid, orbit): (x0, ys[i + 1]) for i, orbit in enumerate(plan.entry_seq)})
         exit_ports.update({(mid, orbit): (x1, ys[i + 1]) for i, orbit in enumerate(plan.exit_seq)})
     placed_corridors = (Corridor(c.edge, tuple((frame.x(x), frame.y(y)) for x, y in c.quad)) for frame, c in corridors)
-    return Layout(
+    return FractionLayout(
         boxes=dict(sorted(placed_boxes)),
         corridors=tuple(sorted(placed_corridors, key=lambda c: c.edge)),
         entry_ports=entry_ports,

@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import json
 import sys
+from xml.dom import minidom
 
 import pytest
 
-from foliage import model, realize
+from foliage import generator, geometry, model, realize
 from foliage.cli import _parser, main
 from foliage.model import emit_scenario, fixture_text
 from test_realize import _chain
@@ -104,6 +107,25 @@ def test_diagram_writes_svg_files(s1_path, tmp_path, capsys):
     assert "<circle" in chord.read_text(encoding="utf-8")
 
 
+def test_svg_ids_are_xml_escaped(tmp_path, capsys):
+    doc = {
+        "domains": [{"id": "D<&", "left": ["k&1"], "right": []}, {"id": "E", "left": [], "right": ["k&1"]}],
+        "orbits": [{"id": "O<1>", "path": ["D<&", "k&1", "E"], "entry_cut": 0, "exit_cut": 0, "tie_rank": 0}],
+    }
+    path, svg, chord = tmp_path / "ids.json", tmp_path / "out.svg", tmp_path / "chord.svg"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["diagram", str(path), "--svg", str(svg), "--chord", str(chord)]) == 0
+
+    def texts(file):
+        return [node.firstChild.data for node in minidom.parse(str(file)).getElementsByTagName("text")]
+
+    drawn = texts(svg)
+    assert "k&1" in drawn and "O<1>" in drawn
+    assert any("D<&" in text for text in drawn)  # the box label
+    assert any(text.endswith("Oα={O<1>} Oω={O<1>} Oin={} Oout={}") for text in drawn)  # the role legend
+    assert texts(chord) == ["O<1>-", "O<1>+"]
+
+
 def test_generate_is_deterministic(capsys):
     assert main(["generate", "--seed", "5"]) == 0
     first = capsys.readouterr().out
@@ -160,6 +182,20 @@ def test_out_of_range_generator_arguments_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("foliage: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["generate", "check"])
+@pytest.mark.parametrize("flag", ["--max-domains", "--max-orbits", "--max-boundary"])
+def test_generator_bounds_above_the_ceiling_are_usage_errors(command, flag, monkeypatch, capsys):
+    def draw(*_args):
+        raise AssertionError("a scenario was drawn")
+
+    monkeypatch.setattr(generator, "_draw", draw)
+    bound = generator.MAX_BOUND
+    assert main([command, flag, str(bound + 1)]) == 2
+    assert capsys.readouterr().err == f"foliage: domain, orbit and boundary bounds must be at most {bound}\n"
+    # The ceiling itself is accepted.
+    generator.GeneratorConfig(seed=1, max_domains=bound, max_orbits=bound, max_boundary=bound)
 
 
 @pytest.mark.parametrize(
@@ -269,12 +305,30 @@ def test_chord_on_a_1200_deep_chain_skips_the_layout(tmp_path, capsys):
         assert svg.count(f">{o.id}+</text>") == 1
 
 
-def test_svg_on_a_400_deep_chain_draws_every_crossing(tmp_path, capsys):
+CHAIN400_SVG_DIGEST = "96bbc6c3ac586642794304a9c507a8a63c91cc6ce7525d53c928126cb1ca344b"
+
+
+def test_svg_on_a_400_deep_chain_draws_every_crossing(tmp_path, capsys, monkeypatch):
     s = _chain(400)
     path, svg = tmp_path / "chain.json", tmp_path / "chain.svg"
     path.write_text(emit_scenario(s), encoding="utf-8")
+    drawn = []
+    emit_svg = geometry.emit_svg
+
+    def spy(lay, routed, roles=None):
+        drawn.append((lay, routed))
+        return emit_svg(lay, routed, roles)
+
+    monkeypatch.setattr(geometry, "emit_svg", spy)
     assert main(["diagram", str(path), "--format", "boundary", "--svg", str(svg)]) == 0
-    assert svg.read_text(encoding="utf-8").count("<circle ") == 795
+    data = svg.read_bytes()
+    assert data.count(b"<circle ") == 795
+    # Denominators reach about 1,400 bits here, against the few bits of the test_cli_bytes.py pins.
+    assert hashlib.sha256(data).hexdigest() == CHAIN400_SVG_DIGEST
+    # The writer read the integer forms only, so no Fraction view was built.
+    ((lay, routed),) = drawn
+    assert not {f.name for f in dataclasses.fields(geometry.Layout)} & set(lay.__dict__)
+    assert not any("points" in poly.__dict__ for poly in routed.polylines)
 
 
 def test_chord_without_orbits_is_usage_error(tmp_path, capsys):
@@ -282,6 +336,9 @@ def test_chord_without_orbits_is_usage_error(tmp_path, capsys):
     path.write_text('{"domains": [{"id": "D", "left": [], "right": []}], "orbits": []}', encoding="utf-8")
     assert main(["diagram", str(path), "--chord", str(tmp_path / "c.svg")]) == 2
     assert "chord diagram requires at least one orbit" in capsys.readouterr().err
+    assert main(["diagram", str(path), "--svg", str(tmp_path / "d.svg")]) == 2
+    assert capsys.readouterr().err == "foliage: SVG diagram requires at least one orbit\n"
+    assert not (tmp_path / "d.svg").exists()
 
 
 def test_non_utf8_scenario_is_a_parse_finding(tmp_path, capsys):

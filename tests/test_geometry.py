@@ -267,12 +267,10 @@ def test_box_of_equals_the_scan_on_a_40_chain():
 
 
 def test_box_of_takes_the_first_box_in_order_when_boxes_overlap():
-    def box(*corners):
-        return geometry.BoxRect(*map(Fraction, corners))
-
+    box = geometry.BoxRect
     # "b" comes first in ``boxes`` but starts right of "a" and "c".
     boxes = {"b": box(2, 0, 6, 4), "a": box(0, 0, 10, 10), "c": box(1, 1, 3, 3)}
-    lay = geometry.Layout(boxes, (), {}, {}, {}, {}, (), (Fraction(0), Fraction(0), Fraction(10), Fraction(10)))
+    lay = geometry.Layout(boxes, (), {}, {}, {}, {}, (), (0, 0, 10, 10), den=1)
     for x, y in itertools.product(range(-1, 12), repeat=2):
         point = (Fraction(x, 2) + Fraction(1, 4), Fraction(y, 2) + Fraction(1, 4))
         assert lay.box_of(point) == _box_by_scan(lay, point)
@@ -285,12 +283,10 @@ def test_box_of_leaves_out_every_edge():
     """Points on a box's edges are outside it, in every order of three
     overlapping boxes: a half-unit grid hits every edge."""
 
-    def box(*corners):
-        return geometry.BoxRect(*map(Fraction, corners))
-
-    boxes = {"b": box(2, 0, 6, 4), "a": box(0, 0, 10, 10), "c": box(1, 1, 3, 3)}
-    bounds = (Fraction(0), Fraction(0), Fraction(10), Fraction(10))
+    # The boxes of the test above over den 2, so the half-unit grid is every int of the integer form.
+    box = geometry.BoxRect
+    boxes = {"b": box(4, 0, 12, 8), "a": box(0, 0, 20, 20), "c": box(2, 2, 6, 6)}
     grid = [(Fraction(x, 2), Fraction(y, 2)) for x, y in itertools.product(range(-1, 22), repeat=2)]
     for order in itertools.permutations(boxes):
-        lay = geometry.Layout({mid: boxes[mid] for mid in order}, (), {}, {}, {}, {}, (), bounds)
+        lay = geometry.Layout({mid: boxes[mid] for mid in order}, (), {}, {}, {}, {}, (), (0, 0, 20, 20), den=2)
         assert [lay.box_of(point) for point in grid] == [_box_by_scan(lay, point) for point in grid], order

@@ -14,7 +14,6 @@ and every field must be equal, in value, type and dict order.
 
 import dataclasses
 import hashlib
-import math
 from fractions import Fraction
 
 import pytest
@@ -113,14 +112,9 @@ def test_the_integer_layout_equals_the_fraction_oracle(part):
         assert routed.den % again.den == 0
 
 
-def test_a_layout_given_in_fractions_is_scaled_once():
+def test_box_of_equals_the_scan_at_crossings_segments_and_box_sides():
     s = generate_scenario(GeneratorConfig(seed=3, max_domains=25, max_orbits=14, max_boundary=6))
     r = reduce_scenario(s)
-    given = fraction_layout.layout(s, r)
-    coords = {name: list(_fractions(getattr(given, name))) for name in FIELDS}
-    assert given.den == math.lcm(*(c.denominator for cs in coords.values() for c in cs))
-    for name in FIELDS:
-        assert [Fraction(c, given.den) for c in _fractions(given.scaled[name])] == coords[name], name
     built = layout(s, r)
     routed = route(s, r, built)
     probes = [point for _a, _b, point in crossing_points(routed)]
@@ -130,7 +124,6 @@ def test_a_layout_given_in_fractions_is_scaled_once():
         xm, ym = (b.x0 + b.x1) / 2, (b.y0 + b.y1) / 2
         probes += [(xm, ym), (xm, b.y0), (xm, b.y1), (b.x0, ym), (b.x1, ym)]
     found = [built.box_of(point) for point in probes]
-    assert [given.box_of(point) for point in probes] == found
     scan = [next((mid for mid, b in built.boxes.items() if b.contains_interior(point)), None) for point in probes]
     assert found == scan
     assert None in found and len(set(found)) > 2
