@@ -253,7 +253,7 @@ def prop_forward_disjointness(ctx: _Context) -> list[str]:
     s = ctx.scenario
     idx = index(s)
     for leaf in ctx.crossed_leaves:
-        tick = ctx.layout.tick_for(leaf, scaled=True)
+        tick = ctx.layout.tick_for(leaf)
         if tick is None:
             bad.append(f"crossed leaf {leaf} has no tick")
             continue

@@ -14,10 +14,13 @@ over one gcd-reduced denominator.  Each child keeps one map ``(f, dx, dy)``
 into its parent's frame, as ints over one denominator; the maps are
 composed top-down once the forest has been walked, and every point is
 mapped once, to an int over one page denominator.  That integer form is
-what ``route``, the crossing oracle, the checks and ``emit_svg`` read, so
-the predicates are exact by construction (Yap 1997); the layout's and
-polylines' ``fractions.Fraction`` coordinates are views of it, built only
-for callers of the API that read them.
+the layout's only form, and what ``route``, the crossing oracle, the
+checks and ``emit_svg`` read, so the predicates are exact by construction
+(Yap 1997).  ``fractions.Fraction`` remains at the edges of the API: each
+crossing point is one ``Fraction`` over its own denominator, and ``box_of``
+takes one; ``y_at``, ``clip_forward`` and ``pieces_disjoint`` take and give
+``Fraction``s for callers that hold ``Fraction`` points, such as
+``Polyline.points``, a view of a polyline's ints built on first read.
 
 Trajectories are polylines: a short backward whisker, one straight segment
 per traversed box, one strand per corridor, and a forward whisker.  They are
@@ -47,14 +50,13 @@ from .realize import (
     PortPlan,
     SideItem,
     all_port_plans,
-    entry_items,
-    exit_items,
     forest_components,
     interleaving_matrix,
     run_nested,
 )
 
 Point = tuple[Fraction, Fraction]
+IntPoint = tuple[int, int]
 
 BOX_WIDTH = 4
 
@@ -65,13 +67,10 @@ class DegeneracyError(FoliageError):
 
 @dataclass(frozen=True)
 class BoxRect:
-    x0: Fraction
-    y0: Fraction
-    x1: Fraction
-    y1: Fraction
-
-    def contains_interior(self, p: Point) -> bool:
-        return self.x0 < p[0] < self.x1 and self.y0 < p[1] < self.y1
+    x0: int
+    y0: int
+    x1: int
+    y1: int
 
 
 @dataclass(frozen=True)
@@ -79,76 +78,47 @@ class Corridor:
     """Quadrilateral channel of one forest edge, upstream side first."""
 
     edge: tuple[str, str, str]
-    quad: tuple[Point, Point, Point, Point]  # up-top, up-bottom, down-bottom, down-top
+    quad: tuple[IntPoint, IntPoint, IntPoint, IntPoint]  # up-top, up-bottom, down-bottom, down-top
 
 
 @dataclass(frozen=True)
 class Tick:
     leaf: str
     kind: str  # "critical" | "internal" | "fringe"
-    x: Fraction
-    y0: Fraction
-    y1: Fraction
+    x: int
+    y0: int
+    y1: int
 
 
-_FIELDS = ("boxes", "corridors", "entry_ports", "exit_ports", "back_whiskers", "fwd_whiskers", "ticks", "bounds")
-
-
-def _coords(name: str, value, fn):
-    """The value of the ``Layout`` field ``name`` with ``fn`` applied to every coordinate."""
-    if name == "boxes":
-        return {mid: BoxRect(fn(b.x0), fn(b.y0), fn(b.x1), fn(b.y1)) for mid, b in value.items()}
-    if name == "corridors":
-        return tuple(Corridor(c.edge, tuple((fn(x), fn(y)) for x, y in c.quad)) for c in value)
-    if name == "ticks":
-        return tuple(Tick(t.leaf, t.kind, fn(t.x), fn(t.y0), fn(t.y1)) for t in value)
-    if name == "bounds":
-        return tuple(map(fn, value))
-    return {key: (fn(x), fn(y)) for key, (x, y) in value.items()}
-
-
-@dataclass(init=False)
+@dataclass(frozen=True)
 class Layout:
-    """The placed boxes, corridors, ports, whiskers and ticks.
-
-    ``layout`` builds the integer form: ``scaled`` holds each field by name
-    with every coordinate an int over the one denominator ``den``.  It is
-    what ``route``, ``box_of``, the checks and ``emit_svg`` read.  Each
-    field below is a view of it in ``Fraction``s, built on first read.
-    """
+    """The placed boxes, corridors, ports, whiskers and ticks, with every
+    coordinate an int over the one page denominator ``den``."""
 
     boxes: dict[str, BoxRect]
     corridors: tuple[Corridor, ...]
-    entry_ports: dict[tuple[str, str], Point]
-    exit_ports: dict[tuple[str, str], Point]
-    back_whiskers: dict[str, Point]
-    fwd_whiskers: dict[str, Point]
+    entry_ports: dict[tuple[str, str], IntPoint]
+    exit_ports: dict[tuple[str, str], IntPoint]
+    back_whiskers: dict[str, IntPoint]
+    fwd_whiskers: dict[str, IntPoint]
     ticks: tuple[Tick, ...]
-    bounds: tuple[Fraction, Fraction, Fraction, Fraction]
+    bounds: tuple[int, int, int, int]
+    den: int
 
-    def __init__(self, boxes, corridors, entry_ports, exit_ports, back_whiskers, fwd_whiskers, ticks, bounds, den):
-        fields = (boxes, corridors, entry_ports, exit_ports, back_whiskers, fwd_whiskers, ticks, bounds)
-        self.den, self.scaled = den, dict(zip(_FIELDS, fields))
+    @functools.cached_property
+    def _tick_at(self) -> dict[str, Tick]:
         # Reversed, so that the first tick of a leaf is the one kept.
-        ticks = reversed(list(enumerate(ticks)))
-        self._tick_at = {t.leaf: i for i, t in ticks if t.kind in ("critical", "internal")}
+        return {t.leaf: t for t in reversed(self.ticks) if t.kind in ("critical", "internal")}
 
-    def __getattr__(self, name: str):
-        if name not in _FIELDS:
-            raise AttributeError(name)
-        view = self.__dict__[name] = _coords(name, self.scaled[name], lambda c: Fraction(c, self.den))
-        return view
-
-    def tick_for(self, leaf: str, scaled: bool = False) -> Optional[Tick]:
-        """The first critical or internal tick drawn for the leaf; in the integer form if ``scaled``."""
-        i = self._tick_at.get(leaf)
-        return None if i is None else (self.scaled["ticks"] if scaled else self.ticks)[i]
+    def tick_for(self, leaf: str) -> Optional[Tick]:
+        """The first critical or internal tick drawn for the leaf."""
+        return self._tick_at.get(leaf)
 
     @functools.cached_property
     def _boxes_by_x0(self) -> tuple[list[int], list[int], list[tuple[int, str]]]:
-        """The boxes sorted by ``(x0, position in boxes)``: their scaled
-        ``x0``s, the running maximum of their ``x1``s, and ``(position, id)``."""
-        boxes = self.scaled["boxes"]
+        """The boxes sorted by ``(x0, position in boxes)``: their ``x0``s,
+        the running maximum of their ``x1``s, and ``(position, id)``."""
+        boxes = self.boxes
         ranked = sorted((box.x0, k, mid) for k, (mid, box) in enumerate(boxes.items()))
         reach = itertools.accumulate((boxes[mid].x1 for _x0, _k, mid in ranked), max)
         return [x0 for x0, _k, _mid in ranked], list(reach), [(k, mid) for _x0, k, mid in ranked]
@@ -156,7 +126,7 @@ class Layout:
     def box_of(self, p: Point) -> Optional[str]:
         """The first box, in ``boxes`` order, whose interior holds p."""
         starts, reach, ranked = self._boxes_by_x0
-        boxes = self.scaled["boxes"]
+        boxes = self.boxes
         # p's coordinates as x/xd and y/yd over den, against the boxes' times xd and yd.
         (x, xd), (y, yd) = ((c.numerator * self.den, c.denominator) for c in p)
         found = None
@@ -289,8 +259,8 @@ def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]
             ticks.append((frame, u, Tick(leaf, "internal", BOX_WIDTH * j * u // chain_len, q, height * u - q)))
 
         sides = (
-            ("entry", entry_items(s, m, plan), 0, -1, -2 * q),
-            ("exit", exit_items(s, m, plan), BOX_WIDTH, 1, BOX_WIDTH * u + 2 * q),
+            ("entry", plan.entry_items, 0, -1, -2 * q),
+            ("exit", plan.exit_items, BOX_WIDTH, 1, BOX_WIDTH * u + 2 * q),
         )
         corridor_leaves = set()
         for side, items, side_x, direction, tip_x in sides:
@@ -384,8 +354,8 @@ def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]
         return (a * x + bx, *(a * y + by for y in ys))
 
     placed_boxes = []
-    entry_ports: dict[tuple[str, str], tuple[int, int]] = {}
-    exit_ports: dict[tuple[str, str], tuple[int, int]] = {}
+    entry_ports: dict[tuple[str, str], IntPoint] = {}
+    exit_ports: dict[tuple[str, str], IntPoint] = {}
     for frame, mid in boxes:
         plan = plans[mid]
         a, x0, y0 = maps[frame, frame.unit]
@@ -417,8 +387,6 @@ def route(s: Scenario, r: ReducedStructure, lay: Layout) -> PolylineSet:
     """Assemble one x-monotone polyline per orbit through the layout, in its integer form."""
     idx = index(s)
     membership = r.membership()
-    placed = lay.scaled
-    entry_ports, exit_ports = placed["entry_ports"], placed["exit_ports"]
     polylines = []
     for oid in sorted(idx.orbit_by_id):
         o = idx.orbit_by_id[oid]
@@ -427,11 +395,11 @@ def route(s: Scenario, r: ReducedStructure, lay: Layout) -> PolylineSet:
             mid = membership[d]
             if not mids or mids[-1] != mid:
                 mids.append(mid)
-        points = [placed["back_whiskers"][oid]]
+        points = [lay.back_whiskers[oid]]
         for mid in mids:
-            points.append(entry_ports[(mid, oid)])
-            points.append(exit_ports[(mid, oid)])
-        points.append(placed["fwd_whiskers"][oid])
+            points.append(lay.entry_ports[(mid, oid)])
+            points.append(lay.exit_ports[(mid, oid)])
+        points.append(lay.fwd_whiskers[oid])
         polylines.append(Polyline(oid, scaled=tuple(points), den=lay.den))
     return PolylineSet(polylines=tuple(polylines))
 
@@ -622,8 +590,8 @@ def emit_svg(lay: Layout, p: PolylineSet, roles: Optional[ReducedStructure] = No
     their integer forms as ints over a multiple of ``lay.den`` or ``p.den``."""
     orbits = sorted(poly.orbit for poly in p.polylines)
     color = {o: _PALETTE[i % len(_PALETTE)] for i, o in enumerate(orbits)}
-    placed, den = lay.scaled, lay.den
-    x0, y0, x1, y1 = placed["bounds"]
+    den = lay.den
+    x0, y0, x1, y1 = lay.bounds
     legend_lines = []
     if roles is not None:
         for mid, rr in roles.roles:
@@ -642,11 +610,11 @@ def emit_svg(lay: Layout, p: PolylineSet, roles: Optional[ReducedStructure] = No
         f'viewBox="{_fmt(x0 - den, den)} {_fmt(y0 - den, den)} {_fmt(w, den)} {_fmt(h, den)}" '
         f'width="{_fmt(w * 40, den)}" height="{_fmt(h * 40, den)}">',
     ]
-    for c in placed["corridors"]:
+    for c in lay.corridors:
         pts = " ".join(f"{_fmt(x, den)},{_fmt(y, den)}" for x, y in c.quad)
         out.append(f'<polygon points="{pts}" fill="#eef3f7" stroke="#9fb3c8" stroke-width="0.02"/>')
-    for mid in sorted(placed["boxes"]):
-        b = placed["boxes"][mid]
+    for mid in sorted(lay.boxes):
+        b = lay.boxes[mid]
         out.append(
             f'<rect x="{_fmt(b.x0, den)}" y="{_fmt(b.y0, den)}" width="{_fmt(b.x1 - b.x0, den)}" '
             f'height="{_fmt(b.y1 - b.y0, den)}" fill="#dce8f2" stroke="#3d5a80" stroke-width="0.04"/>'
@@ -656,7 +624,7 @@ def emit_svg(lay: Layout, p: PolylineSet, roles: Optional[ReducedStructure] = No
             f'<text x="{_fmt(b.x0 + b.x1, 2 * den)}" y="{_fmt(16 * b.y0 - (b.y1 - b.y0), 16 * den)}" '
             f'font-size="{_fmt(b.y1 - b.y0, 8 * den)}" text-anchor="middle" fill="#3d5a80">{_escape(mid)}</text>'
         )
-    for t in placed["ticks"]:
+    for t in lay.ticks:
         dash = ' stroke-dasharray="0.1,0.1"' if t.kind == "fringe" else ""
         out.append(
             f'<line x1="{_fmt(t.x, den)}" y1="{_fmt(t.y0, den)}" x2="{_fmt(t.x, den)}" y2="{_fmt(t.y1, den)}" '

@@ -35,9 +35,13 @@ FORWARD = "forward"
 
 @dataclass(frozen=True)
 class PortPlan:
+    """One box's port sequences and their attachments on each side, top to bottom."""
+
     domain: str
     entry_seq: tuple[str, ...]
     exit_seq: tuple[str, ...]
+    entry_items: tuple[SideItem, ...]
+    exit_items: tuple[SideItem, ...]
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,15 @@ class RealizationError(FoliageError):
 
 
 def port_plan(s: Scenario, r: ReducedStructure, m: MaxDomain) -> PortPlan:
+    idx = index(s)
     entry_seq, exit_seq = chain_orders(s, m)
-    return PortPlan(domain=m.id, entry_seq=entry_seq, exit_seq=exit_seq)
+    return PortPlan(
+        domain=m.id,
+        entry_seq=entry_seq,
+        exit_seq=exit_seq,
+        entry_items=_side_items(entry_seq, lambda o: beyond(idx, idx.orbit_by_id[o], m.chain[0], -1)),
+        exit_items=_side_items(exit_seq, lambda o: beyond(idx, idx.orbit_by_id[o], m.chain[-1], 1)),
+    )
 
 
 def all_port_plans(s: Scenario, r: ReducedStructure) -> dict[str, PortPlan]:
@@ -126,16 +137,6 @@ def _side_items(seq: tuple[str, ...], group_of) -> tuple[SideItem, ...]:
         items.append(SideItem("corridor", leaf, tuple(seq[i : j + 1]), i, j))
         i = j + 1
     return tuple(items)
-
-
-def entry_items(s: Scenario, m: MaxDomain, plan: PortPlan) -> tuple[SideItem, ...]:
-    idx = index(s)
-    return _side_items(plan.entry_seq, lambda o: beyond(idx, idx.orbit_by_id[o], m.chain[0], -1))
-
-
-def exit_items(s: Scenario, m: MaxDomain, plan: PortPlan) -> tuple[SideItem, ...]:
-    idx = index(s)
-    return _side_items(plan.exit_seq, lambda o: beyond(idx, idx.orbit_by_id[o], m.chain[-1], 1))
 
 
 def crossing_matrix(
@@ -184,17 +185,17 @@ def one_sided_order_right(s: Scenario, leaf: str) -> OrderedOrbitList:
     return _one_sided(s, leaf, -1)
 
 
-def box_cycle(s: Scenario, m: MaxDomain, plan: PortPlan) -> tuple[tuple, ...]:
+def box_cycle(plan: PortPlan) -> tuple[tuple, ...]:
     """Cyclic attachment list of one box: entry side top to bottom, then
     exit side bottom to top.  Entries are ("edge", leaf) or
     ("end", orbit, BACKWARD|FORWARD)."""
     cyc: list[tuple] = []
-    for item in entry_items(s, m, plan):
+    for item in plan.entry_items:
         if item.kind == "corridor":
             cyc.append(("edge", item.leaf))
         else:
             cyc.append(("end", item.orbits[0], BACKWARD))
-    for item in reversed(exit_items(s, m, plan)):
+    for item in reversed(plan.exit_items):
         if item.kind == "corridor":
             cyc.append(("edge", item.leaf))
         else:
@@ -253,7 +254,7 @@ def boundary_order(
     if not r.maxdomains:
         raise FoliageError("boundary order requires a non-empty forest")
     plans = plans if plans is not None else all_port_plans(s, r)
-    cycles = {m.id: box_cycle(s, m, plans[m.id]) for m in r.maxdomains}
+    cycles = {m.id: box_cycle(plans[m.id]) for m in r.maxdomains}
     ends: list[tuple[str, str]] = []
 
     def walk(mid: str, entry_leaf: Optional[str]):

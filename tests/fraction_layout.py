@@ -5,10 +5,14 @@ is kept as its oracle.  Each box's subtree is built in the box's own frame,
 which keeps its bounds as ``Fraction``s and, per child, the child's map
 ``(f, dx, dy)`` into it; the maps are composed top-down as integers over one
 denominator, and every point is mapped once, into a ``Fraction``.
+
+``in_fractions`` turns the integer layout, or any part of it, into the same
+``Fraction``s, for the tests that compare or pin ``Fraction`` values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +21,7 @@ from typing import Optional
 from foliage.decompose import ReducedStructure
 from foliage.geometry import BOX_WIDTH, BoxRect, Corridor, Point, Tick
 from foliage.model import FoliageError, Scenario
-from foliage.realize import PortPlan, SideItem, all_port_plans, entry_items, exit_items, forest_components, run_nested
+from foliage.realize import PortPlan, SideItem, all_port_plans, forest_components, run_nested
 
 WHISKER = Fraction(1, 2)
 
@@ -34,6 +38,20 @@ class FractionLayout:
     fwd_whiskers: dict[str, Point]
     ticks: tuple[Tick, ...]
     bounds: tuple[Fraction, Fraction, Fraction, Fraction]
+
+
+def in_fractions(value, den: int):
+    """A ``Layout`` field's value, or any part of one, with every int
+    coordinate ``c`` as ``Fraction(c, den)``; ids and dict keys stay."""
+    if isinstance(value, int):
+        return Fraction(value, den)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return {key: in_fractions(v, den) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(in_fractions(v, den) for v in value)
+    return type(value)(*(in_fractions(getattr(value, f.name), den) for f in dataclasses.fields(value)))
 
 
 @dataclass
@@ -111,8 +129,8 @@ def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]
             ticks.append((frame, Tick(leaf, "internal", x, Fraction(1, 4), height - Fraction(1, 4))))
 
         sides = (
-            ("entry", entry_items(s, m, plan), 0, -1, -WHISKER),
-            ("exit", exit_items(s, m, plan), BOX_WIDTH, 1, BOX_WIDTH + WHISKER),
+            ("entry", plan.entry_items, 0, -1, -WHISKER),
+            ("exit", plan.exit_items, BOX_WIDTH, 1, BOX_WIDTH + WHISKER),
         )
         corridor_leaves = set()
         for side, items, side_x, direction, tip_x in sides:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_layout import in_fractions
 from foliage import geometry, model, realize, relations
 from foliage.cli import main
 from foliage.decompose import reduce_scenario
@@ -189,9 +190,10 @@ def test_criterion_6_one_sided_realization(realized):
             if tick is None:
                 failures.append(f"seed {seed}: crossed leaf {leaf} has no drawn line")
                 continue
+            x = in_fractions(tick.x, lay.den)
             for a, b in itertools.combinations(orbs, 2):
-                ya = geometry.y_at(routed.by_orbit(a), tick.x)
-                yb = geometry.y_at(routed.by_orbit(b), tick.x)
+                ya = geometry.y_at(routed.by_orbit(a), x)
+                yb = geometry.y_at(routed.by_orbit(b), x)
                 if ya == yb:
                     continue
                 first, second = (a, b) if ya < yb else (b, a)
@@ -200,8 +202,8 @@ def test_criterion_6_one_sided_realization(realized):
                     Direction.EQUIVALENT,
                 ):
                     continue
-                pa = geometry.clip_forward(routed.by_orbit(first), tick.x)
-                pb = geometry.clip_forward(routed.by_orbit(second), tick.x)
+                pa = geometry.clip_forward(routed.by_orbit(first), x)
+                pb = geometry.clip_forward(routed.by_orbit(second), x)
                 if not geometry.pieces_disjoint(pa, pb):
                     failures.append(f"seed {seed}: forward pieces of {first},{second} meet past {leaf}")
     _report(6, "one-sided orders extend the left relation; compatible pieces stay disjoint", failures)

@@ -1,7 +1,8 @@
-import dataclasses
 import hashlib
 import json
 import sys
+import time
+from fractions import Fraction
 from xml.dom import minidom
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from foliage import generator, geometry, model, realize
 from foliage.cli import _parser, main
 from foliage.model import emit_scenario, fixture_text
+from test_crossing_kernel import _numbers
 from test_realize import _chain
 
 
@@ -305,19 +307,61 @@ def test_chord_on_a_1200_deep_chain_skips_the_layout(tmp_path, capsys):
         assert svg.count(f">{o.id}+</text>") == 1
 
 
-CHAIN400_SVG_DIGEST = "96bbc6c3ac586642794304a9c507a8a63c91cc6ce7525d53c928126cb1ca344b"
+@pytest.fixture(scope="module")
+def chain1200_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("chain1200") / "chain.json"
+    path.write_text(emit_scenario(_chain(1200)), encoding="utf-8")
+    return str(path)
+
+
+def _timed_main(argv, capsys, seconds):
+    """``main(argv)``'s stdout, after asserting it exited 0 within ``seconds`` of CPU."""
+    start = time.process_time()
+    assert main(argv) == 0
+    assert time.process_time() - start < seconds
+    out = capsys.readouterr()
+    assert out.err == ""
+    return out.out
+
+
+def test_decompose_json_on_a_1200_deep_chain(chain1200_path, capsys):
+    doc = json.loads(_timed_main(["decompose", chain1200_path, "--json"], capsys, 3.0))
+    assert [m["id"] for m in doc["maxdomains"]] == sorted(f"M:D{i}" for i in range(1200))
+    assert len(doc["edges"]) == len(doc["critical"]) == 1199
+
+
+def test_boundary_json_on_a_1200_deep_chain_has_each_end_once(chain1200_path, capsys):
+    doc = json.loads(_timed_main(["diagram", chain1200_path, "--format", "boundary", "--json"], capsys, 3.0))
+    ends = [tuple(end) for end in doc["ends"]]
+    assert sorted(ends) == sorted((f"O{n}", kind) for n in range(1200) for kind in ("backward", "forward"))
+
+
+def test_relations_pair_and_validate_on_a_1200_deep_chain(chain1200_path, capsys):
+    line = _timed_main(["relations", chain1200_path, "--pair", "O0", "O1199"], capsys, 3.0)
+    assert line == "L: SecondLess(L2); R: Equivalent(R4); weak: false\n"
+    assert _timed_main(["validate", chain1200_path], capsys, 3.0) == "0 findings\n"
+
+
+CHAIN400_SVG_DIGEST ="96bbc6c3ac586642794304a9c507a8a63c91cc6ce7525d53c928126cb1ca344b"
 
 
 def test_svg_on_a_400_deep_chain_draws_every_crossing(tmp_path, capsys, monkeypatch):
     s = _chain(400)
     path, svg = tmp_path / "chain.json", tmp_path / "chain.svg"
     path.write_text(emit_scenario(s), encoding="utf-8")
-    drawn = []
+    drawn, built = [], []
     emit_svg = geometry.emit_svg
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
 
     def spy(lay, routed, roles=None):
         drawn.append((lay, routed))
-        return emit_svg(lay, routed, roles)
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", staticmethod(counted))
+            return emit_svg(lay, routed, roles)
 
     monkeypatch.setattr(geometry, "emit_svg", spy)
     assert main(["diagram", str(path), "--format", "boundary", "--svg", str(svg)]) == 0
@@ -325,9 +369,11 @@ def test_svg_on_a_400_deep_chain_draws_every_crossing(tmp_path, capsys, monkeypa
     assert data.count(b"<circle ") == 795
     # Denominators reach about 1,400 bits here, against the few bits of the test_cli_bytes.py pins.
     assert hashlib.sha256(data).hexdigest() == CHAIN400_SVG_DIGEST
-    # The writer read the integer forms only, so no Fraction view was built.
+    # The layout is ints only, and the writer built no Fraction but the two
+    # coordinates of each crossing point: no polyline's Fraction view either.
     ((lay, routed),) = drawn
-    assert not {f.name for f in dataclasses.fields(geometry.Layout)} & set(lay.__dict__)
+    assert lay.den > 1 and all(type(v) is int for v in _numbers(lay))
+    assert len(built) == 2 * 795
     assert not any("points" in poly.__dict__ for poly in routed.polylines)
 
 

@@ -12,8 +12,9 @@ sweep replaced: two tables per pair of polylines, every vertex of one
 against every segment of the other, and each segment pair classified from
 its four entries.  Crossing points must be the same ``Fraction``s in the
 same order, and a touch must raise the same ``DegeneracyError`` at the
-same pair.  Every coordinate the geometry hands out is checked to be a
-``Fraction``: a float equal to the exact value would pass every equality.
+same pair.  Every coordinate the geometry hands out is checked to be an
+int of the layout's integer form or a ``Fraction``: a float equal to the
+exact value would pass every equality.
 """
 
 import collections
@@ -25,6 +26,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_layout import in_fractions
 from foliage import geometry
 from foliage.decompose import reduce_scenario
 from foliage.generator import GeneratorConfig, generate_scenario
@@ -203,7 +205,8 @@ def test_pieces_disjoint_equals_the_per_pair_loop(family):
             assert verdict == ((pa.orbit, pb.orbit) not in met)
             verdicts.add(verdict)
             for tick in lay.ticks[len(lay.ticks) // 2 :][:1]:
-                a, b = clip_forward(pa, tick.x), clip_forward(pb, tick.x)
+                x = in_fractions(tick.x, lay.den)
+                a, b = clip_forward(pa, x), clip_forward(pb, x)
                 verdict = pieces_disjoint(a, b)
                 assert verdict == pieces_disjoint(b, a) == _oracle_disjoint(a, b)
                 verdicts.add(verdict)
@@ -236,18 +239,19 @@ def test_the_integer_form_readers_equal_fraction_arithmetic(family):
     seen = collections.Counter()
     for routed, lay in _routed_family(family):
         polys = routed.polylines
-        for tick, scaled in list(zip(lay.ticks, lay.scaled["ticks"]))[::5]:
+        for tick in lay.ticks[::5]:
+            x = in_fractions(tick.x, lay.den)
             for pa, pb in zip(polys, polys[1:]):
-                if not all(p.points[0][0] <= tick.x <= p.points[-1][0] for p in (pa, pb)):
+                if not all(p.points[0][0] <= x <= p.points[-1][0] for p in (pa, pb)):
                     continue
-                ya, yb = _y_at_by_fractions(pa.points, tick.x), _y_at_by_fractions(pb.points, tick.x)
-                assert (y_at(pa, tick.x), y_at(pb, tick.x)) == (ya, yb)
-                a, b = _clip_by_fractions(pa.points, tick.x), _clip_by_fractions(pb.points, tick.x)
-                assert (clip_forward(pa, tick.x), clip_forward(pb, tick.x)) == (a, b)
+                ya, yb = _y_at_by_fractions(pa.points, x), _y_at_by_fractions(pb.points, x)
+                assert (y_at(pa, x), y_at(pb, x)) == (ya, yb)
+                a, b = _clip_by_fractions(pa.points, x), _clip_by_fractions(pb.points, x)
+                assert (clip_forward(pa, x), clip_forward(pb, x)) == (a, b)
                 sign = (ya > yb) - (ya < yb)
-                assert geometry.height_order(pa, pb, scaled.x) == sign
+                assert geometry.height_order(pa, pb, tick.x) == sign
                 verdict = _oracle_disjoint(a, b)
-                assert geometry.forward_disjoint(pa, pb, scaled.x) == verdict
+                assert geometry.forward_disjoint(pa, pb, tick.x) == verdict
                 seen[sign, verdict] += 1
     assert {sign for sign, _v in seen} >= {-1, 1} and {v for _s, v in seen} == {True, False}, seen
 
@@ -420,23 +424,26 @@ def _numbers(value):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_every_coordinate_is_a_fraction(family):
-    """Every field of every layout, every routed point, every crossing
-    point, and ``y_at`` and ``clip_forward`` at every tick over every
-    polyline that spans it.  ``int / int`` is a float in Python, and a float
-    equal to the exact value would slip past the equalities above and past
-    the SVG pins, which round to six decimals."""
+def test_every_coordinate_is_an_int_or_a_fraction(family):
+    """Every field of every layout is an int; every routed point, every
+    crossing point, and ``y_at`` and ``clip_forward`` at every tick over
+    every polyline that spans it are ``Fraction``s.  ``int / int`` is a
+    float in Python, and a float equal to the exact value would slip past
+    the equalities above and past the SVG pins, which round to six
+    decimals."""
     kinds = collections.Counter()
     for routed, lay in _routed_family(family):
-        values = {"layout": list(_numbers(lay))}
-        values["route"] = _points(p for poly in routed.polylines for p in poly.points)
+        layout_values = list(_numbers(lay))
+        assert [v for v in layout_values if type(v) is not int] == []
+        kinds["layout"] += len(layout_values)
+        values = {"route": _points(p for poly in routed.polylines for p in poly.points)}
         values["crossing"] = _points(point for _a, _b, point in crossing_points(routed))
         values["y_at"], values["clip_forward"] = [], []
-        for tick in lay.ticks:
+        for x in in_fractions(tuple(tick.x for tick in lay.ticks), lay.den):
             for poly in routed.polylines:
-                if poly.points[0][0] <= tick.x <= poly.points[-1][0]:
-                    values["y_at"].append(y_at(poly, tick.x))
-                    values["clip_forward"] += _points(clip_forward(poly, tick.x))
+                if poly.points[0][0] <= x <= poly.points[-1][0]:
+                    values["y_at"].append(y_at(poly, x))
+                    values["clip_forward"] += _points(clip_forward(poly, x))
         for kind, found in values.items():
             assert [v for v in found if type(v) is not Fraction] == [], kind
             kinds[kind] += len(found)

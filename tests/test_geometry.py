@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_layout import in_fractions
 from foliage import geometry
 from foliage.decompose import reduce_scenario
 from foliage.generator import GeneratorConfig, generate_scenario
@@ -71,7 +72,7 @@ def test_route_s1_crosses_once_inside_d():
     assert len(points) == 1
     a, b, point = points[0]
     assert {a, b} == {"O_a", "O_b"}
-    assert lay.boxes["M:D"].contains_interior(point)
+    assert _inside(lay.boxes["M:D"], point, lay.den)
 
 
 def test_route_s3_disjoint():
@@ -198,7 +199,7 @@ def test_all_crossings_lie_inside_boxes(seed):
     lay = layout(s, r)
     routed = route(s, r, lay)
     for _a, _b, point in geometry.crossing_points(routed):
-        assert any(box.contains_interior(point) for box in lay.boxes.values())
+        assert any(_inside(box, point, lay.den) for box in lay.boxes.values())
 
 
 def test_forward_pieces_disjoint_when_leaf_order_is_compatible():
@@ -215,9 +216,10 @@ def test_forward_pieces_disjoint_when_leaf_order_is_compatible():
                 continue
             tick = lay.tick_for(leaf)
             assert tick is not None
+            x = in_fractions(tick.x, lay.den)
             for a, b in itertools.combinations(sorted(orbs), 2):
-                ya = geometry.y_at(routed.by_orbit(a), tick.x)
-                yb = geometry.y_at(routed.by_orbit(b), tick.x)
+                ya = geometry.y_at(routed.by_orbit(a), x)
+                yb = geometry.y_at(routed.by_orbit(b), x)
                 if ya == yb:
                     continue
                 first, second = (a, b) if ya < yb else (b, a)
@@ -226,14 +228,20 @@ def test_forward_pieces_disjoint_when_leaf_order_is_compatible():
                     Direction.EQUIVALENT,
                 ):
                     continue
-                pa = geometry.clip_forward(routed.by_orbit(first), tick.x)
-                pb = geometry.clip_forward(routed.by_orbit(second), tick.x)
+                pa = geometry.clip_forward(routed.by_orbit(first), x)
+                pb = geometry.clip_forward(routed.by_orbit(second), x)
                 assert geometry.pieces_disjoint(pa, pb)
+
+
+def _inside(box, point, den):
+    """The interior of the box, in ints over ``den``, holds the point, in ``Fraction``s."""
+    x, y = point[0] * den, point[1] * den
+    return box.x0 < x < box.x1 and box.y0 < y < box.y1
 
 
 def _box_by_scan(lay, point):
     """The first box, in ``boxes`` order, whose interior holds the point."""
-    return next((mid for mid, box in lay.boxes.items() if box.contains_interior(point)), None)
+    return next((mid for mid, box in lay.boxes.items() if _inside(box, point, lay.den)), None)
 
 
 def _probe_points(routed, crossings):
