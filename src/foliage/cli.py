@@ -2,13 +2,15 @@
 
 Subcommands: validate, decompose, relations, diagram, check, generate.
 Exit status is 0 on success, 1 when validation findings (or property
-failures) are present, and 2 on usage errors.  The environment variable
-FOLIAGE_SEED overrides --seed where one is accepted.
+failures) are present or stdout closes before the output is written, and
+2 on usage errors.  The environment variable FOLIAGE_SEED overrides
+--seed where one is accepted.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import os
@@ -369,10 +371,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early: stop quietly, and point it at devnull so
+        # the interpreter's last flush is silent too (an in-process caller's
+        # stream may have no descriptor).
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return FINDINGS
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except ScenarioParseError as exc:

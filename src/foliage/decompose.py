@@ -107,27 +107,18 @@ def _by_maxdomain(table: dict, mid: str):
 
 
 def crossed_set(s: Scenario, orbit_id: str) -> CrossedSet:
-    idx = index(s)
-    if orbit_id not in idx.orbit_by_id:
-        raise FoliageError(f"unknown orbit {orbit_id!r}")
-    o = idx.orbit_by_id[orbit_id]
+    o = index(s).orbit(orbit_id)
     return CrossedSet(orbit=o.id, domains=o.domains, crossings=o.crossings, alpha=o.alpha, omega=o.omega)
 
 
 def common_subpath(s: Scenario, a: str, b: str) -> Optional[CommonSubpath]:
     """Shared domain run of two orbits, or None when they are separated.
 
-    Computed once per ordered pair and kept on the scenario's index; a pair
-    that raises is not kept, so it raises again on every call.
+    Computed on each call; ``relations.pair_relations`` keeps, per ordered
+    pair, the relations it compares at the two ends of this run.
     """
     idx = index(s)
-    if (a, b) not in idx.subpaths:
-        idx.subpaths[(a, b)] = _common_subpath(idx, a, b)
-    return idx.subpaths[(a, b)]
-
-
-def _common_subpath(idx, a: str, b: str) -> Optional[CommonSubpath]:
-    pos_a, pos_b = idx.domain_pos[a], idx.domain_pos[b]
+    pos_a, pos_b = idx.domain_pos[idx.orbit(a).id], idx.domain_pos[idx.orbit(b).id]
     shared = pos_a.keys() & pos_b.keys()
     if not shared:
         return None

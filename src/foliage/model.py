@@ -23,7 +23,8 @@ from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:
-    from .decompose import CommonSubpath, ReducedStructure
+    from .decompose import ReducedStructure
+    from .relations import PairRelations
 
 
 class FoliageError(Exception):
@@ -444,10 +445,17 @@ class ScenarioIndex:
         self.leaf_orbits = {k: frozenset(v) for k, v in leaf_acc.items()}
         findings.sort(key=lambda f: (f.code, f.message))
         self.findings = tuple(findings)
-        # Filled by ``decompose``: the common subpath of each ordered pair
-        # compared, and the reduced structure.
-        self.subpaths: dict[tuple[str, str], Optional[CommonSubpath]] = {}
+        # Filled on first use: the relations of each ordered pair compared
+        # (``relations.pair_relations``) and the reduced structure.
+        self.pairs: dict[tuple[str, str], PairRelations] = {}
         self.reduced: Optional[ReducedStructure] = None
+
+    def orbit(self, oid: str) -> Orbit:
+        """The orbit with id ``oid``; an unknown id raises FoliageError."""
+        o = self.orbit_by_id.get(oid)
+        if o is None:
+            raise FoliageError(f"unknown orbit {oid!r}")
+        return o
 
     def orbits_crossing(self, leaf: str) -> frozenset[str]:
         return self.leaf_orbits.get(leaf, frozenset())

@@ -7,6 +7,11 @@ or by comparing the two terminal cuts (L4); the right end mirrors this with
 entry leaves and entry cuts.  Equal terminal data in the L4/R4 case is the
 forward/backward asymptotic equivalence.
 
+``pair_relations`` is the one place a pair is compared: both verdicts and
+both asymptotic flags from one common subpath, kept per ordered pair on the
+scenario's index.  The sided comparisons, asymptotic and transversality
+tests and pairwise comparators below read fields of that record.
+
 ``all_pair_relations`` is the one pass over every pair ``a < b`` in id
 order; the ``relations`` command and ``realize.weak_matrix`` read it.  Only
 the pairs that share a skeleton domain are compared.  Every other pair has
@@ -94,16 +99,10 @@ class PairRelations(NamedTuple):
     backward_asymptotic: bool
 
 
-class _SideVerdicts(NamedTuple):
-    """The verdicts one end can give; index k of a tuple is clause k + 1."""
-
-    first: tuple[RelationVerdict, ...]
-    second: tuple[RelationVerdict, ...]
-    equivalent: RelationVerdict
-
-
-def _side_verdicts(*clauses: Clause) -> _SideVerdicts:
-    return _SideVerdicts(
+def _side_verdicts(*clauses: Clause) -> tuple:
+    """The verdicts one end can give: the FirstLess and the SecondLess ones
+    (index k is clause k + 1), and the Equivalent one of the last clause."""
+    return (
         tuple(RelationVerdict(Direction.FIRST_LESS, c) for c in clauses),
         tuple(RelationVerdict(Direction.SECOND_LESS, c) for c in clauses),
         RelationVerdict(Direction.EQUIVALENT, clauses[-1]),
@@ -115,34 +114,10 @@ _LEFT = _side_verdicts(Clause.L1, Clause.L2, Clause.L3, Clause.L4)
 _RIGHT = _side_verdicts(Clause.R1, Clause.R2, Clause.R3, Clause.R4)
 _SAME = RelationVerdict(Direction.EQUIVALENT, Clause.ASYMPTOTIC)
 _DISJOINT = RelationVerdict(Direction.INCOMPARABLE, Clause.DISJOINT)
-# The relations of every pair of distinct orbits with no common subpath.
+# The relations of an orbit with itself, and of every pair of distinct
+# orbits with no common subpath.
+_SAME_PAIR = PairRelations(_SAME, _SAME, True, True)
 DISJOINT_PAIR = PairRelations(_DISJOINT, _DISJOINT, False, False)
-
-
-def _same_end(oa: Orbit, ob: Orbit) -> bool:
-    return oa.omega == ob.omega and oa.exit_cut == ob.exit_cut
-
-
-def _same_start(oa: Orbit, ob: Orbit) -> bool:
-    return oa.alpha == ob.alpha and oa.entry_cut == ob.entry_cut
-
-
-def plus_asymptotic(s: Scenario, a: str, b: str) -> bool:
-    """Forward equivalence: shared terminal domain with equal exit cuts."""
-    idx = index(s)
-    oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
-    if a == b:
-        return True
-    return common_subpath(s, a, b) is not None and _same_end(oa, ob)
-
-
-def minus_asymptotic(s: Scenario, a: str, b: str) -> bool:
-    """Backward equivalence: shared initial domain with equal entry cuts."""
-    idx = index(s)
-    oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
-    if a == b:
-        return True
-    return common_subpath(s, a, b) is not None and _same_start(oa, ob)
 
 
 def beyond(idx, o: Orbit, domain: str, step: int) -> str | None:
@@ -164,12 +139,18 @@ def side_key(idx, o: Orbit, domain: str, step: int) -> tuple[int, ...]:
     return (*(2 * rank[leaf] + 1 for leaf in leaves), 2 * cut)
 
 
-def _sided(
-    verdicts: _SideVerdicts, rank: dict[str, int], leaf_a: str | None, leaf_b: str | None, cut_a: int, cut_b: int
-) -> RelationVerdict:
-    """One end's verdict from the leaves the orbits cross past the shared
-    run there (None for an orbit that ends in it) and their terminal cuts."""
-    first, second = verdicts.first, verdicts.second
+def _verdict(idx, oa: Orbit, ob: Orbit, domain: str, step: int) -> RelationVerdict:
+    """The verdict at the end of the common subpath that ``domain`` closes
+    (its last domain on the left, ``step=+1``; its first on the right), from
+    the leaves the orbits cross past it (None for an orbit that ends there)
+    and their terminal cuts."""
+    leaf_a, leaf_b = beyond(idx, oa, domain, step), beyond(idx, ob, domain, step)
+    if leaf_a is not None and leaf_a == leaf_b:
+        raise FoliageError(f"common subpath {'ended before' if step > 0 else 'started after'} a shared crossing")
+    if step > 0:
+        (first, second, equivalent), rank, cut_a, cut_b = _LEFT, idx.left_rank, oa.exit_cut, ob.exit_cut
+    else:
+        (first, second, equivalent), rank, cut_a, cut_b = _RIGHT, idx.right_rank, oa.entry_cut, ob.entry_cut
     if leaf_a is not None and leaf_b is not None:
         return first[0] if rank[leaf_a] < rank[leaf_b] else second[0]
     if leaf_a is not None:
@@ -180,56 +161,49 @@ def _sided(
         return first[3]
     if cut_a > cut_b:
         return second[3]
-    return verdicts.equivalent
+    return equivalent
 
 
-def _verdict(idx, oa: Orbit, ob: Orbit, domain: str, step: int) -> RelationVerdict:
-    """The verdict at the end of the common subpath that ``domain`` closes:
-    its last domain on the left (``step=+1``), its first on the right."""
-    leaf_a, leaf_b = beyond(idx, oa, domain, step), beyond(idx, ob, domain, step)
-    if leaf_a is not None and leaf_a == leaf_b:
-        raise FoliageError(f"common subpath {'ended before' if step > 0 else 'started after'} a shared crossing")
-    if step > 0:
-        return _sided(_LEFT, idx.left_rank, leaf_a, leaf_b, oa.exit_cut, ob.exit_cut)
-    return _sided(_RIGHT, idx.right_rank, leaf_a, leaf_b, oa.entry_cut, ob.entry_cut)
+def pair_relations(s: Scenario, a: str, b: str) -> PairRelations:
+    """Both sided verdicts and both asymptotic flags of ``(a, b)``, computed
+    once per ordered pair and kept on the scenario's index.  A pair that
+    raises is not kept, so it raises again on every call."""
+    idx = index(s)
+    p = idx.pairs.get((a, b))
+    if p is None:
+        oa, ob = idx.orbit(a), idx.orbit(b)
+        cs = common_subpath(s, a, b) if a != b else None
+        if cs is None:
+            p = _SAME_PAIR if a == b else DISJOINT_PAIR
+        else:
+            p = PairRelations(
+                _verdict(idx, oa, ob, cs.last, 1),
+                _verdict(idx, oa, ob, cs.first, -1),
+                oa.omega == ob.omega and oa.exit_cut == ob.exit_cut,
+                oa.alpha == ob.alpha and oa.entry_cut == ob.entry_cut,
+            )
+        idx.pairs[(a, b)] = p
+    return p
 
 
 def compare_left(s: Scenario, a: str, b: str) -> RelationVerdict:
     """Compare two orbits at the left end of their common subpath."""
-    if a == b:
-        return _SAME
-    cs = common_subpath(s, a, b)
-    if cs is None:
-        return _DISJOINT
-    idx = index(s)
-    return _verdict(idx, idx.orbit_by_id[a], idx.orbit_by_id[b], cs.last, 1)
+    return pair_relations(s, a, b).left
 
 
 def compare_right(s: Scenario, a: str, b: str) -> RelationVerdict:
     """Compare two orbits at the right end of their common subpath."""
-    if a == b:
-        return _SAME
-    cs = common_subpath(s, a, b)
-    if cs is None:
-        return _DISJOINT
-    idx = index(s)
-    return _verdict(idx, idx.orbit_by_id[a], idx.orbit_by_id[b], cs.first, -1)
+    return pair_relations(s, a, b).right
 
 
-def pair_relations(s: Scenario, a: str, b: str) -> PairRelations:
-    """Both sided verdicts and both asymptotic flags of a pair, from one
-    common-subpath lookup; equal to ``compare_left``, ``compare_right``,
-    ``plus_asymptotic`` and ``minus_asymptotic`` called one by one."""
-    if a == b:
-        return PairRelations(_SAME, _SAME, True, True)
-    cs = common_subpath(s, a, b)
-    if cs is None:
-        return DISJOINT_PAIR
-    idx = index(s)
-    oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
-    return PairRelations(
-        _verdict(idx, oa, ob, cs.last, 1), _verdict(idx, oa, ob, cs.first, -1), _same_end(oa, ob), _same_start(oa, ob)
-    )
+def plus_asymptotic(s: Scenario, a: str, b: str) -> bool:
+    """Forward equivalence: shared terminal domain with equal exit cuts."""
+    return pair_relations(s, a, b).forward_asymptotic
+
+
+def minus_asymptotic(s: Scenario, a: str, b: str) -> bool:
+    """Backward equivalence: shared initial domain with equal entry cuts."""
+    return pair_relations(s, a, b).backward_asymptotic
 
 
 def all_pair_relations(s: Scenario) -> Iterator[tuple[str, str, PairRelations]]:
@@ -255,7 +229,7 @@ def weak_from_verdicts(left: RelationVerdict, right: RelationVerdict) -> bool:
 
 def weak_transverse(s: Scenario, a: str, b: str) -> bool:
     """Strictly and oppositely ordered by the two sided comparisons."""
-    return weak_from_verdicts(compare_left(s, a, b), compare_right(s, a, b))
+    return weak_from_verdicts(*pair_relations(s, a, b)[:2])
 
 
 def classic_from_verdicts(left: RelationVerdict, right: RelationVerdict) -> bool:
@@ -266,7 +240,7 @@ def classic_from_verdicts(left: RelationVerdict, right: RelationVerdict) -> bool
 
 def classic_transverse(s: Scenario, a: str, b: str) -> bool:
     """Both orbits cross distinct leaves on both ends, in opposite orders."""
-    return classic_from_verdicts(compare_left(s, a, b), compare_right(s, a, b))
+    return classic_from_verdicts(*pair_relations(s, a, b)[:2])
 
 
 def sorted_by_key(s: Scenario, ids: Iterable[str], key: Callable[[str], tuple]) -> tuple[str, ...]:
@@ -313,26 +287,24 @@ def adaptive_order(s: Scenario, r: ReducedStructure, mid: str) -> OrderedOrbitLi
 
 
 # The pairwise reference definitions of the standard and adaptive orders.
+_SIGN = {Direction.FIRST_LESS: -1, Direction.SECOND_LESS: 1}
+
+
 def _direction_cmp(v: RelationVerdict) -> int | None:
-    if v.direction is Direction.FIRST_LESS:
-        return -1
-    if v.direction is Direction.SECOND_LESS:
-        return 1
     if v.direction is Direction.INCOMPARABLE:
         raise FoliageError("orbits without a common subpath cannot be ordered")
-    return None
+    return _SIGN.get(v.direction)
 
 
 def standard_cmp(s: Scenario, a: str, b: str) -> int:
     """Composite comparator: right end, then left end, then tie rank."""
+    p = pair_relations(s, a, b)
     if a == b:
         return 0
-    got = _direction_cmp(compare_right(s, a, b))
-    if got is not None:
-        return got
-    got = _direction_cmp(compare_left(s, a, b))
-    if got is not None:
-        return got
+    for verdict in (p.right, p.left):
+        got = _direction_cmp(verdict)
+        if got is not None:
+            return got
     idx = index(s)
     ra, rb = idx.orbit_by_id[a].tie_rank, idx.orbit_by_id[b].tie_rank
     if ra == rb:
@@ -343,6 +315,7 @@ def standard_cmp(s: Scenario, a: str, b: str) -> int:
 def adaptive_cmp(s: Scenario, m: MaxDomain, a: str, b: str) -> int:
     """Left-end comparison across exit classes (the leaf an orbit leaves the
     chain by, or its exit cut if it ends there), standard composite inside."""
+    p = pair_relations(s, a, b)
     if a == b:
         return 0
     idx = index(s)
@@ -350,7 +323,7 @@ def adaptive_cmp(s: Scenario, m: MaxDomain, a: str, b: str) -> int:
     leaf_a, leaf_b = beyond(idx, oa, m.chain[-1], 1), beyond(idx, ob, m.chain[-1], 1)
     if leaf_a == leaf_b and (leaf_a is not None or oa.exit_cut == ob.exit_cut):
         return standard_cmp(s, a, b)
-    got = _direction_cmp(compare_left(s, a, b))
+    got = _direction_cmp(p.left)
     if got is None:
         raise FoliageError(f"orbits {a!r} and {b!r} in distinct exit classes compare as equivalent")
     return got

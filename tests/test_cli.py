@@ -433,3 +433,47 @@ def test_python_dash_m_foliage_validates_s0(tmp_path):
         [sys.executable, "-m", "foliage", "validate", str(path)], capture_output=True, text=True, env=env, timeout=60
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "0 findings\n", "")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize(
+    "args",
+    [["relations"], ["relations", "--json"], ["decompose", "--json"], ["diagram"], ["diagram", "--json"], ["validate"]],
+)
+def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path, args, unbuffered):
+    import os
+    import subprocess
+    from pathlib import Path
+
+    path = tmp_path / "chain.json"
+    path.write_text(emit_scenario(_chain(60)), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env["PYTHONUNBUFFERED"] = unbuffered
+    # The read end is closed before the command starts, so its first write
+    # (or, when buffered, the flush) fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "foliage", args[0], str(path), *args[1:]],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+def test_a_broken_stream_without_a_descriptor_exits_one(s1_path, monkeypatch):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["relations", s1_path]) == 1

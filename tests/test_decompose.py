@@ -8,7 +8,20 @@ from foliage.decompose import (
     domain_roles,
     reduce_scenario,
 )
+from foliage import relations
 from foliage.model import FIXTURE_NAMES, FoliageError, fixture, index
+
+# The public functions that read one pair's record.
+PAIR_FUNCTIONS = (
+    relations.pair_relations,
+    relations.compare_left,
+    relations.compare_right,
+    relations.plus_asymptotic,
+    relations.minus_asymptotic,
+    relations.weak_transverse,
+    relations.classic_transverse,
+    relations.standard_cmp,
+)
 
 
 def test_crossed_set_s1():
@@ -56,7 +69,8 @@ def test_common_subpath_separated():
     )
     assert validate(s).ok
     assert common_subpath(s, "a", "b") is None
-    assert index(s).subpaths[("a", "b")] is None  # a separated pair is kept too
+    assert relations.pair_relations(s, "a", "b") is relations.DISJOINT_PAIR
+    assert index(s).pairs[("a", "b")] is relations.DISJOINT_PAIR  # a separated pair is kept too
 
 
 def test_reduce_s4_merges_the_chain():
@@ -149,14 +163,26 @@ def test_common_subpath_is_symmetric():
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_common_subpath_is_computed_once_per_pair(name):
+def test_common_subpath_is_computed_once_per_pair(monkeypatch, name):
     s, fresh = fixture(name), fixture(name)
+    real = relations.common_subpath
+    looked_up = []
+
+    def recording(s, a, b):
+        looked_up.append((a, b))
+        return real(s, a, b)
+
+    monkeypatch.setattr(relations, "common_subpath", recording)
     ids = sorted(o.id for o in s.orbits)
     for a, b in itertools.permutations(ids, 2):
-        first = common_subpath(s, a, b)
-        assert common_subpath(s, a, b) is first
-        assert index(s).subpaths[(a, b)] is first
-        assert first == common_subpath(fresh, a, b)
+        first = relations.pair_relations(s, a, b)
+        for fn in PAIR_FUNCTIONS:
+            fn(s, a, b)
+        assert relations.pair_relations(s, a, b) is first
+        assert index(s).pairs[(a, b)] is first
+        assert looked_up.count((a, b)) == 1
+        assert common_subpath(s, a, b) == real(fresh, a, b)
+    assert len(index(s).pairs) == len(ids) * (len(ids) - 1)
 
 
 def test_non_contiguous_pair_raises_on_every_call(monkeypatch):
@@ -165,7 +191,8 @@ def test_non_contiguous_pair_raises_on_every_call(monkeypatch):
     s = _chain(3)  # O0 crosses D0-D1, O2 runs D0-D1-D2
     # No valid scenario has such a pair, so give O0 a gapped position map.
     monkeypatch.setitem(index(s).domain_pos, "O0", {"D0": 0, "D2": 4})
-    for _ in range(2):
-        with pytest.raises(FoliageError, match="non-contiguous"):
-            common_subpath(s, "O0", "O2")
-    assert ("O0", "O2") not in index(s).subpaths
+    for fn in (common_subpath, *PAIR_FUNCTIONS):
+        for _ in range(2):
+            with pytest.raises(FoliageError, match="non-contiguous"):
+                fn(s, "O0", "O2")
+    assert ("O0", "O2") not in index(s).pairs

@@ -1,5 +1,10 @@
-"""The sparse pair pass and the ``relations --json`` row template.
+"""The pair record, the sparse pair pass and the ``relations --json`` row
+template.
 
+The functions that read one pair's ``pair_relations`` record are checked
+against each end computed alone, as they were before the record (the
+common subpath, then ``_verdict`` at one of its ends, or the equal-end and
+equal-start flags), on every ordered pair of a fresh copy of each scenario.
 ``relations.all_pair_relations`` compares only the pairs that share a
 skeleton domain; it is checked against ``pair_relations`` on every pair of
 a fresh copy of each scenario.  ``relations`` output is checked against the
@@ -16,7 +21,9 @@ import pytest
 from foliage import relations
 from foliage.cli import main
 from foliage.generator import GeneratorConfig, generate_scenario
-from foliage.model import FIXTURE_NAMES, Orbit, Scenario, SkeletonDomain, dumps, emit_scenario, fixture
+from foliage.decompose import common_subpath, reduce_scenario
+from foliage.model import FIXTURE_NAMES, FoliageError, Orbit, Scenario, SkeletonDomain, dumps, emit_scenario, fixture, index
+from foliage.relations import Clause, Direction, RelationVerdict, TieRankError
 from foliage.realize import weak_matrix
 from test_realize import _chain
 from test_relations import _through_one_domain
@@ -67,6 +74,101 @@ def test_the_scenarios_cover_zero_one_and_two_orbits_and_mostly_disjoint_pairs()
     s = _family("in-code")["chain60"]
     pairs = list(itertools.combinations(sorted(o.id for o in s.orbits), 2))
     assert sum(not _meets(s, a, b) for a, b in pairs) > 0.9 * len(pairs)
+
+
+# --- each end alone: the oracle of the pair record ------------------------
+
+
+def _end_verdict(s, a, b, step):
+    """One end's verdict, from the common subpath and ``_verdict`` at its
+    last domain (``step=+1``, left) or its first (right)."""
+    if a == b:
+        return RelationVerdict(Direction.EQUIVALENT, Clause.ASYMPTOTIC)
+    cs = common_subpath(s, a, b)
+    if cs is None:
+        return RelationVerdict(Direction.INCOMPARABLE, Clause.DISJOINT)
+    idx = index(s)
+    return relations._verdict(idx, idx.orbit_by_id[a], idx.orbit_by_id[b], cs.last if step > 0 else cs.first, step)
+
+
+def _same_end(s, a, b, step):
+    """Forward (``step=+1``) or backward asymptotic: a common subpath and
+    equal terminal domains and cuts at that end."""
+    idx = index(s)
+    oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
+    if a == b:
+        return True
+    end = (lambda o: (o.omega, o.exit_cut)) if step > 0 else (lambda o: (o.alpha, o.entry_cut))
+    return common_subpath(s, a, b) is not None and end(oa) == end(ob)
+
+
+def _direction(v):
+    if v.direction is Direction.INCOMPARABLE:
+        raise FoliageError("orbits without a common subpath cannot be ordered")
+    return {Direction.FIRST_LESS: -1, Direction.SECOND_LESS: 1}.get(v.direction)
+
+
+def _standard_oracle(s, a, b):
+    if a == b:
+        return 0
+    for step in (-1, 1):
+        got = _direction(_end_verdict(s, a, b, step))
+        if got is not None:
+            return got
+    ra, rb = index(s).orbit_by_id[a].tie_rank, index(s).orbit_by_id[b].tie_rank
+    if ra == rb:
+        raise TieRankError(f"orbits {a!r} and {b!r} are equivalent but share tie rank {ra}")
+    return -1 if ra < rb else 1
+
+
+def _adaptive_oracle(s, m, a, b):
+    if a == b:
+        return 0
+    idx = index(s)
+    oa, ob = idx.orbit_by_id[a], idx.orbit_by_id[b]
+    leaf_a, leaf_b = (relations.beyond(idx, o, m.chain[-1], 1) for o in (oa, ob))
+    if leaf_a == leaf_b and (leaf_a is not None or oa.exit_cut == ob.exit_cut):
+        return _standard_oracle(s, a, b)
+    got = _direction(_end_verdict(s, a, b, 1))
+    if got is None:
+        raise FoliageError(f"orbits {a!r} and {b!r} in distinct exit classes compare as equivalent")
+    return got
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except FoliageError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_pair_record_equals_each_end_computed_alone(family):
+    for name, s in _family(family).items():
+        s, oracle = _fresh(s), _fresh(s)
+        ids = sorted(o.id for o in s.orbits)
+        for a, b in itertools.product(ids, repeat=2):
+            left, right = _end_verdict(oracle, a, b, 1), _end_verdict(oracle, a, b, -1)
+            assert relations.compare_left(s, a, b) == left, (name, a, b)
+            assert relations.compare_right(s, a, b) == right, (name, a, b)
+            assert relations.plus_asymptotic(s, a, b) == _same_end(oracle, a, b, 1), (name, a, b)
+            assert relations.minus_asymptotic(s, a, b) == _same_end(oracle, a, b, -1), (name, a, b)
+            assert relations.weak_transverse(s, a, b) == relations.weak_from_verdicts(left, right), (name, a, b)
+            assert relations.classic_transverse(s, a, b) == relations.classic_from_verdicts(left, right), (name, a, b)
+            assert relations.pair_relations(s, a, b) == (
+                left,
+                right,
+                _same_end(oracle, a, b, 1),
+                _same_end(oracle, a, b, -1),
+            ), (name, a, b)
+            want = _outcome(_standard_oracle, oracle, a, b)
+            assert _outcome(relations.standard_cmp, s, a, b) == want, (name, a, b)
+        assert len(index(s).pairs) == len(ids) ** 2, name
+        for m in reduce_scenario(s).maxdomains:
+            for a, b in itertools.product(sorted(m.crossers), repeat=2):
+                want = _outcome(_adaptive_oracle, oracle, m, a, b)
+                assert _outcome(relations.adaptive_cmp, s, m, a, b) == want, (name, m.id, a, b)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

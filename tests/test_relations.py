@@ -12,11 +12,12 @@ import itertools
 import pytest
 
 from foliage.generator import GeneratorConfig, generate_scenario
-from foliage.model import Orbit, Scenario, SkeletonDomain, fixture, index, validate
+from foliage.model import FoliageError, Orbit, Scenario, SkeletonDomain, fixture, index, validate
 from foliage.relations import (
     Clause,
     Direction,
     TieRankError,
+    adaptive_cmp,
     adaptive_order,
     classic_from_verdicts,
     classic_transverse,
@@ -25,11 +26,12 @@ from foliage.relations import (
     minus_asymptotic,
     pair_relations,
     plus_asymptotic,
+    standard_cmp,
     standard_order,
     weak_from_verdicts,
     weak_transverse,
 )
-from foliage.decompose import reduce_scenario
+from foliage.decompose import common_subpath, reduce_scenario
 
 
 # --- the oracle -----------------------------------------------------------
@@ -415,8 +417,6 @@ def _pair_scenario(name):
 def _classic_oracle(s, a, b):
     """Classic transversality as first written: both orbits cross distinct
     leaves on both ends of their common subpath, in opposite orders."""
-    from foliage.decompose import common_subpath
-
     cs = common_subpath(s, a, b) if a != b else None
     if cs is None:
         return False
@@ -451,3 +451,27 @@ def test_leaf_ranks_are_positions_in_the_boundary_lists():
         for d in s.domains:
             assert [idx.left_rank[leaf] for leaf in d.left] == list(range(len(d.left)))
             assert [idx.right_rank[leaf] for leaf in d.right] == list(range(len(d.right)))
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        common_subpath,
+        pair_relations,
+        compare_left,
+        compare_right,
+        plus_asymptotic,
+        minus_asymptotic,
+        weak_transverse,
+        classic_transverse,
+        standard_cmp,
+        lambda s, a, b: adaptive_cmp(s, reduce_scenario(s).maxdomains[0], a, b),
+    ],
+)
+def test_an_unknown_orbit_id_is_a_foliage_error(fn):
+    s = fixture("S2")
+    for a, b in (("nope", "O1"), ("O1", "nope"), ("nope", "nope")):
+        with pytest.raises(FoliageError) as exc:
+            fn(s, a, b)
+        assert str(exc.value) == "unknown orbit 'nope'"
+    assert not any("nope" in pair for pair in index(s).pairs)
