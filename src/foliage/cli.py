@@ -15,6 +15,7 @@ import functools
 import itertools
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import geometry, realize, relations
@@ -302,6 +303,10 @@ def _cmd_check(args) -> int:
     cfg = _config(args)
     if args.cases < 1:
         return _usage_error("--cases must be at least 1")
+    try:  # the cases run on seeds seed, seed + 1, ..., and the last must be valid too
+        replace(cfg, seed=cfg.seed + args.cases - 1)
+    except FoliageError as exc:
+        return _usage_error(f"the last case's {exc}")
     report = run_check(cfg, args.cases)
     if args.json:
         sys.stdout.write(report.render_json())
@@ -379,7 +384,12 @@ def main(argv=None) -> int:
         # the interpreter's last flush is silent too (an in-process caller's
         # stream may have no descriptor).
         with contextlib.suppress(AttributeError, OSError, ValueError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, fd)
+            finally:
+                os.close(devnull)
         return FINDINGS
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR

@@ -16,11 +16,11 @@ composed top-down once the forest has been walked, and every point is
 mapped once, to an int over one page denominator.  That integer form is
 the layout's only form, and what ``route``, the crossing oracle, the
 checks and ``emit_svg`` read, so the predicates are exact by construction
-(Yap 1997).  ``fractions.Fraction`` remains at the edges of the API: each
-crossing point is one ``Fraction`` over its own denominator, and ``box_of``
-takes one; ``y_at``, ``clip_forward`` and ``pieces_disjoint`` take and give
-``Fraction``s for callers that hold ``Fraction`` points, such as
-``Polyline.points``, a view of a polyline's ints built on first read.
+(Yap 1997).  ``route`` hands each trajectory over in the same form, its
+only one.  ``fractions.Fraction`` remains only at the edges of the API:
+each crossing point is one ``Fraction`` over its own denominator,
+``box_of`` takes one, and ``Polyline.points`` is a view of a polyline's
+ints in ``Fraction``s, built on first read.
 
 Trajectories are polylines: a short backward whisker, one straight segment
 per traversed box, one strand per corridor, and a forward whisker.  They are
@@ -141,29 +141,20 @@ class Layout:
         return found[1] if found is not None else None
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Polyline:
-    """One orbit's trajectory, in ``Fraction`` points and in the integer
-    form: ``scaled``, the points as ints over ``den``.  ``route`` builds the
-    integer form, and ``points`` is built from it on first read; a polyline
-    given in ``Fraction``s is scaled once."""
+    """One orbit's trajectory in the integer form: ``scaled``, its points
+    as ints over ``den``."""
 
     orbit: str
-    points: tuple[Point, ...]
+    scaled: tuple[IntPoint, ...]
+    den: int
 
-    def __init__(self, orbit: str, points: tuple[Point, ...] = (), scaled=None, den: int = 1):
-        if scaled is None:
-            self.__dict__["points"] = points = tuple(points)
-            den = math.lcm(*(c.denominator for point in points for c in point))
-            scaled = tuple(tuple(c.numerator * (den // c.denominator) for c in point) for point in points)
-        self.__dict__.update(orbit=orbit, scaled=scaled, den=den)
-
-    def __getattr__(self, name: str):
-        if name != "points":
-            raise AttributeError(name)
+    @functools.cached_property
+    def points(self) -> tuple[Point, ...]:
+        """The points as ``Fraction``s, built on first read."""
         den = self.den
-        points = self.__dict__["points"] = tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.scaled)
-        return points
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.scaled)
 
 
 @dataclass(frozen=True)
@@ -400,29 +391,29 @@ def route(s: Scenario, r: ReducedStructure, lay: Layout) -> PolylineSet:
             points.append(lay.entry_ports[(mid, oid)])
             points.append(lay.exit_ports[(mid, oid)])
         points.append(lay.fwd_whiskers[oid])
-        polylines.append(Polyline(oid, scaled=tuple(points), den=lay.den))
+        polylines.append(Polyline(oid, tuple(points), lay.den))
     return PolylineSet(polylines=tuple(polylines))
 
 
-def _orient(p: Point, q: Point, r_: Point) -> Fraction:
+def _orient(p: IntPoint, q: IntPoint, r_: IntPoint) -> int:
     return (q[0] - p[0]) * (r_[1] - p[1]) - (q[1] - p[1]) * (r_[0] - p[0])
 
 
-def _in_bounds(t: Point, p: Point, q: Point) -> bool:
+def _in_bounds(t: IntPoint, p: IntPoint, q: IntPoint) -> bool:
     """t lies in the bounding box of segment pq."""
     return min(p[0], q[0]) <= t[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= t[1] <= max(p[1], q[1])
 
 
-def segment_relation(p1: Point, p2: Point, q1: Point, q2: Point, den: int = 1):
+def segment_relation(p1: IntPoint, p2: IntPoint, q1: IntPoint, q2: IntPoint, den: int = 1):
     """Classify two segments: ("cross", point), ("touch", None) or ("none", None).
 
     ``o1``, ``o2`` are the orientations of q1, q2 against p1p2 and ``o3``,
     ``o4`` those of p1, p2 against q1q2.  A proper crossing needs strict
     opposite signs on both sides.  Otherwise the segments touch exactly when
     some endpoint with orientation 0 lies within the other segment's bounds
-    (Shewchuk 1997).  On ints and ``Fraction``s alike, the crossing point
-    ``q1 + o1·(q2 − q1)/(o1 − o2)``, divided by ``den``, is one ``Fraction``
-    per coordinate."""
+    (Shewchuk 1997).  The points are ints, their coordinates times ``den``,
+    and the crossing point ``q1 + o1·(q2 − q1)/(o1 − o2)``, divided by
+    ``den``, is one ``Fraction`` per coordinate."""
     o1, o2 = _orient(p1, p2, q1), _orient(p1, p2, q2)
     o3, o4 = _orient(q1, q2, p1), _orient(q1, q2, p2)
     if (o1 > 0 > o2 or o1 < 0 < o2) and (o3 > 0 > o4 or o3 < 0 < o4):
@@ -504,49 +495,29 @@ def tally_crossings(
     return CrossingMatrix(orbits=orbits, entries=entries)
 
 
-def _height(pts: tuple[tuple[int, int], ...], x: int, xd: int = 1) -> tuple[int, int]:
-    """The height over ``x/xd`` of an x-monotone polyline of int points, as
-    ``(n, k)`` for ``n/k``, with ``xd`` dividing ``k > 0``."""
-    if not pts[0][0] * xd <= x <= pts[-1][0] * xd:
+def _height(pts: tuple[IntPoint, ...], x: int) -> tuple[int, int]:
+    """The height over x of an x-monotone polyline of int points, as
+    ``(n, k)`` for ``n/k`` with ``k > 0``."""
+    if not pts[0][0] <= x <= pts[-1][0]:
         raise FoliageError("coordinate outside trajectory range")
     for (px, py), (qx, qy) in zip(pts, pts[1:]):
-        if px * xd <= x <= qx * xd:
-            k = max(qx - px, 1) * xd  # at a vertical step x is px, and the height py
-            return py * k + (x - px * xd) * (qy - py), k
+        if px <= x <= qx:
+            k = max(qx - px, 1)  # at a vertical step x is px, and the height py
+            return py * k + (x - px) * (qy - py), k
     raise FoliageError("coordinate outside trajectory range")
 
 
-def _clip(poly: Polyline, x: int, xd: int = 1) -> Polyline:
-    """The part of the polyline with first coordinate at least ``x/xd``,
-    with x over the polyline's ``den``, in the integer form."""
+def _clip(poly: Polyline, x: int) -> Polyline:
+    """The part of the polyline with first coordinate at least x, an int
+    over the polyline's ``den``."""
     pts = poly.scaled
-    if x <= pts[0][0] * xd:
+    if x <= pts[0][0]:
         return poly
-    if x > pts[-1][0] * xd:
-        return Polyline(poly.orbit)
-    n, k = _height(pts, x, xd)
-    scaled = ((x * (k // xd), n),) + tuple((px * k, py * k) for px, py in pts if px * xd > x)
-    return Polyline(poly.orbit, scaled=scaled, den=k * poly.den)
-
-
-def _disjoint(a: Polyline, b: Polyline) -> bool:
-    return next(_meetings(PolylineSet((a, b)).scaled), None) is None
-
-
-def y_at(poly: Polyline, x: Fraction) -> Fraction:
-    """Height of an x-monotone polyline over x; x must lie in its range."""
-    n, k = _height(poly.scaled, x.numerator * poly.den, x.denominator)
-    return Fraction(n, k * poly.den)
-
-
-def clip_forward(poly: Polyline, x: Fraction) -> tuple[Point, ...]:
-    """The part of the polyline with first coordinate at least x."""
-    return _clip(poly, x.numerator * poly.den, x.denominator).points
-
-
-def pieces_disjoint(a: tuple[Point, ...], b: tuple[Point, ...]) -> bool:
-    """No shared point between two polyline pieces of different orbits."""
-    return _disjoint(Polyline("a", a), Polyline("b", b))
+    if x > pts[-1][0]:
+        return Polyline(poly.orbit, (), poly.den)
+    n, k = _height(pts, x)
+    scaled = ((x * k, n),) + tuple((px * k, py * k) for px, py in pts if px > x)
+    return Polyline(poly.orbit, scaled, k * poly.den)
 
 
 def height_order(a: Polyline, b: Polyline, x: int) -> int:
@@ -556,9 +527,9 @@ def height_order(a: Polyline, b: Polyline, x: int) -> int:
 
 
 def forward_disjoint(a: Polyline, b: Polyline, x: int) -> bool:
-    """``pieces_disjoint`` of the two polylines clipped at x, an int over
-    their shared ``den``, on the integer form."""
-    return _disjoint(_clip(a, x), _clip(b, x))
+    """No shared point between the two polylines clipped at x, an int over
+    their shared ``den``."""
+    return next(_meetings(PolylineSet((_clip(a, x), _clip(b, x))).scaled), None) is None
 
 
 _PALETTE = (

@@ -7,7 +7,8 @@ which keeps its bounds as ``Fraction``s and, per child, the child's map
 denominator, and every point is mapped once, into a ``Fraction``.
 
 ``in_fractions`` turns the integer layout, or any part of it, into the same
-``Fraction``s, for the tests that compare or pin ``Fraction`` values.
+``Fraction``s, for the tests that compare or pin ``Fraction`` values, and
+``polyline`` turns ``Fraction`` points into a polyline's integer form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from foliage.decompose import ReducedStructure
-from foliage.geometry import BOX_WIDTH, BoxRect, Corridor, Point, Tick
+from foliage.geometry import BOX_WIDTH, BoxRect, Corridor, Point, Polyline, Tick
 from foliage.model import FoliageError, Scenario
 from foliage.realize import PortPlan, SideItem, all_port_plans, forest_components, run_nested
 
@@ -52,6 +53,14 @@ def in_fractions(value, den: int):
     if isinstance(value, tuple):
         return tuple(in_fractions(v, den) for v in value)
     return type(value)(*(in_fractions(getattr(value, f.name), den) for f in dataclasses.fields(value)))
+
+
+def polyline(orbit: str, points) -> Polyline:
+    """The polyline through ``Fraction`` (or int) points, as ints over the
+    LCM of their denominators."""
+    points = tuple((Fraction(x), Fraction(y)) for x, y in points)
+    den = math.lcm(*(c.denominator for point in points for c in point))
+    return Polyline(orbit, tuple(tuple(c.numerator * (den // c.denominator) for c in point) for point in points), den)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from foliage.decompose import reduce_scenario
 from foliage.generator import GeneratorConfig, generate_scenario
 from foliage.model import fixture, fixture_text, index
 from foliage.relations import Direction
+from test_crossing_kernel import _clip_by_fractions, _oracle_disjoint, _y_at_by_fractions
 
 SEEDS = range(1, 201)
 BOUNDS = dict(max_domains=10, max_orbits=8, max_boundary=4, weak_bias=Fraction(1, 2))
@@ -192,8 +193,8 @@ def test_criterion_6_one_sided_realization(realized):
                 continue
             x = in_fractions(tick.x, lay.den)
             for a, b in itertools.combinations(orbs, 2):
-                ya = geometry.y_at(routed.by_orbit(a), x)
-                yb = geometry.y_at(routed.by_orbit(b), x)
+                ya = _y_at_by_fractions(routed.by_orbit(a).points, x)
+                yb = _y_at_by_fractions(routed.by_orbit(b).points, x)
                 if ya == yb:
                     continue
                 first, second = (a, b) if ya < yb else (b, a)
@@ -202,9 +203,9 @@ def test_criterion_6_one_sided_realization(realized):
                     Direction.EQUIVALENT,
                 ):
                     continue
-                pa = geometry.clip_forward(routed.by_orbit(first), x)
-                pb = geometry.clip_forward(routed.by_orbit(second), x)
-                if not geometry.pieces_disjoint(pa, pb):
+                pa = _clip_by_fractions(routed.by_orbit(first).points, x)
+                pb = _clip_by_fractions(routed.by_orbit(second).points, x)
+                if not _oracle_disjoint(pa, pb):
                     failures.append(f"seed {seed}: forward pieces of {first},{second} meet past {leaf}")
     _report(6, "one-sided orders extend the left relation; compatible pieces stay disjoint", failures)
 

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -421,7 +423,6 @@ def test_oversized_number_is_a_parse_finding(tmp_path, capsys):
 
 
 def test_python_dash_m_foliage_validates_s0(tmp_path):
-    import os
     import subprocess
     from pathlib import Path
 
@@ -441,7 +442,6 @@ def test_python_dash_m_foliage_validates_s0(tmp_path):
     [["relations"], ["relations", "--json"], ["decompose", "--json"], ["diagram"], ["diagram", "--json"], ["validate"]],
 )
 def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path, args, unbuffered):
-    import os
     import subprocess
     from pathlib import Path
 
@@ -467,13 +467,49 @@ def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path, args, unbuffere
     assert (done.returncode, done.stderr) == (1, b"")
 
 
-def test_a_broken_stream_without_a_descriptor_exits_one(s1_path, monkeypatch):
-    class Closed:
-        def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
+class _Closed:
+    """A stdout whose writes fail as on a closed pipe, over the descriptor
+    ``fd``, or over none, as an ``io.StringIO``."""
 
-        def flush(self):
-            pass
+    def __init__(self, fd):
+        self.fd = fd
 
-    monkeypatch.setattr(sys, "stdout", Closed())
-    assert main(["relations", s1_path]) == 1
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        if self.fd is None:
+            raise io.UnsupportedOperation("fileno")
+        return self.fd
+
+
+@pytest.mark.parametrize("on_a_file", [False, True])
+def test_a_broken_stream_exits_one_and_keeps_its_descriptors(on_a_file, s1_path, tmp_path, monkeypatch):
+    with open(tmp_path / "out", "w") as handle:
+        monkeypatch.setattr(sys, "stdout", _Closed(handle.fileno() if on_a_file else None))
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            assert main(["relations", s1_path]) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("env", [False, True])
+def test_a_last_case_seed_past_64_bits_is_a_usage_error(env, monkeypatch, capsys):
+    def draw(*_args):
+        raise AssertionError("a scenario was drawn")
+
+    top = str((1 << 64) - 1)
+    if env:
+        monkeypatch.setenv("FOLIAGE_SEED", top)
+    argv = ["check", "--seed", "1" if env else top, "--cases", "2"]
+    with monkeypatch.context() as m:
+        m.setattr(generator, "_draw", draw)
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", "foliage: the last case's seed must fit in 64 bits\n")
+    # One case at the largest seed runs.
+    argv[-1] = "1"
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("cases: 1\n")

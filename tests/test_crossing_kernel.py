@@ -1,8 +1,8 @@
 """The crossing oracle's sweep against two slower oracles.
 
-``geometry.crossing_points`` and ``geometry.pieces_disjoint`` run on every
-coordinate as an int over one common denominator (the layout's, for routed
-polylines; a set given in ``Fraction``s is scaled once), sweep the
+``geometry.crossing_points`` and ``geometry.forward_disjoint`` run on
+every coordinate as an int over one common denominator (the layout's, for
+routed polylines, or else the least common one of the set), sweep the
 segments in x and classify, with ``segment_relation``, only the pairs of
 segments whose closed boxes overlap.  The first oracle below is the
 per-pair loop: one classification per segment pair, in ``Fraction``s,
@@ -26,21 +26,17 @@ from fractions import Fraction
 
 import pytest
 
-from fraction_layout import in_fractions
+from fraction_layout import in_fractions, polyline
 from foliage import geometry
 from foliage.decompose import reduce_scenario
 from foliage.generator import GeneratorConfig, generate_scenario
 from foliage.geometry import (
     DegeneracyError,
-    Polyline,
     PolylineSet,
-    clip_forward,
     crossing_points,
     layout,
-    pieces_disjoint,
     route,
     segment_relation,
-    y_at,
 )
 from foliage.model import FIXTURE_NAMES, fixture
 from test_realize import _chain
@@ -94,6 +90,12 @@ def _oracle_crossings(p):
 
 def _oracle_disjoint(a, b):
     return all(_relation(s1, s2, t1, t2)[0] == "none" for s1, s2 in _segments(a) for t1, t2 in _segments(b))
+
+
+def _disjoint(a, b):
+    """``forward_disjoint`` of two whole polylines: an x at or left of both
+    first points clips neither, whatever their denominators."""
+    return geometry.forward_disjoint(a, b, min(a.scaled[0][0], b.scaled[0][0]))
 
 
 def _classify(p1, p2, q1, q2, o1, o2, o3, o4):
@@ -191,7 +193,7 @@ def test_crossing_points_equal_the_per_pair_loop(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_pieces_disjoint_equals_the_per_pair_loop(family):
+def test_forward_disjoint_equals_the_per_pair_loop(family):
     """Each polyline against the next, whole and clipped at the middle tick
     as the forward-disjointness property clips them.  The loop's verdict on
     whole polylines is read from its crossings: no case touches, so two
@@ -201,14 +203,14 @@ def test_pieces_disjoint_equals_the_per_pair_loop(family):
         met = {(a, b) for a, b, _point in expected}
         polys = routed.polylines
         for pa, pb in zip(polys, polys[1:]):
-            verdict = pieces_disjoint(pa.points, pb.points)
+            verdict = _disjoint(pa, pb)
             assert verdict == ((pa.orbit, pb.orbit) not in met)
             verdicts.add(verdict)
             for tick in lay.ticks[len(lay.ticks) // 2 :][:1]:
                 x = in_fractions(tick.x, lay.den)
-                a, b = clip_forward(pa, x), clip_forward(pb, x)
-                verdict = pieces_disjoint(a, b)
-                assert verdict == pieces_disjoint(b, a) == _oracle_disjoint(a, b)
+                a, b = _clip_by_fractions(pa.points, x), _clip_by_fractions(pb.points, x)
+                verdict = geometry.forward_disjoint(pa, pb, tick.x)
+                assert verdict == geometry.forward_disjoint(pb, pa, tick.x) == _oracle_disjoint(a, b)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -231,7 +233,7 @@ def _clip_by_fractions(pts, x):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_integer_form_readers_equal_fraction_arithmetic(family):
-    """``y_at`` and ``clip_forward`` against the same steps in ``Fraction``s,
+    """``_height`` and ``_clip`` against the same steps in ``Fraction``s,
     and ``height_order`` and ``forward_disjoint``, which the
     forward-disjointness property runs on the integer form, against those
     and the per-pair loop: at every fifth tick over each polyline and the
@@ -245,9 +247,10 @@ def test_the_integer_form_readers_equal_fraction_arithmetic(family):
                 if not all(p.points[0][0] <= x <= p.points[-1][0] for p in (pa, pb)):
                     continue
                 ya, yb = _y_at_by_fractions(pa.points, x), _y_at_by_fractions(pb.points, x)
-                assert (y_at(pa, x), y_at(pb, x)) == (ya, yb)
+                heights = [geometry._height(p.scaled, tick.x) for p in (pa, pb)]
+                assert [Fraction(n, k * lay.den) for n, k in heights] == [ya, yb]
                 a, b = _clip_by_fractions(pa.points, x), _clip_by_fractions(pb.points, x)
-                assert (clip_forward(pa, x), clip_forward(pb, x)) == (a, b)
+                assert (geometry._clip(pa, tick.x).points, geometry._clip(pb, tick.x).points) == (a, b)
                 sign = (ya > yb) - (ya < yb)
                 assert geometry.height_order(pa, pb, tick.x) == sign
                 verdict = _oracle_disjoint(a, b)
@@ -261,7 +264,7 @@ def _pt(x, y):
 
 
 def _set(*polylines):
-    return PolylineSet(tuple(Polyline(name, tuple(_pt(*xy) for xy in points)) for name, points in polylines))
+    return PolylineSet(tuple(polyline(name, points) for name, points in polylines))
 
 
 TOUCHES = {
@@ -289,8 +292,8 @@ def test_touches_raise_the_loop_error(name):
     expected = _outcome(_oracle_crossings, p)
     assert expected[0] == "DegeneracyError"
     assert _outcome(crossing_points, p) == expected
-    first, second = p.polylines[0].points, p.polylines[-1].points
-    assert pieces_disjoint(first, second) == _oracle_disjoint(first, second)
+    first, second = p.polylines[0], p.polylines[-1]
+    assert _disjoint(first, second) == _oracle_disjoint(first.points, second.points)
 
 
 def test_touch_errors_name_the_first_touching_pair():
@@ -322,11 +325,11 @@ def test_crossings_and_touches_equal_the_loop_on_small_integer_polylines():
         found = _outcome(crossing_points, p)
         assert found == _outcome(_oracle_crossings, p)
         kinds.add("touch" if isinstance(found, tuple) and found and found[0] == "DegeneracyError" else "other")
-        a, b = p.polylines[0].points, p.polylines[-1].points
-        assert pieces_disjoint(a, b) == _oracle_disjoint(a, b)
-        for s1, s2 in _segments(a):
-            for t1, t2 in _segments(b):
-                assert segment_relation(s1, s2, t1, t2) == _relation(s1, s2, t1, t2)
+        a, b = p.polylines[0], p.polylines[-1]
+        assert _disjoint(a, b) == _oracle_disjoint(a.points, b.points)
+        for (s1, s2), (u1, u2) in zip(_segments(a.points), _segments(p.scaled[0])):
+            for (t1, t2), (v1, v2) in zip(_segments(b.points), _segments(p.scaled[-1])):
+                assert segment_relation(u1, u2, v1, v2, p.den) == _relation(s1, s2, t1, t2)
     assert kinds == {"touch", "other"}
 
 
@@ -355,11 +358,11 @@ def test_crossings_and_touches_equal_the_loop_on_polylines_with_coprime_denomina
         elif found:
             kinds.add("cross")
             assert all(type(c) is Fraction for c in _points(point for _a, _b, point in found))
-        a, b = p.polylines[0].points, p.polylines[-1].points
-        assert pieces_disjoint(a, b) == _oracle_disjoint(a, b)
-        for s1, s2 in _segments(a):
-            for t1, t2 in _segments(b):
-                kind, point = segment_relation(s1, s2, t1, t2)
+        a, b = p.polylines[0], p.polylines[-1]
+        assert _disjoint(a, b) == _oracle_disjoint(a.points, b.points)
+        for (s1, s2), (u1, u2) in zip(_segments(a.points), _segments(p.scaled[0])):
+            for (t1, t2), (v1, v2) in zip(_segments(b.points), _segments(p.scaled[-1])):
+                kind, point = segment_relation(u1, u2, v1, v2, p.den)
                 assert (kind, point) == _relation(s1, s2, t1, t2)
                 assert all(type(c) is Fraction for c in _points([point]))
     assert kinds == {"touch", "cross"}
@@ -425,26 +428,28 @@ def _numbers(value):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_coordinate_is_an_int_or_a_fraction(family):
-    """Every field of every layout is an int; every routed point, every
-    crossing point, and ``y_at`` and ``clip_forward`` at every tick over
-    every polyline that spans it are ``Fraction``s.  ``int / int`` is a
-    float in Python, and a float equal to the exact value would slip past
-    the equalities above and past the SVG pins, which round to six
-    decimals."""
+    """Every field of every layout and of every routed polyline, and
+    ``_height`` and ``_clip`` at every tick over every polyline that spans
+    it, are ints; every point of ``points`` and every crossing point is a
+    ``Fraction``.  ``int / int`` is a float in Python, and a float equal to
+    the exact value would slip past the equalities above and past the SVG
+    pins, which round to six decimals."""
     kinds = collections.Counter()
     for routed, lay in _routed_family(family):
-        layout_values = list(_numbers(lay))
-        assert [v for v in layout_values if type(v) is not int] == []
-        kinds["layout"] += len(layout_values)
-        values = {"route": _points(p for poly in routed.polylines for p in poly.points)}
-        values["crossing"] = _points(point for _a, _b, point in crossing_points(routed))
-        values["y_at"], values["clip_forward"] = [], []
-        for x in in_fractions(tuple(tick.x for tick in lay.ticks), lay.den):
+        ints = {"layout": list(_numbers(lay)), "route": list(_numbers(routed)), "height": [], "clip": []}
+        for tick in lay.ticks:
             for poly in routed.polylines:
-                if poly.points[0][0] <= x <= poly.points[-1][0]:
-                    values["y_at"].append(y_at(poly, x))
-                    values["clip_forward"] += _points(clip_forward(poly, x))
-        for kind, found in values.items():
+                if poly.scaled[0][0] <= tick.x <= poly.scaled[-1][0]:
+                    ints["height"] += geometry._height(poly.scaled, tick.x)
+                    ints["clip"] += _numbers(geometry._clip(poly, tick.x))
+        fractions = {
+            "points": _points(p for poly in routed.polylines for p in poly.points),
+            "crossing": _points(point for _a, _b, point in crossing_points(routed)),
+        }
+        for kind, found in ints.items():
+            assert [v for v in found if type(v) is not int] == [], kind
+            kinds[kind] += len(found)
+        for kind, found in fractions.items():
             assert [v for v in found if type(v) is not Fraction] == [], kind
             kinds[kind] += len(found)
-    assert all(kinds[kind] for kind in ("layout", "route", "crossing", "y_at", "clip_forward"))
+    assert all(kinds[kind] for kind in ("layout", "route", "height", "clip", "points", "crossing"))

@@ -21,6 +21,7 @@ from foliage.geometry import (
 )
 from foliage.model import fixture, index
 from foliage.realize import boundary_order, crossing_matrix
+from test_crossing_kernel import _clip_by_fractions, _oracle_disjoint, _y_at_by_fractions
 
 
 def _realized(name):
@@ -103,29 +104,37 @@ def test_polylines_are_x_monotone():
             assert all(x0 < x1 for x0, x1 in zip(xs, xs[1:]))
 
 
+def test_polyline_points_are_a_fraction_view_built_once():
+    """``perfbench/tracer.py`` reads ``points`` for each coordinate's
+    denominator: each is ``Fraction(c, den)`` of ``scaled``."""
+    s = generate_scenario(GeneratorConfig(seed=3))
+    r = reduce_scenario(s)
+    lay = layout(s, r)
+    for p in route(s, r, lay).polylines:
+        assert p.den == lay.den
+        assert p.points == tuple((Fraction(x, p.den), Fraction(y, p.den)) for x, y in p.scaled)
+        assert all(type(c) is Fraction for point in p.points for c in point)
+        assert p.points is p.points
+
+
 def test_degeneracy_touch_is_an_error():
-    a = Polyline("a", ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(0))))
-    b = Polyline("b", ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(2))))
+    a = Polyline("a", ((0, 0), (2, 0)), 1)
+    b = Polyline("b", ((1, 0), (1, 2)), 1)
     with pytest.raises(DegeneracyError):
         exact_crossings(PolylineSet((a, b)))
 
 
 def test_degeneracy_collinear_overlap_is_an_error():
-    a = Polyline("a", ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(0))))
-    b = Polyline("b", ((Fraction(1), Fraction(0)), (Fraction(3), Fraction(0))))
+    a = Polyline("a", ((0, 0), (2, 0)), 1)
+    b = Polyline("b", ((1, 0), (3, 0)), 1)
     with pytest.raises(DegeneracyError):
         exact_crossings(PolylineSet((a, b)))
 
 
 def test_segment_relation_proper_cross_point():
-    kind, point = segment_relation(
-        (Fraction(0), Fraction(0)),
-        (Fraction(2), Fraction(2)),
-        (Fraction(0), Fraction(2)),
-        (Fraction(2), Fraction(0)),
-    )
-    assert kind == "cross"
-    assert point == (Fraction(1), Fraction(1))
+    assert segment_relation((0, 0), (2, 2), (0, 2), (2, 0)) == ("cross", (Fraction(1), Fraction(1)))
+    # The points are ints over den, and so is the crossing point.
+    assert segment_relation((0, 0), (2, 2), (0, 2), (2, 0), 4) == ("cross", (Fraction(1, 4), Fraction(1, 4)))
 
 
 def test_svg_counts_s0():
@@ -203,6 +212,8 @@ def test_all_crossings_lie_inside_boxes(seed):
 
 
 def test_forward_pieces_disjoint_when_leaf_order_is_compatible():
+    """Checked in ``Fraction``s by the tests' own oracles, apart from the
+    integer kernels that the forward-disjointness property runs."""
     from foliage.relations import Direction, compare_left
 
     for seed in range(1, 16):
@@ -218,8 +229,8 @@ def test_forward_pieces_disjoint_when_leaf_order_is_compatible():
             assert tick is not None
             x = in_fractions(tick.x, lay.den)
             for a, b in itertools.combinations(sorted(orbs), 2):
-                ya = geometry.y_at(routed.by_orbit(a), x)
-                yb = geometry.y_at(routed.by_orbit(b), x)
+                ya = _y_at_by_fractions(routed.by_orbit(a).points, x)
+                yb = _y_at_by_fractions(routed.by_orbit(b).points, x)
                 if ya == yb:
                     continue
                 first, second = (a, b) if ya < yb else (b, a)
@@ -228,9 +239,9 @@ def test_forward_pieces_disjoint_when_leaf_order_is_compatible():
                     Direction.EQUIVALENT,
                 ):
                     continue
-                pa = geometry.clip_forward(routed.by_orbit(first), x)
-                pb = geometry.clip_forward(routed.by_orbit(second), x)
-                assert geometry.pieces_disjoint(pa, pb)
+                pa = _clip_by_fractions(routed.by_orbit(first).points, x)
+                pb = _clip_by_fractions(routed.by_orbit(second).points, x)
+                assert _oracle_disjoint(pa, pb)
 
 
 def _inside(box, point, den):

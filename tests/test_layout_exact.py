@@ -7,8 +7,10 @@ decimals, so they cannot see a change below 1e-6.  Here the sha256 covers
 ``Fraction``s and dict order included, over 604 scenarios: seeds 1..300 at
 default bounds and at 25/14/6, and chains of 2, 5, 40 and 80 domains.  The
 layout's coordinates are ints over its ``den``, read as ``Fraction``s
-through ``fraction_layout.in_fractions``; the digest was recorded when the
-layout held ``Fraction``s, before it placed each point only once.  The same
+through ``fraction_layout.in_fractions``, and each polyline is hashed in
+the form it then had, ``Polyline(orbit=..., points=...)`` with its
+``Fraction`` points; the digest was recorded when the layout held
+``Fraction``s, before it placed each point only once.  The same
 scenarios and a chain of 300 are laid out again by the layout as it was
 first written, in ``Fraction``s throughout (``fraction_layout.py``): every
 coordinate of every field must be an int, and read as a ``Fraction``, equal
@@ -23,11 +25,14 @@ import pytest
 import fraction_layout
 from foliage.decompose import reduce_scenario
 from foliage.generator import GeneratorConfig, generate_scenario
-from foliage.geometry import Layout, Polyline, PolylineSet, crossing_points, layout, route
+from foliage.geometry import Layout, PolylineSet, crossing_points, layout, route
 from test_geometry import _box_by_scan
 from test_realize import _chain
 
 LAYOUT_DIGEST = "208de4dd78b785a58ad098138758a5b0609355dfffc48f06da8a2b83ec846622"
+
+# A polyline as it was when the digest was recorded, for its ``repr``.
+FractionPolyline = dataclasses.make_dataclass("Polyline", ["orbit", "points"], frozen=True)
 
 
 def _scenarios():
@@ -54,7 +59,8 @@ def test_exact_layouts_are_pinned():
             lay.ticks,
             lay.bounds,
         )
-        fields = (*fraction_layout.in_fractions(placed, lay.den), route(s, r, lay).polylines)
+        polylines = tuple(FractionPolyline(p.orbit, p.points) for p in route(s, r, lay).polylines)
+        fields = (*fraction_layout.in_fractions(placed, lay.den), polylines)
         h.update(repr(fields).encode("utf-8"))
         count += 1
     assert count == 604
@@ -113,7 +119,7 @@ def test_the_integer_layout_equals_the_fraction_oracle(part):
                 assert list(got) == list(expected), name
         routed = route(s, r, fast)
         # The integer hand-off and a set built from the same points in Fractions.
-        again = PolylineSet(tuple(Polyline(p.orbit, p.points) for p in routed.polylines))
+        again = PolylineSet(tuple(fraction_layout.polyline(p.orbit, p.points) for p in routed.polylines))
         assert crossing_points(routed) == crossing_points(again)
         assert routed.den % again.den == 0
 
