@@ -38,11 +38,11 @@ from .relations import (
     RelationVerdict,
     TieRankError,
     adaptive_order,
-    all_pair_relations,
     classic_from_verdicts,
     classic_transverse,
     compare_left,
     compare_right,
+    met_pair_relations,
     minus_asymptotic,
     pair_relations,
     plus_asymptotic,
@@ -56,7 +56,6 @@ from .realize import (
     PortPlan,
     boundary_order,
     crossing_matrix,
-    ends_interleave,
     interleaving_matrix,
     one_sided_order,
     one_sided_order_right,

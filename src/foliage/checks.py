@@ -452,6 +452,7 @@ def run_check(
 ) -> CheckReport:
     if n_cases < 1:
         raise ValueError("n_cases must be at least 1")
+    replace(cfg, seed=cfg.seed + n_cases - 1)  # the last case's seed must be valid too, before any case runs
     props = tuple(properties) if properties is not None else PROPERTIES
     start = time.monotonic()
     passes = {name: 0 for name, _fn in props}

@@ -10,13 +10,14 @@ failures) are present or stdout closes before the output is written, and
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
-import itertools
 import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from . import geometry, realize, relations
 from .checks import run_check
@@ -133,74 +134,78 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _text(value) -> str:
+    """A value as the plain-text outputs print it: booleans in lower case."""
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 def _pair_line(s: Scenario, a: str, b: str) -> str:
     p = relations.pair_relations(s, a, b)
-    weak = relations.weak_from_verdicts(p.left, p.right)
-    return f"L: {p.left}; R: {p.right}; weak: {str(weak).lower()}"
+    return f"L: {p.left}; R: {p.right}; weak: {_text(relations.weak_from_verdicts(p.left, p.right))}"
 
 
-# The fields of a ``relations --json`` row, in the order the canonical
-# writer puts them (sorted keys; "a" and "b" are the two ids of "pair").
-_ROW_FIELDS = ("backward_asymptotic", "classic", "forward_asymptotic", "left", "a", "b", "right", "weak")
-_MARKS = tuple("\0" + f for f in _ROW_FIELDS)
+def _relations_row(p: relations.PairRelations) -> dict:
+    """A pair's ``relations`` row: its record, with the verdicts as text, and both transversality flags."""
+    weak, classic = relations.weak_from_verdicts(p.left, p.right), relations.classic_from_verdicts(p.left, p.right)
+    return {**p._asdict(), "left": str(p.left), "right": str(p.right), "weak": weak, "classic": classic}
 
 
-def _row_values(a: str, b: str, p: relations.PairRelations) -> tuple:
-    """The values of a pair's row, in ``_ROW_FIELDS`` order."""
-    weak = relations.weak_from_verdicts(p.left, p.right)
-    classic = relations.classic_from_verdicts(p.left, p.right)
-    return (p.backward_asymptotic, classic, p.forward_asymptotic, str(p.left), a, b, str(p.right), weak)
+# How one pair table is written: a row template with a ``%(field)s`` per
+# field, the ids being ``a`` and ``b``; a blank-pair template, for a pair with
+# no record, whose only ``%`` are the two ids' ``%s``; the encoder of ids and
+# values; the head, row separator and tail; and the text of a table with no pair.
+_Form = collections.namedtuple("_Form", "row blank encode head sep tail empty", defaults=("", "", "", ""))
 
 
-@functools.cache
-def _relations_template() -> tuple[str, str, str, str, str]:
-    """Head, row separator and tail of ``relations --json``, and two
-    ``%``-templates of a row: one with a ``%s`` per field, in
-    ``_ROW_FIELDS`` order, and one of a Disjoint pair with a ``%s`` per id.
-    All are cut from what ``dumps`` writes for sentinel rows, so
-    indentation and key order come from the canonical writer."""
+def _blank(row: str, values: dict, encode: Callable[[object], str]) -> str:
+    """``row`` filled with the values of a pair with no record, its ids left open."""
+    return row % {**{key: encode(value) for key, value in values.items()}, "a": "%s", "b": "%s"}
+
+
+def _json_form(blank: dict) -> _Form:
+    """``dumps({"pairs": rows})`` and a newline, for rows holding ``blank``'s
+    keys and ``"pair"``.  The parts are cut from what ``dumps`` writes for
+    sentinel rows, so the canonical writer sets indentation and key order."""
     head, sep, tail = dumps({"pairs": ["\0", "\0"]}).split(dumps("\0"))
-
-    def template(values: tuple) -> str:
-        row = dict(zip(_ROW_FIELDS, values))
-        row["pair"] = [row.pop("a"), row.pop("b")]
-        body = dumps({"pairs": [row]})[len(head) : -len(tail)].replace("%", "%%")
-        marks = [dumps(v) for v in values if v in _MARKS]
-        spots = [body.index(mark) for mark in marks]
-        if spots != sorted(spots):
-            raise AssertionError("relations row fields are out of the writer's order")
-        for mark in marks:
-            body = body.replace(mark, "%s")
-        return body
-
-    id_marks = _MARKS[_ROW_FIELDS.index("a")], _MARKS[_ROW_FIELDS.index("b")]
-    return head, sep, tail, template(_MARKS), template(_row_values(*id_marks, relations.DISJOINT_PAIR))
+    row = dumps({"pairs": [{**{key: "\0" + key for key in blank}, "pair": ["\0a", "\0b"]}]})[len(head) : -len(tail)]
+    for key in (*blank, "a", "b"):
+        row = row.replace(dumps("\0" + key), f"%({key})s")
+    encode = functools.lru_cache(maxsize=None, typed=True)(dumps)  # typed: True and 1 are written apart
+    return _Form(row, _blank(row, blank, encode), encode, head, sep, tail + "\n", dumps({"pairs": []}) + "\n")
 
 
-def _write_relations_json(s: Scenario) -> None:
-    """Write ``dumps({"pairs": rows})`` of the pair rows and a newline to
-    stdout, the head, each run of rows and the tail as they are made.  Each
-    row is filled into a template; each orbit id and each verdict is
-    encoded once.  Each run of Disjoint rows with the same ``a`` is one
-    ``join`` over the ``b`` ids."""
-    head, sep, tail, row, disjoint = _relations_template()
-    # ``dumps`` never writes a raw NUL, so this splits at the two ids.
-    d_head, d_mid, d_tail = (disjoint % ("\0", "\0")).split("\0")
-    encode = functools.cache(dumps)
-    out = sys.stdout
-    wrote = False
-    runs = itertools.groupby(relations.all_pair_relations(s), lambda r: (r[0], r[2] is relations.DISJOINT_PAIR))
-    for (a, is_disjoint), run in runs:
-        out.write(sep if wrote else head)
-        wrote = True
-        if is_disjoint:
-            opened = d_head + encode(a) + d_mid
-            out.write(opened)
-            out.write((d_tail + sep + opened).join(encode(b) for _a, b, _p in run))
-            out.write(d_tail)
-        else:
-            out.write(sep.join(row % tuple(map(encode, _row_values(a, b, p))) for a, b, p in run))
-    out.write((tail if wrote else dumps({"pairs": []})) + "\n")
+_RELATIONS_TEXT = "%(a)s,%(b)s L=%(left)s R=%(right)s +~=%(forward_asymptotic)s -~=%(backward_asymptotic)s "
+_RELATIONS_TEXT += "weak=%(weak)s classic=%(classic)s\n"
+
+
+def _write_pairs(ids: list[str], rows: Iterable[tuple[str, str, dict]], form: _Form) -> None:
+    """Write the table of every pair ``a < b`` of the sorted ``ids`` to
+    stdout.  ``rows`` yields ``(a, b, values)`` in id order for the pairs
+    that have a record; each run of other pairs with one ``a`` is filled
+    into the blank template by one ``join``.  The table goes out a run at a
+    time and is never held whole."""
+    out, encode = sys.stdout, form.encode
+    if len(ids) < 2:
+        out.write(form.empty)
+        return
+    blank_head, blank_mid, blank_tail = form.blank.split("%s")
+    names, at = list(map(encode, ids)), {o: i for i, o in enumerate(ids)}
+    rows = iter(rows)
+    row = next(rows, None)
+    sep = form.head
+    for i, a in enumerate(ids):
+        opened, start = blank_head + names[i] + blank_mid, i + 1
+        while start < len(ids):
+            stop = at[row[1]] if row is not None and row[0] == a else len(ids)
+            if start < stop:
+                out.write(sep + opened + (blank_tail + form.sep + opened).join(names[start:stop]) + blank_tail)
+                sep = form.sep
+            if stop < len(ids):
+                values = {key: encode(value) for key, value in row[2].items()}
+                out.write(sep + form.row % {**values, "a": names[i], "b": names[stop]})
+                sep, row = form.sep, next(rows, None)
+            start = stop + 1
+    out.write(form.tail)
 
 
 def _cmd_relations(args) -> int:
@@ -213,17 +218,10 @@ def _cmd_relations(args) -> int:
             return _usage_error("unknown orbit in --pair")
         print(_pair_line(s, a, b))
         return 0
-    if args.json:
-        _write_relations_json(s)
-        return 0
-    lines = []
-    for a, b, p in relations.all_pair_relations(s):
-        backward, classic, forward, left, _a, _b, right, weak = _row_values(a, b, p)
-        lines.append(
-            f"{a},{b} L={left} R={right} +~={str(forward).lower()} -~={str(backward).lower()} "
-            f"weak={str(weak).lower()} classic={str(classic).lower()}\n"
-        )
-    sys.stdout.write("".join(lines))
+    rows = ((a, b, _relations_row(p)) for a, b, p in relations.met_pair_relations(s))
+    blank = _relations_row(relations.DISJOINT_PAIR)
+    form = _json_form(blank) if args.json else _Form(_RELATIONS_TEXT, _blank(_RELATIONS_TEXT, blank, _text), _text)
+    _write_pairs(ids, rows, form)
     return 0
 
 
@@ -247,15 +245,9 @@ def _cmd_diagram(args) -> int:
         _write(args.chord, geometry.emit_chord_svg(geometry.chord_diagram(order)))
     ids = sorted(o.id for o in s.orbits)
     if matrix is not None:
-        # One lookup per pair; a pair that does not cross has no entry.
-        none = realize.PairEntry("", "", 0, None)
-        entries = [(a, b, matrix.entry(a, b) or none) for a, b in itertools.combinations(ids, 2)]
-        if args.json:
-            pairs = [{"pair": [a, b], "crossings": e.count, "witness": e.witness} for a, b, e in entries]
-            print(dumps({"pairs": pairs}))
-        else:
-            lines = (f"{a},{b} {e.count}" + (f" witness={e.witness}\n" if e.witness else "\n") for a, b, e in entries)
-            sys.stdout.write("".join(lines))
+        rows = ((e.a, e.b, {"crossings": e.count, "witness": e.witness}) for e in matrix.entries)
+        text = _Form("%(a)s,%(b)s %(crossings)s witness=%(witness)s\n", "%s,%s 0\n", _text)
+        _write_pairs(ids, rows, _json_form({"crossings": 0, "witness": None}) if args.json else text)
     else:
         if order is None:
             return _usage_error("boundary order requires at least one orbit")

@@ -330,18 +330,6 @@ def _edges(left_owner: dict[str, str], right_owner: dict[str, str]) -> tuple[tup
     return tuple((left_owner[leaf], leaf, right_owner[leaf]) for leaf in sorted(left_owner.keys() & right_owner.keys()))
 
 
-def derived_edges(s: Scenario) -> tuple[tuple[str, str, str], ...]:
-    """All triples (D, leaf, D') with leaf in left(D) and right(D')."""
-    left_owner: dict[str, str] = {}
-    right_owner: dict[str, str] = {}
-    for d in s.domains:
-        for leaf in d.left:
-            left_owner.setdefault(leaf, d.id)
-        for leaf in d.right:
-            right_owner.setdefault(leaf, d.id)
-    return _edges(left_owner, right_owner)
-
-
 def validate(s: Scenario) -> ValidationReport:
     """Check every model invariant; findings are data, never exceptions.
 

@@ -21,10 +21,10 @@ from .decompose import MaxDomain, ReducedStructure
 from .model import FoliageError, Scenario, index
 from .relations import (
     OrderedOrbitList,
-    all_pair_relations,
     beyond,
     chain_orders,
     leaf_keys,
+    met_pair_relations,
     sorted_by_key,
     weak_from_verdicts,
 )
@@ -275,17 +275,6 @@ def boundary_order(
     return BoundaryOrder(ends=tuple(ends))
 
 
-def ends_interleave(b: BoundaryOrder, a: str, c: str) -> bool:
-    """True when the two ends of one orbit separate the two ends of the other.
-
-    The pairwise definition, kept as the oracle for ``interleaving_matrix``.
-    """
-    positions = {end: i for i, end in enumerate(b.ends)}
-    pa = sorted((positions[(a, BACKWARD)], positions[(a, FORWARD)]))
-    inside = [p for p in (positions[(c, BACKWARD)], positions[(c, FORWARD)]) if pa[0] < p < pa[1]]
-    return len(inside) == 1
-
-
 def interleaving_matrix(b: BoundaryOrder) -> CrossingMatrix:
     """Pairs whose chords cross: exactly one end of one lies inside the other's span."""
     positions = {end: i for i, end in enumerate(b.ends)}
@@ -305,6 +294,6 @@ def weak_matrix(s: Scenario) -> CrossingMatrix:
     """Pairwise weak-transverse indicator in the same matrix shape; a
     Disjoint pair is never weak, so only pairs that meet are compared."""
     entries = tuple(
-        PairEntry(a, b, 1, None) for a, b, p in all_pair_relations(s) if weak_from_verdicts(p.left, p.right)
+        PairEntry(a, b, 1, None) for a, b, p in met_pair_relations(s) if weak_from_verdicts(p.left, p.right)
     )
     return CrossingMatrix(orbits=tuple(sorted(o.id for o in s.orbits)), entries=entries)

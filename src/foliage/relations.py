@@ -12,11 +12,11 @@ both asymptotic flags from one common subpath, kept per ordered pair on the
 scenario's index.  The sided comparisons, asymptotic and transversality
 tests and pairwise comparators below read fields of that record.
 
-``all_pair_relations`` is the one pass over every pair ``a < b`` in id
-order; the ``relations`` command and ``realize.weak_matrix`` read it.  Only
-the pairs that share a skeleton domain are compared.  Every other pair has
-no common subpath, so it is Disjoint on both ends and asymptotic on
-neither: it gets the shared ``DISJOINT_PAIR`` without a subpath lookup.
+``met_pair_relations`` is the one pass over the pairs ``a < b`` that share
+a skeleton domain, in id order; the ``relations`` command and
+``realize.weak_matrix`` read it.  Every other pair has no common subpath,
+so it is Disjoint on both ends and asymptotic on neither: its record is the
+shared ``DISJOINT_PAIR``, which only the table writer fills in.
 
 Orders are sorts by key.  ``side_key(idx, o, domain, step)`` walks o's path
 away from ``domain`` and emits ``2*rank+1`` per leaf crossed and ``2*cut``
@@ -206,20 +206,18 @@ def minus_asymptotic(s: Scenario, a: str, b: str) -> bool:
     return pair_relations(s, a, b).backward_asymptotic
 
 
-def all_pair_relations(s: Scenario) -> Iterator[tuple[str, str, PairRelations]]:
-    """``(a, b, pair_relations(s, a, b))`` for every pair of orbit ids
-    ``a < b``, in id order.  Only pairs that share a skeleton domain are
-    compared; every other pair is Disjoint without a subpath lookup."""
+def met_pair_relations(s: Scenario) -> Iterator[tuple[str, str, PairRelations]]:
+    """``(a, b, pair_relations(s, a, b))`` for the pairs of orbit ids
+    ``a < b`` that share a skeleton domain, in id order; every other pair
+    is ``DISJOINT_PAIR``."""
     idx = index(s)
     partners: dict[str, set[str]] = {o: set() for o in idx.orbit_by_id}
     for orbits in idx.domain_orbits.values():
         for o in orbits:
             partners[o].update(orbits)
-    ids = sorted(partners)
-    for i, a in enumerate(ids):
-        met = partners[a]
-        for b in ids[i + 1 :]:
-            yield a, b, pair_relations(s, a, b) if b in met else DISJOINT_PAIR
+    for a in sorted(partners):
+        for b in sorted(b for b in partners[a] if b > a):
+            yield a, b, pair_relations(s, a, b)
 
 
 def weak_from_verdicts(left: RelationVerdict, right: RelationVerdict) -> bool:

@@ -4,10 +4,11 @@ import time
 
 import pytest
 
+from foliage import checks
 from foliage.checks import PROPERTIES, _Context, _strict_total, run_check, shrink
 from foliage.cli import main
 from foliage.generator import GeneratorConfig
-from foliage.model import FIXTURE_NAMES, fixture, parse_scenario
+from foliage.model import FIXTURE_NAMES, FoliageError, fixture, parse_scenario
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -40,6 +41,14 @@ def test_run_check_report_is_deterministic():
     assert a.render_text() == b.render_text()
     assert a.render_json() == b.render_json()
     assert a.ok
+
+
+def test_a_last_seed_past_64_bits_raises_before_any_case_runs(monkeypatch):
+    generated = []
+    monkeypatch.setattr(checks, "generate_scenario", lambda cfg: generated.append(cfg.seed))
+    with pytest.raises(FoliageError, match="^seed must fit in 64 bits$"):
+        run_check(GeneratorConfig(seed=2**64 - 1), 2)
+    assert generated == []
 
 
 def test_failing_seed_reproduces_and_shrinks():

@@ -19,6 +19,18 @@ from foliage.model import (
 )
 
 
+def derived_edges(s):
+    """All triples (D, leaf, D') with leaf in left(D) and right(D'), from
+    the first owner of each leaf: the reference for ``ScenarioIndex.edges``."""
+    left_owner, right_owner = {}, {}
+    for d in s.domains:
+        for leaf in d.left:
+            left_owner.setdefault(leaf, d.id)
+        for leaf in d.right:
+            right_owner.setdefault(leaf, d.id)
+    return model._edges(left_owner, right_owner)
+
+
 def test_parse_smallest_document():
     s = parse_scenario(fixture_text("S0"))
     assert len(s.domains) == 1
@@ -148,8 +160,6 @@ def test_validation_is_order_independent(seed):
 
 
 def test_every_derived_edge_has_one_left_and_one_right_owner():
-    from foliage.model import derived_edges
-
     s = fixture("S2")
     lefts = {leaf: d.id for d in s.domains for leaf in d.left}
     rights = {leaf: d.id for d in s.domains for leaf in d.right}
@@ -160,7 +170,6 @@ def test_every_derived_edge_has_one_left_and_one_right_owner():
 
 def test_index_edges_equal_derived_edges():
     from foliage.generator import GeneratorConfig, generate_scenario
-    from foliage.model import derived_edges
 
     generated = [generate_scenario(GeneratorConfig(seed=seed)) for seed in range(1, 31)]
     for s in [fixture(name) for name in FIXTURE_NAMES] + generated:

@@ -1,7 +1,7 @@
 """Extreme inputs through ``cli.main``: a seeded family of broken scenarios.
 
 Generated scenarios at 8/6/3 each get the seven mutations below, one at a
-time, and every mutant runs under five commands.  Every run must end in a
+time, and every mutant runs under seven commands.  Every run must end in a
 documented exit code (0, 1 or 2); no exception may escape ``main``.
 """
 
@@ -76,7 +76,9 @@ MUTATIONS = (_reset_cuts, _equal_tie_ranks, _truncate_path, _reverse_path, _shuf
 COMMANDS = (
     ("validate",),
     ("decompose", "--json"),
+    ("relations",),
     ("relations", "--json"),
+    ("diagram", "--json"),
     ("diagram", "--svg", "{svg}", "--chord", "{chord}"),
     ("diagram", "--format", "boundary"),
 )

@@ -1,15 +1,16 @@
-"""The pair record, the sparse pair pass and the ``relations --json`` row
-template.
+"""The pair record, the sparse pair pass and the pair-table writer.
 
 The functions that read one pair's ``pair_relations`` record are checked
 against each end computed alone, as they were before the record (the
 common subpath, then ``_verdict`` at one of its ends, or the equal-end and
 equal-start flags), on every ordered pair of a fresh copy of each scenario.
-``relations.all_pair_relations`` compares only the pairs that share a
+``relations.met_pair_relations`` yields only the pairs that share a
 skeleton domain; it is checked against ``pair_relations`` on every pair of
-a fresh copy of each scenario.  ``relations`` output is checked against the
-row dicts written by ``dumps`` (the JSON) and formatted one by one (the
-text), and ``weak_matrix`` against the all-pairs ``weak_transverse`` loop.
+a fresh copy of each scenario, each pair it leaves out being
+``DISJOINT_PAIR``.  The ``relations`` and ``diagram`` tables are checked
+against row dicts written by ``dumps`` (the JSON) and formatted one by one
+(the text), one per pair, and ``weak_matrix`` against the all-pairs
+``weak_transverse`` loop.
 """
 
 import functools
@@ -24,7 +25,7 @@ from foliage.generator import GeneratorConfig, generate_scenario
 from foliage.decompose import common_subpath, reduce_scenario
 from foliage.model import FIXTURE_NAMES, FoliageError, Orbit, Scenario, SkeletonDomain, dumps, emit_scenario, fixture, index
 from foliage.relations import Clause, Direction, RelationVerdict, TieRankError
-from foliage.realize import weak_matrix
+from foliage.realize import PairEntry, crossing_matrix, weak_matrix
 from test_realize import _chain
 from test_relations import _through_one_domain
 
@@ -175,10 +176,16 @@ def test_the_pair_record_equals_each_end_computed_alone(family):
 def test_the_sparse_pass_equals_pair_relations_on_every_pair(family):
     for name, s in _family(family).items():
         oracle = _fresh(s)
-        got = list(relations.all_pair_relations(s))
-        assert [(a, b) for a, b, _p in got] == list(itertools.combinations(sorted(o.id for o in s.orbits), 2)), name
-        for a, b, p in got:
-            assert p == relations.pair_relations(oracle, a, b), (name, a, b)
+        yielded = [((a, b), p) for a, b, p in relations.met_pair_relations(s)]
+        got = dict(yielded)
+        pairs = list(itertools.combinations(sorted(o.id for o in s.orbits), 2))
+        assert [pair for pair, _p in yielded] == [pair for pair in pairs if pair in got], name
+        for a, b in pairs:
+            want = relations.pair_relations(oracle, a, b)
+            if (a, b) in got:
+                assert got[(a, b)] == want, (name, a, b)
+            else:
+                assert want is relations.DISJOINT_PAIR, (name, a, b)
 
 
 @pytest.mark.parametrize(
@@ -196,8 +203,9 @@ def test_pairs_that_share_no_domain_reach_no_subpath_lookup(monkeypatch, family,
         return real(s, a, b)
 
     monkeypatch.setattr(relations, "common_subpath", recording)
-    pairs = [(a, b) for a, b, _p in relations.all_pair_relations(s)]
-    assert looked_up == [(a, b) for a, b in pairs if _meets(s, a, b)]
+    pairs = [(a, b) for a, b, _p in relations.met_pair_relations(s)]
+    ids = sorted(o.id for o in s.orbits)
+    assert looked_up == pairs == [(a, b) for a, b in itertools.combinations(ids, 2) if _meets(s, a, b)]
 
 
 def _rows_oracle(s):
@@ -228,11 +236,15 @@ def _text_oracle(rows):
     )
 
 
-def _relations_output(tmp_path, capsys, s, *flags):
+def _output(tmp_path, capsys, command, s, *flags):
     path = tmp_path / "scenario.json"
     path.write_text(emit_scenario(s), encoding="utf-8")
-    assert main(["relations", str(path), *flags]) == 0
+    assert main([command, str(path), *flags]) == 0
     return capsys.readouterr().out
+
+
+def _relations_output(tmp_path, capsys, s, *flags):
+    return _output(tmp_path, capsys, "relations", s, *flags)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -248,6 +260,36 @@ def test_odd_orbit_ids_come_back_from_the_json(tmp_path, capsys):
     pairs = [tuple(row["pair"]) for row in json.loads(out)["pairs"]]
     assert pairs == list(itertools.combinations(sorted(ODD_IDS), 2))
     assert out.isascii()
+
+
+def _matrix_oracle(s):
+    """The ``diagram`` JSON and text that the per-pair ``matrix.entry``
+    loop printed before the pair-table writer."""
+    matrix = crossing_matrix(s, reduce_scenario(s))
+    none = PairEntry("", "", 0, None)
+    ids = sorted(o.id for o in s.orbits)
+    entries = [(a, b, matrix.entry(a, b) or none) for a, b in itertools.combinations(ids, 2)]
+    pairs = [{"pair": [a, b], "crossings": e.count, "witness": e.witness} for a, b, e in entries]
+    lines = (f"{a},{b} {e.count}" + (f" witness={e.witness}\n" if e.witness else "\n") for a, b, e in entries)
+    return dumps({"pairs": pairs}) + "\n", "".join(lines)
+
+
+def _first_difference(got, want):
+    """None when the texts are equal, else the first line where they part.
+    pytest's own diff of two texts of megabytes takes minutes."""
+    if got == want:
+        return None
+    lines = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+    return next((i, g, w) for i, (g, w) in enumerate(lines) if g != w)
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("chain300",))
+def test_diagram_matrix_output_equals_the_per_pair_entry_oracle(tmp_path, capsys, family):
+    named = {"chain300": _chain(300)} if family == "chain300" else _family(family)
+    for name, s in named.items():
+        want_json, want_text = _matrix_oracle(_fresh(s))
+        assert _first_difference(_output(tmp_path, capsys, "diagram", s, "--json"), want_json) is None, name
+        assert _first_difference(_output(tmp_path, capsys, "diagram", s), want_text) is None, name
 
 
 @pytest.mark.parametrize("family", FAMILIES)

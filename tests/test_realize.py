@@ -13,7 +13,6 @@ from foliage.realize import (
     all_port_plans,
     boundary_order,
     crossing_matrix,
-    ends_interleave,
     interleaving_matrix,
     one_sided_order,
     one_sided_order_right,
@@ -23,6 +22,17 @@ from foliage.realize import (
 from foliage.relations import Direction, compare_left, compare_right, standard_order
 
 from test_relations import s1_with_middle_leaf, s3_with_shared_exit
+
+
+def ends_interleave(b, a, c):
+    """True when the two ends of one orbit separate the two ends of the other.
+
+    The pairwise definition, kept as the oracle for ``interleaving_matrix``.
+    """
+    positions = {end: i for i, end in enumerate(b.ends)}
+    pa = sorted((positions[(a, BACKWARD)], positions[(a, FORWARD)]))
+    inside = [p for p in (positions[(c, BACKWARD)], positions[(c, FORWARD)]) if pa[0] < p < pa[1]]
+    return len(inside) == 1
 
 
 def _plan(name, mid):
