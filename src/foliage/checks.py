@@ -27,13 +27,10 @@ class _Context:
 
     def __post_init__(self):
         self.reduced = reduce_scenario(self.scenario)
-        self.plans = realize.all_port_plans(self.scenario, self.reduced)
-        self.crossings = realize.crossing_matrix(self.scenario, self.reduced, self.plans)
+        self.crossings = realize.crossing_matrix(self.scenario, self.reduced)
         self.weak = realize.weak_matrix(self.scenario)
-        self.boundary = (
-            realize.boundary_order(self.scenario, self.reduced, self.plans) if self.reduced.maxdomains else None
-        )
-        self.layout = geometry.layout(self.scenario, self.reduced, self.plans) if self.reduced.maxdomains else None
+        self.boundary = realize.boundary_order(self.scenario, self.reduced) if self.reduced.maxdomains else None
+        self.layout = geometry.layout(self.scenario, self.reduced) if self.reduced.maxdomains else None
         self.routed = (
             geometry.route(self.scenario, self.reduced, self.layout) if self.layout is not None else None
         )
@@ -146,8 +143,9 @@ def prop_restriction_consistency(ctx: _Context) -> list[str]:
     bad = []
     s = ctx.scenario
     idx = index(s)
+    plans = realize.all_port_plans(s)
     for m in ctx.reduced.maxdomains:
-        exit_seq = ctx.plans[m.id].exit_seq
+        exit_seq = plans[m.id].exit_seq
         by_leaf: dict[str, list[str]] = {}
         for o in exit_seq:
             leaf = relations.beyond(idx, idx.orbit_by_id[o], m.chain[-1], 1)
@@ -163,10 +161,11 @@ def prop_restriction_consistency(ctx: _Context) -> list[str]:
 def prop_handoff(ctx: _Context) -> list[str]:
     bad = []
     s = ctx.scenario
+    plans = realize.all_port_plans(s)
     for up, leaf, down in ctx.reduced.forest_edges:
         carried = set(index(s).leaf_orbits[leaf])
-        upper = [o for o in ctx.plans[up].exit_seq if o in carried]
-        lower = [o for o in ctx.plans[down].entry_seq if o in carried]
+        upper = [o for o in plans[up].exit_seq if o in carried]
+        lower = [o for o in plans[down].entry_seq if o in carried]
         std = list(relations.standard_order(s, leaf).order)
         if upper != std or lower != std:
             bad.append(f"hand-off through {leaf} differs from the standard order")

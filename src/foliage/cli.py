@@ -229,14 +229,14 @@ def _cmd_diagram(args) -> int:
     s = _load(args.file)
     _exit_on_findings(s)
     r = reduce_scenario(s)
-    plans = realize.all_port_plans(s, r)
-    # Only the matrix format reads the crossing matrix.
-    matrix = realize.crossing_matrix(s, r, plans) if args.format == "matrix" else None
-    order = realize.boundary_order(s, r, plans) if r.maxdomains else None
+    # Only the matrix format reads the crossing matrix, and only the chord
+    # diagram and the boundary format read the boundary order.
+    matrix = realize.crossing_matrix(s, r) if args.format == "matrix" else None
+    order = realize.boundary_order(s, r) if r.maxdomains and (args.chord or matrix is None) else None
     if args.svg:
-        if order is None:
+        if not r.maxdomains:
             return _usage_error("SVG diagram requires at least one orbit")
-        lay = geometry.layout(s, r, plans)
+        lay = geometry.layout(s, r)
         routed = geometry.route(s, r, lay)
         _write(args.svg, geometry.emit_svg(lay, routed, roles=r))
     if args.chord:

@@ -47,11 +47,9 @@ from .realize import (
     BoundaryOrder,
     CrossingMatrix,
     PairEntry,
-    PortPlan,
     SideItem,
     all_port_plans,
     forest_components,
-    interleaving_matrix,
     run_nested,
 )
 
@@ -218,14 +216,14 @@ def _hull(a: tuple, b: tuple) -> tuple[int, int, int, int, int]:
     return min(ax0, bx0), min(ay0, by0), max(ax1, bx1), max(ay1, by1), d
 
 
-def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]] = None) -> Layout:
+def layout(s: Scenario, r: ReducedStructure) -> Layout:
     """Deterministic nested embedding of the reduced forest.
 
     Each box's subtree is built in the box's own frame, which keeps only its
     bounds and, per child, the child's map into it.  When the walk ends the
     maps are composed top-down and every point is placed once.
     """
-    plans = plans if plans is not None else all_port_plans(s, r)
+    plans = all_port_plans(s)
     edge_by_leaf = {leaf: (a, leaf, b) for a, leaf, b in r.forest_edges}
     # Everything drawn, in local coordinates over a unit of its frame, in the order the layout lists it.
     boxes: list[tuple[_Frame, str]] = []
@@ -635,7 +633,6 @@ class ChordDiagram:
     ends: tuple[tuple[str, str], ...]
     points: tuple[tuple[float, float], ...]
     chords: tuple[tuple[str, int, int], ...]
-    interleaving: CrossingMatrix
 
 
 def chord_diagram(b: BoundaryOrder) -> ChordDiagram:
@@ -648,7 +645,7 @@ def chord_diagram(b: BoundaryOrder) -> ChordDiagram:
     position = {end: i for i, end in enumerate(b.ends)}
     orbits = sorted({orbit for orbit, _kind in b.ends})
     chords = tuple((o, position[(o, BACKWARD)], position[(o, FORWARD)]) for o in orbits)
-    return ChordDiagram(ends=b.ends, points=points, chords=chords, interleaving=interleaving_matrix(b))
+    return ChordDiagram(ends=b.ends, points=points, chords=chords)
 
 
 def emit_chord_svg(cd: ChordDiagram) -> str:

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:
     from .decompose import ReducedStructure
+    from .realize import PortPlan
     from .relations import PairRelations
 
 
@@ -434,9 +435,10 @@ class ScenarioIndex:
         findings.sort(key=lambda f: (f.code, f.message))
         self.findings = tuple(findings)
         # Filled on first use: the relations of each ordered pair compared
-        # (``relations.pair_relations``) and the reduced structure.
+        # (``relations.pair_relations``), the reduced structure and its port plans.
         self.pairs: dict[tuple[str, str], PairRelations] = {}
         self.reduced: Optional[ReducedStructure] = None
+        self.plans: Optional[dict[str, PortPlan]] = None
 
     def orbit(self, oid: str) -> Orbit:
         """The orbit with id ``oid``; an unknown id raises FoliageError."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .decompose import MaxDomain, ReducedStructure
+from .decompose import MaxDomain, ReducedStructure, reduce_scenario
 from .model import FoliageError, Scenario, index
 from .relations import (
     OrderedOrbitList,
@@ -90,7 +90,7 @@ class RealizationError(FoliageError):
     """A pair accumulated more than one crossing; indicates a bug."""
 
 
-def port_plan(s: Scenario, r: ReducedStructure, m: MaxDomain) -> PortPlan:
+def port_plan(s: Scenario, m: MaxDomain) -> PortPlan:
     idx = index(s)
     entry_seq, exit_seq = chain_orders(s, m)
     return PortPlan(
@@ -102,8 +102,12 @@ def port_plan(s: Scenario, r: ReducedStructure, m: MaxDomain) -> PortPlan:
     )
 
 
-def all_port_plans(s: Scenario, r: ReducedStructure) -> dict[str, PortPlan]:
-    return {m.id: port_plan(s, r, m) for m in r.maxdomains}
+def all_port_plans(s: Scenario) -> dict[str, PortPlan]:
+    """The port plan of each maximal domain by id, kept on the scenario's index."""
+    idx = index(s)
+    if idx.plans is None:
+        idx.plans = {m.id: port_plan(s, m) for m in reduce_scenario(s).maxdomains}
+    return idx.plans
 
 
 @dataclass(frozen=True)
@@ -139,11 +143,9 @@ def _side_items(seq: tuple[str, ...], group_of) -> tuple[SideItem, ...]:
     return tuple(items)
 
 
-def crossing_matrix(
-    s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]] = None
-) -> CrossingMatrix:
+def crossing_matrix(s: Scenario, r: ReducedStructure) -> CrossingMatrix:
     """Sum, over maximal domains, the entry/exit order inversions per pair."""
-    plans = plans if plans is not None else all_port_plans(s, r)
+    plans = all_port_plans(s)
     counts: dict[tuple[str, str], int] = {}
     witnesses: dict[tuple[str, str], str] = {}
     for m in r.maxdomains:
@@ -247,13 +249,11 @@ def forest_components(r: ReducedStructure) -> tuple[tuple[str, ...], ...]:
     return tuple(comps)
 
 
-def boundary_order(
-    s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]] = None
-) -> BoundaryOrder:
+def boundary_order(s: Scenario, r: ReducedStructure) -> BoundaryOrder:
     """Outer-face walk of the box embedding, trees concatenated by root id."""
     if not r.maxdomains:
         raise FoliageError("boundary order requires a non-empty forest")
-    plans = plans if plans is not None else all_port_plans(s, r)
+    plans = all_port_plans(s)
     cycles = {m.id: box_cycle(plans[m.id]) for m in r.maxdomains}
     ends: list[tuple[str, str]] = []
 

@@ -22,7 +22,7 @@ from typing import Optional
 from foliage.decompose import ReducedStructure
 from foliage.geometry import BOX_WIDTH, BoxRect, Corridor, Point, Polyline, Tick
 from foliage.model import FoliageError, Scenario
-from foliage.realize import PortPlan, SideItem, all_port_plans, forest_components, run_nested
+from foliage.realize import SideItem, all_port_plans, forest_components, run_nested
 
 WHISKER = Fraction(1, 2)
 
@@ -109,14 +109,14 @@ def _scale_factor(span: int, above: Fraction | int, below: Fraction | int) -> Fr
     return min(Fraction(1), Fraction(half, above + Fraction(span, 2)), Fraction(half, below + Fraction(span, 2)))
 
 
-def layout(s: Scenario, r: ReducedStructure, plans: Optional[dict[str, PortPlan]] = None) -> FractionLayout:
+def layout(s: Scenario, r: ReducedStructure) -> FractionLayout:
     """Deterministic nested embedding of the reduced forest.
 
     Each box's subtree is built in the box's own frame, which keeps only its
     bounds and, per child, the child's map into it.  When the walk ends the
     maps are composed top-down and every point is placed once.
     """
-    plans = plans if plans is not None else all_port_plans(s, r)
+    plans = all_port_plans(s)
     edge_by_leaf = {leaf: (a, leaf, b) for a, leaf, b in r.forest_edges}
     # Everything drawn, in local coordinates and in the order the layout lists it.
     boxes: list[tuple[_Frame, str]] = []

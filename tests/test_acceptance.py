@@ -102,7 +102,7 @@ def test_criterion_3_chord_law(realized):
     failures = []
     for seed, s, r, _lay, _routed in realized:
         order = realize.boundary_order(s, r)
-        inter = geometry.chord_diagram(order).interleaving
+        inter = realize.interleaving_matrix(order)
         if inter.as_dict() != realize.weak_matrix(s).as_dict():
             failures.append(f"seed {seed}: interleaving differs from weak matrix")
     _report(3, "chord-diagram interleaving equals the weak matrix", failures)

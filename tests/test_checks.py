@@ -83,20 +83,32 @@ def test_shrink_keeps_scenarios_valid():
     assert len(small.orbits) == 0
 
 
-def test_context_builds_port_plans_once(monkeypatch):
-    from foliage import realize
+def test_each_port_plan_is_built_once_per_scenario_object(monkeypatch):
+    from foliage import geometry, realize
+    from foliage.decompose import reduce_scenario
 
-    calls = []
-    plans = realize.all_port_plans
+    built = []
+    port_plan = realize.port_plan
 
-    def counting(s, r):
-        calls.append(s)
-        return plans(s, r)
+    def counting(s, m):
+        built.append(s)
+        return port_plan(s, m)
 
-    monkeypatch.setattr(realize, "all_port_plans", counting)
-    ctx = _Context(fixture("S2"))
-    assert ctx.boundary is not None and ctx.layout is not None
-    assert len(calls) == 1
+    monkeypatch.setattr(realize, "port_plan", counting)
+    s = fixture("S2")
+    ctx = _Context(s)
+    assert all(fn(ctx) == [] for _name, fn in PROPERTIES)
+    r = reduce_scenario(s)
+    realize.crossing_matrix(s, r)
+    realize.boundary_order(s, r)
+    geometry.layout(s, r)
+    n = len(r.maxdomains)
+    assert n > 1 and len(built) == n and all(b is s for b in built)
+    # An equal but distinct scenario holds its own index, so its own plans.
+    twin = fixture("S2")
+    assert twin == s and twin is not s
+    _Context(twin)
+    assert len(built) == 2 * n and all(b is twin for b in built[n:])
 
 
 def test_a_raising_property_is_a_shrunk_failure_not_an_abort():

@@ -9,7 +9,7 @@ from xml.dom import minidom
 
 import pytest
 
-from foliage import generator, geometry, model, realize
+from foliage import decompose, generator, geometry, model, realize
 from foliage.cli import _parser, main
 from foliage.model import emit_scenario, fixture_text
 from test_crossing_kernel import _numbers
@@ -262,25 +262,48 @@ def test_check_harness_detects_a_corrupted_property(capsys):
     assert "minimal failing scenario" in report.render_text()
 
 
+def _count_calls(monkeypatch, mod, name):
+    """Count calls to ``mod.name``, made through any foliage module that holds it."""
+    fn, calls = getattr(mod, name), []
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for key, m in list(sys.modules.items()):
+        if key == "foliage" or key.startswith("foliage."):
+            for attr, value in list(vars(m).items()):
+                if value is fn:
+                    monkeypatch.setattr(m, attr, counting)
+    return calls
+
+
 @pytest.mark.parametrize(
-    "flags",
+    "flags, orders",
     [
-        ["--format", "matrix"],
-        ["--format", "boundary", "--json"],
-        ["--format", "boundary", "--chord", "{tmp}/c.svg", "--svg", "{tmp}/d.svg"],
+        (["--format", "matrix"], 0),
+        (["--format", "matrix", "--svg", "{tmp}/d.svg"], 0),
+        (["--format", "matrix", "--json", "--svg", "{tmp}/d.svg", "--chord", "{tmp}/c.svg"], 1),
+        (["--format", "boundary", "--json"], 1),
+        (["--format", "boundary", "--chord", "{tmp}/c.svg", "--svg", "{tmp}/d.svg"], 1),
     ],
+    ids=["matrix", "matrix-svg", "matrix-json-svg-chord", "boundary-json", "boundary-chord-svg"],
 )
-def test_diagram_builds_port_plans_once(s2_path, tmp_path, capsys, monkeypatch, flags):
-    calls = []
-    plans = realize.all_port_plans
-
-    def counting(s, r):
-        calls.append(s)
-        return plans(s, r)
-
-    monkeypatch.setattr(realize, "all_port_plans", counting)
+def test_diagram_builds_each_port_plan_once_and_only_what_it_reads(
+    s2_path, tmp_path, capsys, monkeypatch, flags, orders
+):
+    plans = _count_calls(monkeypatch, realize, "port_plan")
+    boundary = _count_calls(monkeypatch, realize, "boundary_order")
+    interleaving = _count_calls(monkeypatch, realize, "interleaving_matrix")
     assert main(["diagram", s2_path] + [f.format(tmp=tmp_path) for f in flags]) == 0
-    assert len(calls) == 1
+    # Only --format boundary and --chord read the boundary order; no output
+    # reads the chords' interleaving matrix.
+    assert len(boundary) == orders
+    assert interleaving == []
+    maxdomains = decompose.reduce_scenario(model.fixture("S2")).maxdomains
+    assert len(maxdomains) > 1
+    assert sorted(m.id for _s, m in plans) == sorted(m.id for m in maxdomains)
+    assert len({id(s) for s, _m in plans}) == 1
 
 
 def test_repeated_main_calls_match_fresh_ones(s2_path, capsys):
@@ -386,7 +409,15 @@ def test_chord_without_orbits_is_usage_error(tmp_path, capsys):
     assert "chord diagram requires at least one orbit" in capsys.readouterr().err
     assert main(["diagram", str(path), "--svg", str(tmp_path / "d.svg")]) == 2
     assert capsys.readouterr().err == "foliage: SVG diagram requires at least one orbit\n"
-    assert not (tmp_path / "d.svg").exists()
+    # Given together, the SVG error comes first, then the chord one, then the boundary one.
+    for flags, error in (
+        (["--format", "matrix", "--chord", "c.svg", "--svg", "d.svg"], "SVG diagram"),
+        (["--format", "boundary", "--chord", "c.svg"], "chord diagram"),
+        (["--format", "boundary", "--json"], "boundary order"),
+    ):
+        assert main(["diagram", str(path)] + [str(tmp_path / f) if f.endswith(".svg") else f for f in flags]) == 2
+        assert capsys.readouterr() == ("", f"foliage: {error} requires at least one orbit\n")
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def test_non_utf8_scenario_is_a_parse_finding(tmp_path, capsys):

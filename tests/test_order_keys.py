@@ -85,7 +85,7 @@ def _order_pairs(s):
     for m in r.maxdomains:
         yield (
             f"entry sequence of {m.id}",
-            lambda m=m: port_plan(s, r, m).entry_seq,
+            lambda m=m: port_plan(s, m).entry_seq,
             lambda m=m: _cmp_sorted(m.crossers, lambda a, b: relations.standard_cmp(s, a, b)),
         )
         yield (

@@ -38,7 +38,7 @@ def ends_interleave(b, a, c):
 def _plan(name, mid):
     s = fixture(name)
     r = reduce_scenario(s)
-    return port_plan(s, r, r.maxdomain(mid))
+    return port_plan(s, r.maxdomain(mid))
 
 
 def test_port_plan_s1():
@@ -150,7 +150,7 @@ def test_crossing_matrix_equals_weak_matrix(seed):
 def test_handoff_consistency(seed):
     s = generate_scenario(GeneratorConfig(seed=seed))
     r = reduce_scenario(s)
-    plans = all_port_plans(s, r)
+    plans = all_port_plans(s)
     idx = index(s)
     for up, leaf, down in r.forest_edges:
         carried = set(idx.leaf_orbits[leaf])
@@ -177,7 +177,7 @@ def test_entry_seq_is_a_permutation_of_crossers():
         s = fixture(name)
         r = reduce_scenario(s)
         for m in r.maxdomains:
-            plan = port_plan(s, r, m)
+            plan = port_plan(s, m)
             assert sorted(plan.entry_seq) == sorted(m.crossers)
             assert sorted(plan.exit_seq) == sorted(m.crossers)
 
