@@ -21,13 +21,10 @@ from .model import (
     validate,
 )
 from .decompose import (
-    CrossedSet,
     MaxDomain,
     ReducedStructure,
     Roles,
     common_subpath,
-    crossed_set,
-    domain_roles,
     reduce_scenario,
 )
 from .relations import (

@@ -15,7 +15,7 @@ from functools import cached_property, cmp_to_key
 from typing import Callable, Iterable, Optional
 
 from . import geometry, realize, relations
-from .decompose import common_subpath, crossed_set, reduce_scenario
+from .decompose import common_subpath, reduce_scenario
 from .model import Scenario, dumps, emit_scenario, index, parse_scenario, validate
 from .generator import GeneratorConfig, generate_scenario
 from .relations import Direction
@@ -152,7 +152,8 @@ def prop_restriction_consistency(ctx: _Context) -> list[str]:
             if leaf is not None:
                 by_leaf.setdefault(leaf, []).append(o)
         for leaf, group in by_leaf.items():
-            std = [o for o in relations.standard_order(s, leaf).order if o in set(group)]
+            members = set(group)
+            std = [o for o in relations.standard_order(s, leaf).order if o in members]
             if std != group:
                 bad.append(f"adaptive vs standard mismatch on leaf {leaf} of {m.id}")
     return bad
@@ -307,9 +308,8 @@ def prop_decompose_invariants(ctx: _Context) -> list[str]:
         if (ab is None) != (ba is None) or (ab is not None and ab.chain != ba.chain):
             bad.append(f"common subpath of {a},{b} is not symmetric")
     for oid in ids:
-        cs = crossed_set(s, oid)
         mid_seq = []
-        for d in cs.domains:
+        for d in idx.orbit(oid).domains:
             if not mid_seq or mid_seq[-1] != membership[d]:
                 mid_seq.append(membership[d])
         if len(set(mid_seq)) != len(mid_seq):

@@ -1,4 +1,4 @@
-"""Crossed-leaf sets, common subpaths and the maximal-domain decomposition.
+"""Common subpaths and the maximal-domain decomposition.
 
 A connecting leaf between two skeleton domains is absorbed into a merged
 maximal domain exactly when the orbit sets crossing the leaf and both of
@@ -13,17 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .model import FoliageError, Scenario, _UnionFind, index
-
-
-@dataclass(frozen=True)
-class CrossedSet:
-    """An orbit's path split into its domain and crossing-leaf sequences."""
-
-    orbit: str
-    domains: tuple[str, ...]
-    crossings: tuple[str, ...]
-    alpha: str
-    omega: str
 
 
 @dataclass(frozen=True)
@@ -104,11 +93,6 @@ def _by_maxdomain(table: dict, mid: str):
         return table[mid]
     except KeyError:
         raise FoliageError(f"unknown maximal domain {mid!r}") from None
-
-
-def crossed_set(s: Scenario, orbit_id: str) -> CrossedSet:
-    o = index(s).orbit(orbit_id)
-    return CrossedSet(orbit=o.id, domains=o.domains, crossings=o.crossings, alpha=o.alpha, omega=o.omega)
 
 
 def common_subpath(s: Scenario, a: str, b: str) -> Optional[CommonSubpath]:
@@ -223,7 +207,3 @@ def _reduce(s: Scenario) -> ReducedStructure:
         forest_edges=forest_edges,
         roles=tuple(roles),
     )
-
-
-def domain_roles(r: ReducedStructure, mid: str) -> Roles:
-    return r.roles_of(mid)

@@ -435,8 +435,9 @@ class ScenarioIndex:
         findings.sort(key=lambda f: (f.code, f.message))
         self.findings = tuple(findings)
         # Filled on first use: the relations of each ordered pair compared
-        # (``relations.pair_relations``), the reduced structure and its port plans.
+        # (``relations.pair_relations``), the orbits' walks, the reduced structure and its port plans.
         self.pairs: dict[tuple[str, str], PairRelations] = {}
+        self.walks: Optional[dict[str, tuple[tuple[int, ...], tuple[int, ...]]]] = None
         self.reduced: Optional[ReducedStructure] = None
         self.plans: Optional[dict[str, PortPlan]] = None
 

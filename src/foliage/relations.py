@@ -18,13 +18,15 @@ a skeleton domain, in id order; the ``relations`` command and
 so it is Disjoint on both ends and asymptotic on neither: its record is the
 shared ``DISJOINT_PAIR``, which only the table writer fills in.
 
-Orders are sorts by key.  ``side_key(idx, o, domain, step)`` walks o's path
-away from ``domain`` and emits ``2*rank+1`` per leaf crossed and ``2*cut``
-where o ends: left ranks and the exit cut forward (``step=+1``), right ranks
-and the entry cut back (``step=-1``).  Orbits through ``domain`` compare by
-these keys as ``compare_left`` and ``compare_right`` order them.  With rkey
-walking back from the first domain and lkey on from the last, the standard
-order sorts by ``(rkey, lkey, tie_rank)``, the adaptive order by
+Verdicts and orders read one walk per orbit and direction, kept on the
+index (``orbit_walks``): ``2*rank+1`` per leaf crossed, then ``2*cut``;
+left ranks and the exit cut forward, right ranks and the entry cut back.
+A verdict compares the entries just past the common subpath, and an order
+sorts by key: ``side_key(idx, o, domain, step)`` is o's walk from
+``domain``.  Orbits through ``domain`` compare by these keys as
+``compare_left`` and ``compare_right`` order them.  With rkey walking
+back from the first domain and lkey on from the last, the standard order
+sorts by ``(rkey, lkey, tie_rank)``, the adaptive order by
 ``(lkey[0], rkey, lkey, tie_rank)`` (``lkey[0]`` is the exit class) and the
 one-sided orders by ``(lkey, tie_rank, rkey)`` or its mirror.  Equal keys
 raise ``TieRankError``, naming the two orbits in id order.  ``standard_cmp``
@@ -127,41 +129,44 @@ def beyond(idx, o: Orbit, domain: str, step: int) -> str | None:
     return o.path[pos] if 0 <= pos < len(o.path) else None
 
 
+def orbit_walks(idx) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each orbit's walks by id, built for all orbits on first use: back (right
+    ranks, then the entry cut) and forward (left ranks, then the exit cut),
+    both in path order, so entry k of either lies just past domain k."""
+    if idx.walks is None:
+        left, right = idx.left_rank, idx.right_rank
+        idx.walks = {
+            o.id: (
+                (2 * o.entry_cut, *[2 * right[leaf] + 1 for leaf in o.path[1::2]]),
+                (*[2 * left[leaf] + 1 for leaf in o.path[1::2]], 2 * o.exit_cut),
+            )
+            for o in idx.orbit_by_id.values()
+        }
+    return idx.walks
+
+
 def side_key(idx, o: Orbit, domain: str, step: int) -> tuple[int, ...]:
-    """o's walk away from ``domain``: ``2*rank+1`` per leaf crossed (left
-    ranks forward, right ranks back), then ``2*cut`` where o ends (its exit
-    cut forward, its entry cut back)."""
-    pos = idx.domain_pos[o.id][domain]
-    if step > 0:
-        leaves, rank, cut = o.path[pos + 1 :: 2], idx.left_rank, o.exit_cut
-    else:
-        leaves, rank, cut = reversed(o.path[1:pos:2]), idx.right_rank, o.entry_cut
-    return (*(2 * rank[leaf] + 1 for leaf in leaves), 2 * cut)
+    """The slice of o's walk away from ``domain``, forward when ``step > 0``."""
+    k = idx.domain_pos[o.id][domain] >> 1
+    back, forward = orbit_walks(idx)[o.id]
+    return forward[k:] if step > 0 else back[k::-1]
 
 
 def _verdict(idx, oa: Orbit, ob: Orbit, domain: str, step: int) -> RelationVerdict:
     """The verdict at the end of the common subpath that ``domain`` closes
     (its last domain on the left, ``step=+1``; its first on the right), from
-    the leaves the orbits cross past it (None for an orbit that ends there)
-    and their terminal cuts."""
-    leaf_a, leaf_b = beyond(idx, oa, domain, step), beyond(idx, ob, domain, step)
-    if leaf_a is not None and leaf_a == leaf_b:
-        raise FoliageError(f"common subpath {'ended before' if step > 0 else 'started after'} a shared crossing")
-    if step > 0:
-        (first, second, equivalent), rank, cut_a, cut_b = _LEFT, idx.left_rank, oa.exit_cut, ob.exit_cut
-    else:
-        (first, second, equivalent), rank, cut_a, cut_b = _RIGHT, idx.right_rank, oa.entry_cut, ob.entry_cut
-    if leaf_a is not None and leaf_b is not None:
-        return first[0] if rank[leaf_a] < rank[leaf_b] else second[0]
-    if leaf_a is not None:
-        return first[1] if rank[leaf_a] < cut_b else second[2]
-    if leaf_b is not None:
-        return first[2] if rank[leaf_b] >= cut_a else second[1]
-    if cut_a < cut_b:
-        return first[3]
-    if cut_a > cut_b:
-        return second[3]
-    return equivalent
+    the two orbits' walk entries just past it."""
+    walks, pos, forward = orbit_walks(idx), idx.domain_pos, step > 0
+    ka = walks[oa.id][forward][pos[oa.id][domain] >> 1]
+    kb = walks[ob.id][forward][pos[ob.id][domain] >> 1]
+    first, second, equivalent = _LEFT if forward else _RIGHT
+    if ka == kb:
+        if ka & 1:
+            raise FoliageError(f"common subpath {'ended before' if forward else 'started after'} a shared crossing")
+        return equivalent
+    # Clause 1: two leaves; 2: only the lesser leaves; 3: only the greater; 4: two cuts.
+    lo, hi = (ka, kb) if ka < kb else (kb, ka)
+    return (first if ka < kb else second)[3 - 2 * (lo & 1) - (hi & 1)]
 
 
 def pair_relations(s: Scenario, a: str, b: str) -> PairRelations:

@@ -111,6 +111,37 @@ def test_each_port_plan_is_built_once_per_scenario_object(monkeypatch):
     assert len(built) == 2 * n and all(b is twin for b in built[n:])
 
 
+def test_each_orbit_walk_is_built_once_per_scenario_object(tmp_path, capsys, monkeypatch):
+    from foliage import relations
+    from foliage.model import fixture_text, validate
+
+    built = []
+    orbit_walks = relations.orbit_walks
+
+    def counting(idx):
+        if idx.walks is None:
+            built.append(idx)
+        return orbit_walks(idx)
+
+    monkeypatch.setattr(relations, "orbit_walks", counting)
+    path = tmp_path / "S2.json"
+    path.write_text(fixture_text("S2"), encoding="utf-8")
+    # Validating builds no walk, in the library or on the command line.
+    s = parse_scenario(fixture_text("S2"))
+    assert validate(s).ok and main(["validate", str(path)]) == 0
+    assert built == []
+    ctx = _Context(s)
+    assert all(fn(ctx) == [] for _name, fn in PROPERTIES)
+    assert built == [s._index]
+    assert main(["diagram", str(path), "--format", "boundary"]) == 0
+    assert len(built) == 2 and built[1] is not s._index
+    # An equal but distinct scenario holds its own index, so its own walks.
+    twin = fixture("S2")
+    assert twin == s and twin is not s
+    _Context(twin)
+    assert built[2:] == [twin._index]
+
+
 def test_a_raising_property_is_a_shrunk_failure_not_an_abort():
     def raises_with_two_orbits(ctx):
         if len(ctx.scenario.orbits) > 1:

@@ -2,12 +2,7 @@ import itertools
 
 import pytest
 
-from foliage.decompose import (
-    common_subpath,
-    crossed_set,
-    domain_roles,
-    reduce_scenario,
-)
+from foliage.decompose import common_subpath, reduce_scenario
 from foliage import relations
 from foliage.model import FIXTURE_NAMES, FoliageError, fixture, index
 
@@ -24,29 +19,29 @@ PAIR_FUNCTIONS = (
 )
 
 
-def test_crossed_set_s1():
-    cs = crossed_set(fixture("S1"), "O_a")
-    assert cs.domains == ("A1", "D", "B2")
-    assert cs.crossings == ("r1", "l2")
-    assert (cs.alpha, cs.omega) == ("A1", "B2")
+def test_orbit_sequences_s1():
+    o = index(fixture("S1")).orbit("O_a")
+    assert o.domains == ("A1", "D", "B2")
+    assert o.crossings == ("r1", "l2")
+    assert (o.alpha, o.omega) == ("A1", "B2")
 
 
-def test_crossed_set_single_domain():
-    cs = crossed_set(fixture("S0"), "O")
-    assert cs.domains == ("D0",)
-    assert cs.crossings == ()
-    assert cs.alpha == cs.omega == "D0"
+def test_orbit_sequences_single_domain():
+    o = index(fixture("S0")).orbit("O")
+    assert o.domains == ("D0",)
+    assert o.crossings == ()
+    assert o.alpha == o.omega == "D0"
 
 
-def test_crossed_set_o4_resides_in_d():
-    cs = crossed_set(fixture("S2"), "O4")
-    assert cs.domains == ("D",)
-    assert cs.crossings == ()
+def test_orbit_sequences_o4_resides_in_d():
+    o = index(fixture("S2")).orbit("O4")
+    assert o.domains == ("D",)
+    assert o.crossings == ()
 
 
-def test_crossed_set_unknown_orbit():
+def test_index_orbit_rejects_an_unknown_id():
     with pytest.raises(FoliageError, match="unknown orbit"):
-        crossed_set(fixture("S0"), "nope")
+        index(fixture("S0")).orbit("nope")
 
 
 def test_common_subpath_s1():
@@ -92,7 +87,7 @@ def test_reduce_s1_stays_unmerged():
 
 def test_reduce_s2_roles_match_the_worked_figure():
     r = reduce_scenario(fixture("S2"))
-    roles = domain_roles(r, "M:D")
+    roles = r.roles_of("M:D")
     assert roles.alpha == frozenset({"O1", "O4"})
     assert roles.omega == frozenset({"O3", "O4"})
     assert roles.incoming == frozenset({"O2", "O3"})
@@ -101,21 +96,21 @@ def test_reduce_s2_roles_match_the_worked_figure():
 
 def test_roles_single_resident_orbit():
     r = reduce_scenario(fixture("S0"))
-    roles = domain_roles(r, "M:D0")
+    roles = r.roles_of("M:D0")
     assert roles.alpha == roles.omega == frozenset({"O"})
     assert roles.incoming == roles.outgoing == frozenset()
 
 
 def test_roles_merged_domain():
     r = reduce_scenario(fixture("S4"))
-    roles = domain_roles(r, "M:D1+D2")
+    roles = r.roles_of("M:D1+D2")
     assert roles.alpha == roles.omega == frozenset({"O"})
     assert roles.incoming == roles.outgoing == frozenset()
 
 
 def test_roles_unknown_domain():
     with pytest.raises(FoliageError, match="unknown maximal domain"):
-        domain_roles(reduce_scenario(fixture("S0")), "M:none")
+        reduce_scenario(fixture("S0")).roles_of("M:none")
 
 
 def test_uncrossed_domains_are_dropped():

@@ -1,11 +1,12 @@
 """The key-sorted orders against their pairwise reference definitions.
 
-Every order the program builds sorts by a key made of ``side_key`` walks.
-These tests sort the same orbits with ``functools.cmp_to_key`` over the
-comparators ``standard_cmp`` and ``adaptive_cmp`` (and a local extension
-comparator for the one-sided orders) and require the same output, or the
-same ``TieRankError``.  They also check that the right side is the left
-side of the reversed scenario.
+Every order the program builds sorts by a key made of ``side_key`` walks,
+slices of the walks the index keeps; ``walk_oracle`` below walks the path
+on each call and checks every slice.  These tests sort the same orbits
+with ``functools.cmp_to_key`` over the comparators ``standard_cmp`` and
+``adaptive_cmp`` (and a local extension comparator for the one-sided
+orders) and require the same output, or the same ``TieRankError``.  They
+also check that the right side is the left side of the reversed scenario.
 """
 
 import functools
@@ -17,7 +18,7 @@ import pytest
 from foliage import relations
 from foliage.decompose import reduce_scenario
 from foliage.generator import GeneratorConfig, generate_scenario
-from foliage.model import Orbit, Scenario, SkeletonDomain, index, validate
+from foliage.model import FIXTURE_NAMES, Orbit, Scenario, SkeletonDomain, fixture, index, validate
 from foliage.realize import one_sided_order, one_sided_order_right, port_plan
 from foliage.relations import (
     Clause,
@@ -36,6 +37,39 @@ BOUNDS = {
     "default": {},
     "large": {"max_domains": 25, "max_orbits": 14, "max_boundary": 6, "weak_bias": Fraction(9, 10)},
 }
+
+
+def walk_oracle(idx, o, domain, step):
+    """o's walk away from ``domain``, read off its path on each call:
+    ``2*rank+1`` per leaf crossed (left ranks forward, right ranks back),
+    then ``2*cut`` where o ends (its exit cut forward, its entry cut back)."""
+    pos = idx.domain_pos[o.id][domain]
+    if step > 0:
+        leaves, rank, cut = o.path[pos + 1 :: 2], idx.left_rank, o.exit_cut
+    else:
+        leaves, rank, cut = reversed(o.path[1:pos:2]), idx.right_rank, o.entry_cut
+    return (*(2 * rank[leaf] + 1 for leaf in leaves), 2 * cut)
+
+
+def _walk_scenarios():
+    for bounds in sorted(BOUNDS):
+        for seed in range(1, 101):
+            yield f"seed {seed} at {bounds} bounds", generate_scenario(GeneratorConfig(seed=seed, **BOUNDS[bounds]))
+    for name in FIXTURE_NAMES:
+        yield name, fixture(name)
+    yield "chain300", _chain(300)
+
+
+def test_side_keys_are_slices_of_the_walk_oracle():
+    checked = 0
+    for label, s in _walk_scenarios():
+        idx = index(s)
+        for o in s.orbits:
+            for d in o.domains:
+                for step in (1, -1):
+                    assert side_key(idx, o, d, step) == walk_oracle(idx, o, d, step), (label, o.id, d, step)
+                    checked += 1
+    assert checked > 4000
 
 
 def _cmp_sorted(ids, cmp):

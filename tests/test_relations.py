@@ -3,8 +3,8 @@
 The oracle below evaluates the four left clauses and four right clauses
 literally, as existence statements about explicit leaf sets, top/bottom cut
 sets and ordered boundary lists.  The implementation under test derives the
-same verdicts through index arithmetic at the ends of the common subpath;
-agreement is checked on the fixtures and on generated scenarios.
+same verdicts from the orbits' walk entries just past the ends of the common
+subpath; agreement is checked on the fixtures and on generated scenarios.
 """
 
 import itertools
@@ -475,3 +475,18 @@ def test_an_unknown_orbit_id_is_a_foliage_error(fn):
             fn(s, a, b)
         assert str(exc.value) == "unknown orbit 'nope'"
     assert not any("nope" in pair for pair in index(s).pairs)
+
+
+def test_an_end_short_of_a_shared_crossing_raises():
+    from foliage import relations
+    from test_realize import _chain
+
+    s = _chain(3)  # O0 runs D0-L1-D1, O1 runs D1-L2-D2, O2 runs through all three
+    idx = index(s)
+    o0, o1, o2 = (idx.orbit_by_id[f"O{n}"] for n in range(3))
+    with pytest.raises(FoliageError) as exc:
+        relations._verdict(idx, o1, o2, "D1", 1)
+    assert str(exc.value) == "common subpath ended before a shared crossing"
+    with pytest.raises(FoliageError) as exc:
+        relations._verdict(idx, o0, o2, "D1", -1)
+    assert str(exc.value) == "common subpath started after a shared crossing"
