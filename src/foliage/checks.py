@@ -246,12 +246,19 @@ def prop_embedding(ctx: _Context) -> list[str]:
 
 
 def prop_forward_disjointness(ctx: _Context) -> list[str]:
-    """On the integer form: the tick's x and the polylines are ints over the layout's ``den``."""
+    """On the integer form: the tick's x and the polylines are ints over the
+    layout's ``den``.  The trajectories are x-monotone and the oracle raises
+    on a touch, so two of them that differ in height at a tick meet beyond
+    it exactly when the oracle finds a crossing of theirs at or right of it."""
     if ctx.routed is None:
         return []
     bad = []
     s = ctx.scenario
     idx = index(s)
+    den = ctx.layout.den
+    crossings: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    for a, b, (x, _y, d) in ctx.crossing_points:
+        crossings.setdefault((min(a, b), max(a, b)), []).append((x, d))
     for leaf in ctx.crossed_leaves:
         tick = ctx.layout.tick_for(leaf)
         if tick is None:
@@ -259,15 +266,14 @@ def prop_forward_disjointness(ctx: _Context) -> list[str]:
             continue
         orbs = sorted(idx.leaf_orbits[leaf])
         for a, b in itertools.combinations(orbs, 2):
-            pa, pb = ctx.routed.by_orbit(a), ctx.routed.by_orbit(b)
-            sign = geometry.height_order(pa, pb, tick.x)
+            sign = geometry.height_order(ctx.routed.by_orbit(a), ctx.routed.by_orbit(b), tick.x)
             if sign == 0:
                 continue  # the pair crosses exactly at the leaf line
-            (first, pf), (second, ps) = ((a, pa), (b, pb)) if sign < 0 else ((b, pb), (a, pa))
+            first, second = (a, b) if sign < 0 else (b, a)
             v = relations.compare_left(s, first, second)
             if v.direction not in (Direction.FIRST_LESS, Direction.EQUIVALENT):
                 continue  # order at the leaf is not compatible; nothing asserted
-            if not geometry.forward_disjoint(pf, ps, tick.x):
+            if any(x * den >= tick.x * d for x, d in crossings.get((a, b), ())):
                 bad.append(f"forward pieces of {first},{second} meet beyond leaf {leaf}")
     return bad
 
@@ -281,6 +287,7 @@ def prop_decompose_invariants(ctx: _Context) -> list[str]:
     if len(r.critical) > 2 * n_orbits * n_orbits:
         bad.append("critical leaf count exceeds the pair bound")
     membership = r.membership()
+    visited = {o.id: {membership[d] for d in o.domains} for o in s.orbits}
     for m in r.maxdomains:
         roles = r.roles_of(m.id)
         if roles.incoming | roles.alpha != m.crossers or roles.outgoing | roles.omega != m.crossers:
@@ -294,11 +301,11 @@ def prop_decompose_invariants(ctx: _Context) -> list[str]:
         if incoming != roles.incoming or outgoing != roles.outgoing:
             bad.append(f"boundary-leaf role characterization fails at {m.id}")
         for o in s.orbits:
-            touches = any(d in m.chain for d in o.domains)
-            if touches != (o.id in m.crossers):
+            if (m.id in visited[o.id]) != (o.id in m.crossers):
                 bad.append(f"crosser set of {m.id} disagrees with path membership for {o.id}")
+    edge_leaves = {e[1] for e in r.forest_edges}
     for leaf in r.critical:
-        if leaf not in {e[1] for e in r.forest_edges}:
+        if leaf not in edge_leaves:
             bad.append(f"critical leaf {leaf} carries no forest edge")
         if not idx.leaf_orbits.get(leaf):
             bad.append(f"critical leaf {leaf} is uncrossed")

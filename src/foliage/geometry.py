@@ -17,10 +17,10 @@ mapped once, to an int over one page denominator.  That integer form is
 the layout's only form, and what ``route``, the crossing oracle, the
 checks and ``emit_svg`` read, so the predicates are exact by construction
 (Yap 1997).  ``route`` hands each trajectory over in the same form, its
-only one.  ``fractions.Fraction`` remains only at the edges of the API:
-each crossing point is one ``Fraction`` over its own denominator,
-``box_of`` takes one, and ``Polyline.points`` is a view of a polyline's
-ints in ``Fraction``s, built on first read.
+only one.  Each crossing point is an int triple ``(x, y, d)`` for
+``(x/d, y/d)``, and ``box_of`` takes one.  ``fractions.Fraction`` remains
+only in ``Polyline.points``, a view of a polyline's ints in ``Fraction``s,
+built on first read.
 
 Trajectories are polylines: a short backward whisker, one straight segment
 per traversed box, one strand per corridor, and a forward whisker.  They are
@@ -53,7 +53,6 @@ from .realize import (
     run_nested,
 )
 
-Point = tuple[Fraction, Fraction]
 IntPoint = tuple[int, int]
 
 BOX_WIDTH = 4
@@ -121,20 +120,21 @@ class Layout:
         reach = itertools.accumulate((boxes[mid].x1 for _x0, _k, mid in ranked), max)
         return [x0 for x0, _k, _mid in ranked], list(reach), [(k, mid) for _x0, k, mid in ranked]
 
-    def box_of(self, p: Point) -> Optional[str]:
-        """The first box, in ``boxes`` order, whose interior holds p."""
+    def box_of(self, p: tuple[int, int, int]) -> Optional[str]:
+        """The first box, in ``boxes`` order, whose interior holds the point
+        ``(x/d, y/d)`` of the triple ``p = (x, y, d)``, ``d > 0``."""
         starts, reach, ranked = self._boxes_by_x0
         boxes = self.boxes
-        # p's coordinates as x/xd and y/yd over den, against the boxes' times xd and yd.
-        (x, xd), (y, yd) = ((c.numerator * self.den, c.denominator) for c in p)
+        # The point's coordinates times den, against the boxes' times d.
+        x, y, d = p[0] * self.den, p[1] * self.den, p[2]
         found = None
         # Boxes at i and after start at or right of p; walk left while some
         # box at or before i - 1 still reaches past p.
-        i = bisect.bisect_left(starts, x, key=lambda x0: x0 * xd)
-        while i > 0 and reach[i - 1] * xd > x:
+        i = bisect.bisect_left(starts, x, key=lambda x0: x0 * d)
+        while i > 0 and reach[i - 1] * d > x:
             i -= 1
             b = boxes[ranked[i][1]]
-            if b.x0 * xd < x < b.x1 * xd and b.y0 * yd < y < b.y1 * yd and (found is None or ranked[i] < found):
+            if b.x0 * d < x < b.x1 * d and b.y0 * d < y < b.y1 * d and (found is None or ranked[i] < found):
                 found = ranked[i]
         return found[1] if found is not None else None
 
@@ -149,7 +149,7 @@ class Polyline:
     den: int
 
     @functools.cached_property
-    def points(self) -> tuple[Point, ...]:
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The points as ``Fraction``s, built on first read."""
         den = self.den
         return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.scaled)
@@ -403,7 +403,7 @@ def _in_bounds(t: IntPoint, p: IntPoint, q: IntPoint) -> bool:
 
 
 def segment_relation(p1: IntPoint, p2: IntPoint, q1: IntPoint, q2: IntPoint, den: int = 1):
-    """Classify two segments: ("cross", point), ("touch", None) or ("none", None).
+    """Classify two segments: ("cross", (x, y, d)), ("touch", None) or ("none", None).
 
     ``o1``, ``o2`` are the orientations of q1, q2 against p1p2 and ``o3``,
     ``o4`` those of p1, p2 against q1q2.  A proper crossing needs strict
@@ -411,12 +411,14 @@ def segment_relation(p1: IntPoint, p2: IntPoint, q1: IntPoint, q2: IntPoint, den
     some endpoint with orientation 0 lies within the other segment's bounds
     (Shewchuk 1997).  The points are ints, their coordinates times ``den``,
     and the crossing point ``q1 + o1·(q2 − q1)/(o1 − o2)``, divided by
-    ``den``, is one ``Fraction`` per coordinate."""
+    ``den``, is the int triple ``(x, y, d)`` for ``(x/d, y/d)``: ``d`` is
+    ``|o1 − o2|·den > 0``, and no gcd is taken."""
     o1, o2 = _orient(p1, p2, q1), _orient(p1, p2, q2)
     o3, o4 = _orient(q1, q2, p1), _orient(q1, q2, p2)
     if (o1 > 0 > o2 or o1 < 0 < o2) and (o3 > 0 > o4 or o3 < 0 < o4):
-        d = o1 - o2
-        return "cross", tuple(Fraction(a * d + o1 * (b - a), d * den) for a, b in zip(q1, q2))
+        # o1 and o2 have opposite signs, so o1/(o1 − o2) is |o1|/|o1 − o2|.
+        t, d = abs(o1), abs(o1 - o2)
+        return "cross", (q1[0] * d + t * (q2[0] - q1[0]), q1[1] * d + t * (q2[1] - q1[1]), d * den)
     if (
         (o1 == 0 and _in_bounds(q1, p1, p2))
         or (o2 == 0 and _in_bounds(q2, p1, p2))
@@ -433,14 +435,14 @@ def _meetings(pieces: tuple[tuple[tuple[int, int], ...], ...], den: int = 1):
 
     The pieces' points are ints, their coordinates times ``den``, so the
     predicates are exact by construction (Yap 1997), and each crossing
-    point is divided back by ``den`` in its one ``Fraction``.  Then an
-    x-sweep (Shamos–Hoey 1976; Bentley–Ottmann 1979): the segments are
-    visited by their left end, and a heap keyed by the right end holds the
-    segments whose closed x-span still reaches the one visited.  Of those,
-    only segments of other pieces whose closed y-span also overlaps are
-    classified, by ``segment_relation``.  Two segments can share a point
-    only inside both their closed boxes, so no meeting is missed; the pairs
-    come from the segments' own coordinates alone."""
+    point is an int triple ``(x, y, d)`` with ``den`` folded into ``d``.
+    Then an x-sweep (Shamos–Hoey 1976; Bentley–Ottmann 1979): the segments
+    are visited by their left end, and a heap keyed by the right end holds
+    the segments whose closed x-span still reaches the one visited.  Of
+    those, only segments of other pieces whose closed y-span also overlaps
+    are classified, by ``segment_relation``.  Two segments can share a
+    point only inside both their closed boxes, so no meeting is missed; the
+    pairs come from the segments' own coordinates alone."""
     segments = []
     for i, piece in enumerate(pieces):
         for k, ((xp, yp), (xq, yq)) in enumerate(zip(piece, piece[1:])):
@@ -460,9 +462,10 @@ def _meetings(pieces: tuple[tuple[tuple[int, int], ...], ...], den: int = 1):
         heapq.heappush(active, (x1, i, k, y0, y1))
 
 
-def crossing_points(p: PolylineSet) -> tuple[tuple[str, str, Point], ...]:
+def crossing_points(p: PolylineSet) -> tuple[tuple[str, str, tuple[int, int, int]], ...]:
     """Every pairwise transversal intersection, polyline i < j, then i's
-    segment, then j's; touching is an error, raised at the first touch."""
+    segment, then j's, as ``(a, b, (x, y, d))`` for the point ``(x/d, y/d)``;
+    touching is an error, raised at the first touch."""
     polys = p.polylines
     found = []
     for i, j, _k, _l, kind, point in sorted(_meetings(p.scaled, p.den)):
@@ -478,7 +481,7 @@ def exact_crossings(p: PolylineSet, lay: Optional[Layout] = None) -> CrossingMat
 
 
 def tally_crossings(
-    p: PolylineSet, found: tuple[tuple[str, str, Point], ...], lay: Optional[Layout] = None
+    p: PolylineSet, found: tuple[tuple[str, str, tuple[int, int, int]], ...], lay: Optional[Layout] = None
 ) -> CrossingMatrix:
     """Count the crossings ``found`` in ``p``; the witness is the box holding the first."""
     counts: dict[tuple[str, str], int] = {}
@@ -505,29 +508,10 @@ def _height(pts: tuple[IntPoint, ...], x: int) -> tuple[int, int]:
     raise FoliageError("coordinate outside trajectory range")
 
 
-def _clip(poly: Polyline, x: int) -> Polyline:
-    """The part of the polyline with first coordinate at least x, an int
-    over the polyline's ``den``."""
-    pts = poly.scaled
-    if x <= pts[0][0]:
-        return poly
-    if x > pts[-1][0]:
-        return Polyline(poly.orbit, (), poly.den)
-    n, k = _height(pts, x)
-    scaled = ((x * k, n),) + tuple((px * k, py * k) for px, py in pts if px > x)
-    return Polyline(poly.orbit, scaled, k * poly.den)
-
-
 def height_order(a: Polyline, b: Polyline, x: int) -> int:
     """The sign of a's height minus b's over x, an int over their shared ``den``."""
     (na, ka), (nb, kb) = _height(a.scaled, x), _height(b.scaled, x)
     return (na * kb > nb * ka) - (na * kb < nb * ka)
-
-
-def forward_disjoint(a: Polyline, b: Polyline, x: int) -> bool:
-    """No shared point between the two polylines clipped at x, an int over
-    their shared ``den``."""
-    return next(_meetings(PolylineSet((_clip(a, x), _clip(b, x))).scaled), None) is None
 
 
 _PALETTE = (
@@ -612,9 +596,9 @@ def emit_svg(lay: Layout, p: PolylineSet, roles: Optional[ReducedStructure] = No
             f'<text x="{_fmt(10 * tx + p.den, 10 * p.den)}" y="{_fmt(ty, p.den)}" font-size="0.3" '
             f'fill="{color[poly.orbit]}">{_escape(poly.orbit)}</text>'
         )
-    for _a, _b, (cx, cy) in crossing_points(p):
+    for _a, _b, (cx, cy, cd) in crossing_points(p):
         out.append(
-            f'<circle cx="{_fmt(cx.numerator, cx.denominator)}" cy="{_fmt(cy.numerator, cy.denominator)}" r="0.09" '
+            f'<circle cx="{_fmt(cx, cd)}" cy="{_fmt(cy, cd)}" r="0.09" '
             f'fill="none" stroke="#111111" stroke-width="0.03"/>'
         )
     for i, line in enumerate(legend_lines):

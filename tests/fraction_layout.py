@@ -20,10 +20,11 @@ from fractions import Fraction
 from typing import Optional
 
 from foliage.decompose import ReducedStructure
-from foliage.geometry import BOX_WIDTH, BoxRect, Corridor, Point, Polyline, Tick
+from foliage.geometry import BOX_WIDTH, BoxRect, Corridor, Polyline, Tick
 from foliage.model import FoliageError, Scenario
 from foliage.realize import SideItem, all_port_plans, forest_components, run_nested
 
+Point = tuple[Fraction, Fraction]
 WHISKER = Fraction(1, 2)
 
 

@@ -1,13 +1,15 @@
 import itertools
 import random
 import time
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from foliage import checks
 from foliage.checks import PROPERTIES, _Context, _strict_total, run_check, shrink
 from foliage.cli import main
-from foliage.generator import GeneratorConfig
+from foliage.generator import GeneratorConfig, generate_scenario
 from foliage.model import FIXTURE_NAMES, FoliageError, fixture, parse_scenario
 
 
@@ -16,6 +18,28 @@ def test_every_property_holds_on_the_fixtures(name):
     ctx = _Context(fixture(name))
     for prop_name, fn in PROPERTIES:
         assert fn(ctx) == [], f"{prop_name} fails on {name}"
+
+
+def test_no_fraction_is_built_by_the_context_or_any_property(monkeypatch):
+    """The geometry the check reads is ints throughout: the layout, the
+    routed trajectories and the crossing triples.  The scenarios are
+    generated first, since the generator's bias is a ``Fraction``."""
+    scenarios = [generate_scenario(GeneratorConfig(seed=seed)) for seed in range(1, 51)]
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    problems = []
+    for s in scenarios:
+        ctx = _Context(s)
+        problems += [problem for _name, fn in PROPERTIES for problem in fn(ctx)]
+    monkeypatch.undo()
+    assert problems == [] and built == []
+    assert len(PROPERTIES) == 16
 
 
 def test_property_registry_covers_the_documented_laws():
@@ -248,3 +272,65 @@ def test_check_on_100_orbits_in_one_domain_is_quick(capsys):
     assert main(argv) == 0
     assert time.perf_counter() - start < 2.0
     assert "result: all properties hold" in capsys.readouterr().out
+
+
+def _decompose_invariants_by_rescanning(ctx):
+    """The decompose-invariants property as it was written before it built
+    the edge leaves and each orbit's maximal domains once: both rescanned
+    for every critical leaf and every (maximal domain, orbit) pair."""
+    bad = []
+    s = ctx.scenario
+    idx = checks.index(s)
+    r = ctx.reduced
+    n_orbits = len(s.orbits)
+    if len(r.critical) > 2 * n_orbits * n_orbits:
+        bad.append("critical leaf count exceeds the pair bound")
+    membership = r.membership()
+    for m in r.maxdomains:
+        roles = r.roles_of(m.id)
+        if roles.incoming | roles.alpha != m.crossers or roles.outgoing | roles.omega != m.crossers:
+            bad.append(f"role sets of {m.id} do not partition its crossers")
+        incoming = frozenset(o for leaf in m.right for o in idx.leaf_orbits.get(leaf, frozenset()))
+        outgoing = frozenset(o for leaf in m.left for o in idx.leaf_orbits.get(leaf, frozenset()))
+        if incoming != roles.incoming or outgoing != roles.outgoing:
+            bad.append(f"boundary-leaf role characterization fails at {m.id}")
+        for o in s.orbits:
+            touches = any(d in m.chain for d in o.domains)
+            if touches != (o.id in m.crossers):
+                bad.append(f"crosser set of {m.id} disagrees with path membership for {o.id}")
+    for leaf in r.critical:
+        if leaf not in {e[1] for e in r.forest_edges}:
+            bad.append(f"critical leaf {leaf} carries no forest edge")
+        if not idx.leaf_orbits.get(leaf):
+            bad.append(f"critical leaf {leaf} is uncrossed")
+    ids = sorted(o.id for o in s.orbits)
+    for a, b in itertools.combinations(ids, 2):
+        ab, ba = checks.common_subpath(s, a, b), checks.common_subpath(s, b, a)
+        if (ab is None) != (ba is None) or (ab is not None and ab.chain != ba.chain):
+            bad.append(f"common subpath of {a},{b} is not symmetric")
+    for oid in ids:
+        mid_seq = []
+        for d in idx.orbit(oid).domains:
+            if not mid_seq or mid_seq[-1] != membership[d]:
+                mid_seq.append(membership[d])
+        if len(set(mid_seq)) != len(mid_seq):
+            bad.append(f"maximal-domain sequence of {oid} revisits a domain")
+    return bad
+
+
+def test_decompose_invariants_report_what_the_rescanning_body_reported():
+    """On seeds 1..100 at 25/14/6, as reduced and with each maximal domain
+    given the next one's crossers and the first forest edge dropped, so
+    that the crosser and forest-edge messages are reported."""
+    reported = 0
+    for seed in range(1, 101):
+        ctx = _Context(generate_scenario(GeneratorConfig(seed=seed, max_domains=25, max_orbits=14, max_boundary=6)))
+        assert checks.prop_decompose_invariants(ctx) == _decompose_invariants_by_rescanning(ctx) == []
+        r = ctx.reduced
+        crossers = [m.crossers for m in r.maxdomains]
+        maxdomains = tuple(replace(m, crossers=c) for m, c in zip(r.maxdomains, crossers[1:] + crossers[:1]))
+        ctx.reduced = replace(r, maxdomains=maxdomains, forest_edges=r.forest_edges[1:])
+        found = checks.prop_decompose_invariants(ctx)
+        assert found == _decompose_invariants_by_rescanning(ctx)
+        reported += len(found)
+    assert reported

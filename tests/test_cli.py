@@ -394,11 +394,11 @@ def test_svg_on_a_400_deep_chain_draws_every_crossing(tmp_path, capsys, monkeypa
     assert data.count(b"<circle ") == 795
     # Denominators reach about 1,400 bits here, against the few bits of the test_cli_bytes.py pins.
     assert hashlib.sha256(data).hexdigest() == CHAIN400_SVG_DIGEST
-    # The layout is ints only, and the writer built no Fraction but the two
-    # coordinates of each crossing point: no polyline's Fraction view either.
+    # The layout and the crossing points are ints only, and the writer built
+    # no Fraction: no polyline's Fraction view either.
     ((lay, routed),) = drawn
     assert lay.den > 1 and all(type(v) is int for v in _numbers(lay))
-    assert len(built) == 2 * 795
+    assert len(built) == 0
     assert not any("points" in poly.__dict__ for poly in routed.polylines)
 
 

@@ -1,20 +1,25 @@
 """The crossing oracle's sweep against two slower oracles.
 
-``geometry.crossing_points`` and ``geometry.forward_disjoint`` run on
-every coordinate as an int over one common denominator (the layout's, for
-routed polylines, or else the least common one of the set), sweep the
-segments in x and classify, with ``segment_relation``, only the pairs of
-segments whose closed boxes overlap.  The first oracle below is the
-per-pair loop: one classification per segment pair, in ``Fraction``s,
-each computing its own four orientations and, for pairs that do not cross,
-the touch test's again.  The second is the orientation-table kernel the
-sweep replaced: two tables per pair of polylines, every vertex of one
-against every segment of the other, and each segment pair classified from
-its four entries.  Crossing points must be the same ``Fraction``s in the
+``geometry.crossing_points`` runs on every coordinate as an int over one
+common denominator (the layout's, for routed polylines, or else the least
+common one of the set), sweeps the segments in x and classifies, with
+``segment_relation``, only the pairs of segments whose closed boxes
+overlap.  Each crossing point is an int triple ``(x, y, d)`` for
+``(x/d, y/d)``.  The first oracle below is the per-pair loop: one
+classification per segment pair, in ``Fraction``s, each computing its own
+four orientations and, for pairs that do not cross, the touch test's
+again.  The second is the orientation-table kernel the sweep replaced: two
+tables per pair of polylines, every vertex of one against every segment of
+the other, and each segment pair classified from its four entries.
+Crossing points, read as ``Fraction``s, must be the same points in the
 same order, and a touch must raise the same ``DegeneracyError`` at the
 same pair.  Every coordinate the geometry hands out is checked to be an
-int of the layout's integer form or a ``Fraction``: a float equal to the
-exact value would pass every equality.
+int of the integer form or a ``Fraction``: a float equal to the exact value
+would pass every equality.
+
+The forward-disjointness property reads the crossing list.  The sweep of
+two polylines clipped at a tick, which it ran before (``forward_disjoint``
+and ``_clip`` below), is the oracle it is checked against.
 """
 
 import collections
@@ -27,12 +32,14 @@ from fractions import Fraction
 import pytest
 
 from fraction_layout import in_fractions, polyline
-from foliage import geometry
+from foliage import checks, geometry, relations
 from foliage.decompose import reduce_scenario
 from foliage.generator import GeneratorConfig, generate_scenario
 from foliage.geometry import (
     DegeneracyError,
+    Polyline,
     PolylineSet,
+    _fmt,
     crossing_points,
     layout,
     route,
@@ -92,10 +99,35 @@ def _oracle_disjoint(a, b):
     return all(_relation(s1, s2, t1, t2)[0] == "none" for s1, s2 in _segments(a) for t1, t2 in _segments(b))
 
 
-def _disjoint(a, b):
-    """``forward_disjoint`` of two whole polylines: an x at or left of both
-    first points clips neither, whatever their denominators."""
-    return geometry.forward_disjoint(a, b, min(a.scaled[0][0], b.scaled[0][0]))
+def _in_fractions(relation):
+    """A ``segment_relation`` outcome with the crossing triple read as a
+    point of ``Fraction``s."""
+    kind, point = relation
+    return kind, point if point is None else (Fraction(point[0], point[2]), Fraction(point[1], point[2]))
+
+
+def _fraction_crossings(p):
+    """``crossing_points`` with each triple read as a point of ``Fraction``s."""
+    return tuple((a, b, (Fraction(x, d), Fraction(y, d))) for a, b, (x, y, d) in crossing_points(p))
+
+
+def _clip(poly, x):
+    """The part of the polyline with first coordinate at least x, an int
+    over the polyline's ``den``."""
+    pts = poly.scaled
+    if x <= pts[0][0]:
+        return poly
+    if x > pts[-1][0]:
+        return Polyline(poly.orbit, (), poly.den)
+    n, k = geometry._height(pts, x)
+    scaled = ((x * k, n),) + tuple((px * k, py * k) for px, py in pts if px > x)
+    return Polyline(poly.orbit, scaled, k * poly.den)
+
+
+def forward_disjoint(a, b, x):
+    """No shared point between the two polylines clipped at x, an int over
+    their shared ``den``."""
+    return next(geometry._meetings(PolylineSet((_clip(a, x), _clip(b, x))).scaled), None) is None
 
 
 def _classify(p1, p2, q1, q2, o1, o2, o3, o4):
@@ -186,7 +218,7 @@ def _oracle_family(family):
 def test_crossing_points_equal_the_per_pair_loop(family):
     crossing = 0
     for (routed, _lay), expected in zip(_routed_family(family), _oracle_family(family)):
-        found = _outcome(crossing_points, routed)
+        found = _outcome(_fraction_crossings, routed)
         assert found == expected
         crossing += bool(found)
     assert crossing  # the family is not vacuous
@@ -203,14 +235,14 @@ def test_forward_disjoint_equals_the_per_pair_loop(family):
         met = {(a, b) for a, b, _point in expected}
         polys = routed.polylines
         for pa, pb in zip(polys, polys[1:]):
-            verdict = _disjoint(pa, pb)
+            verdict = forward_disjoint(pa, pb, min(pa.scaled[0][0], pb.scaled[0][0]))
             assert verdict == ((pa.orbit, pb.orbit) not in met)
             verdicts.add(verdict)
             for tick in lay.ticks[len(lay.ticks) // 2 :][:1]:
                 x = in_fractions(tick.x, lay.den)
                 a, b = _clip_by_fractions(pa.points, x), _clip_by_fractions(pb.points, x)
-                verdict = geometry.forward_disjoint(pa, pb, tick.x)
-                assert verdict == geometry.forward_disjoint(pb, pa, tick.x) == _oracle_disjoint(a, b)
+                verdict = forward_disjoint(pa, pb, tick.x)
+                assert verdict == forward_disjoint(pb, pa, tick.x) == _oracle_disjoint(a, b)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -234,8 +266,8 @@ def _clip_by_fractions(pts, x):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_integer_form_readers_equal_fraction_arithmetic(family):
     """``_height`` and ``_clip`` against the same steps in ``Fraction``s,
-    and ``height_order`` and ``forward_disjoint``, which the
-    forward-disjointness property runs on the integer form, against those
+    and ``height_order``, which the forward-disjointness property runs on
+    the integer form, and ``forward_disjoint``, its oracle, against those
     and the per-pair loop: at every fifth tick over each polyline and the
     next, where both span it."""
     seen = collections.Counter()
@@ -250,11 +282,11 @@ def test_the_integer_form_readers_equal_fraction_arithmetic(family):
                 heights = [geometry._height(p.scaled, tick.x) for p in (pa, pb)]
                 assert [Fraction(n, k * lay.den) for n, k in heights] == [ya, yb]
                 a, b = _clip_by_fractions(pa.points, x), _clip_by_fractions(pb.points, x)
-                assert (geometry._clip(pa, tick.x).points, geometry._clip(pb, tick.x).points) == (a, b)
+                assert (_clip(pa, tick.x).points, _clip(pb, tick.x).points) == (a, b)
                 sign = (ya > yb) - (ya < yb)
                 assert geometry.height_order(pa, pb, tick.x) == sign
                 verdict = _oracle_disjoint(a, b)
-                assert geometry.forward_disjoint(pa, pb, tick.x) == verdict
+                assert forward_disjoint(pa, pb, tick.x) == verdict
                 seen[sign, verdict] += 1
     assert {sign for sign, _v in seen} >= {-1, 1} and {v for _s, v in seen} == {True, False}, seen
 
@@ -292,8 +324,6 @@ def test_touches_raise_the_loop_error(name):
     expected = _outcome(_oracle_crossings, p)
     assert expected[0] == "DegeneracyError"
     assert _outcome(crossing_points, p) == expected
-    first, second = p.polylines[0], p.polylines[-1]
-    assert _disjoint(first, second) == _oracle_disjoint(first.points, second.points)
 
 
 def test_touch_errors_name_the_first_touching_pair():
@@ -309,7 +339,7 @@ def test_crossings_come_in_segment_order_on_a_polyline_that_doubles_back():
     """The sweep meets b's last segment first; the output is in segment order."""
     p = _set(("a", [(0, 0), (4, 0)]), ("b", [(3, -1), (4, 1), (1, 1), (2, -1)]))
     expected = (("a", "b", _pt(Fraction(7, 2), 0)), ("a", "b", _pt(Fraction(3, 2), 0)))
-    assert crossing_points(p) == _oracle_crossings(p) == expected
+    assert _fraction_crossings(p) == _oracle_crossings(p) == expected
 
 
 def test_crossings_and_touches_equal_the_loop_on_small_integer_polylines():
@@ -322,14 +352,13 @@ def test_crossings_and_touches_equal_the_loop_on_small_integer_polylines():
             (name, [(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(1, 5))]) for name in "abc"
         ]
         p = _set(*polylines[: rng.randrange(1, 4)])
-        found = _outcome(crossing_points, p)
+        found = _outcome(_fraction_crossings, p)
         assert found == _outcome(_oracle_crossings, p)
         kinds.add("touch" if isinstance(found, tuple) and found and found[0] == "DegeneracyError" else "other")
         a, b = p.polylines[0], p.polylines[-1]
-        assert _disjoint(a, b) == _oracle_disjoint(a.points, b.points)
         for (s1, s2), (u1, u2) in zip(_segments(a.points), _segments(p.scaled[0])):
             for (t1, t2), (v1, v2) in zip(_segments(b.points), _segments(p.scaled[-1])):
-                assert segment_relation(u1, u2, v1, v2, p.den) == _relation(s1, s2, t1, t2)
+                assert _in_fractions(segment_relation(u1, u2, v1, v2, p.den)) == _relation(s1, s2, t1, t2)
     assert kinds == {"touch", "other"}
 
 
@@ -352,26 +381,25 @@ def test_crossings_and_touches_equal_the_loop_on_polylines_with_coprime_denomina
             polylines.append((name, [(rng.choice(grid), rng.choice(grid)) for _ in range(rng.randrange(1, 5))]))
         p = _set(*polylines)
         found = _outcome(crossing_points, p)
-        assert found == _outcome(_oracle_crossings, p)
+        assert _outcome(_fraction_crossings, p) == _outcome(_oracle_crossings, p)
         if found and found[0] == "DegeneracyError":
             kinds.add("touch")
         elif found:
             kinds.add("cross")
-            assert all(type(c) is Fraction for c in _points(point for _a, _b, point in found))
+            assert all(type(c) is int for c in _points(point for _a, _b, point in found))
         a, b = p.polylines[0], p.polylines[-1]
-        assert _disjoint(a, b) == _oracle_disjoint(a.points, b.points)
         for (s1, s2), (u1, u2) in zip(_segments(a.points), _segments(p.scaled[0])):
             for (t1, t2), (v1, v2) in zip(_segments(b.points), _segments(p.scaled[-1])):
                 kind, point = segment_relation(u1, u2, v1, v2, p.den)
-                assert (kind, point) == _relation(s1, s2, t1, t2)
-                assert all(type(c) is Fraction for c in _points([point]))
+                assert _in_fractions((kind, point)) == _relation(s1, s2, t1, t2)
+                assert all(type(c) is int for c in _points([point]))
     assert kinds == {"touch", "cross"}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_crossing_points_equal_the_table_kernel(family):
     for routed, _lay in _routed_family(family):
-        assert _outcome(crossing_points, routed) == _outcome(_table_crossings, routed)
+        assert _outcome(_fraction_crossings, routed) == _outcome(_table_crossings, routed)
 
 
 def test_crossing_points_equal_the_table_kernel_on_a_deep_chain():
@@ -381,7 +409,7 @@ def test_crossing_points_equal_the_table_kernel_on_a_deep_chain():
     r = reduce_scenario(s)
     routed = route(s, r, layout(s, r))
     assert max(c.denominator.bit_length() for c in _points(p for poly in routed.polylines for p in poly.points)) > 250
-    found = crossing_points(routed)
+    found = _fraction_crossings(routed)
     assert found and found == _table_crossings(routed)
 
 
@@ -428,28 +456,150 @@ def _numbers(value):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_coordinate_is_an_int_or_a_fraction(family):
-    """Every field of every layout and of every routed polyline, and
-    ``_height`` and ``_clip`` at every tick over every polyline that spans
-    it, are ints; every point of ``points`` and every crossing point is a
-    ``Fraction``.  ``int / int`` is a float in Python, and a float equal to
-    the exact value would slip past the equalities above and past the SVG
-    pins, which round to six decimals."""
+    """Every field of every layout and of every routed polyline, ``_height``
+    at every tick over every polyline that spans it, and every crossing
+    triple are ints; every point of ``points`` is a ``Fraction``.
+    ``int / int`` is a float in Python, and a float equal to the exact value
+    would slip past the equalities above and past the SVG pins, which round
+    to six decimals."""
     kinds = collections.Counter()
     for routed, lay in _routed_family(family):
-        ints = {"layout": list(_numbers(lay)), "route": list(_numbers(routed)), "height": [], "clip": []}
+        ints = {
+            "layout": list(_numbers(lay)),
+            "route": list(_numbers(routed)),
+            "height": [],
+            "crossing": _points(point for _a, _b, point in crossing_points(routed)),
+        }
         for tick in lay.ticks:
             for poly in routed.polylines:
                 if poly.scaled[0][0] <= tick.x <= poly.scaled[-1][0]:
                     ints["height"] += geometry._height(poly.scaled, tick.x)
-                    ints["clip"] += _numbers(geometry._clip(poly, tick.x))
-        fractions = {
-            "points": _points(p for poly in routed.polylines for p in poly.points),
-            "crossing": _points(point for _a, _b, point in crossing_points(routed)),
-        }
+        fractions = {"points": _points(p for poly in routed.polylines for p in poly.points)}
         for kind, found in ints.items():
             assert [v for v in found if type(v) is not int] == [], kind
             kinds[kind] += len(found)
         for kind, found in fractions.items():
             assert [v for v in found if type(v) is not Fraction] == [], kind
             kinds[kind] += len(found)
-    assert all(kinds[kind] for kind in ("layout", "route", "height", "clip", "points", "crossing"))
+    assert all(kinds[kind] for kind in ("layout", "route", "height", "crossing", "points"))
+
+
+@functools.cache
+def _chain300():
+    s = _chain(300)
+    r = reduce_scenario(s)
+    lay = layout(s, r)
+    return [(route(s, r, lay), lay)]
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("chain300",))
+def test_crossing_triples_are_the_fraction_points(family):
+    """Each meeting the sweep finds, against the per-pair loop's point of
+    the same two segments in ``Fraction``s: the triple's ``d`` is positive,
+    ``(x/d, y/d)`` is that point, and ``_fmt`` writes what ``float`` of it
+    writes."""
+    cases = _chain300() if family == "chain300" else _routed_family(family)
+    found = 0
+    for routed, _lay in cases:
+        points = [poly.points for poly in routed.polylines]
+        for i, j, k, l, kind, triple in geometry._meetings(routed.scaled, routed.den):
+            assert kind == "cross"
+            x, y, d = triple
+            assert d > 0
+            a, b = points[i], points[j]
+            assert _relation(a[k], a[k + 1], b[l], b[l + 1]) == ("cross", (Fraction(x, d), Fraction(y, d)))
+            assert (_fmt(x, d), _fmt(y, d)) == (f"{float(Fraction(x, d)):.6f}", f"{float(Fraction(y, d)):.6f}")
+            found += 1
+    assert found
+
+
+def _moved(p, shift, scale):
+    """Every point of every polyline times ``scale``, plus ``shift`` on both
+    coordinates, each polyline over its own ``den``."""
+    return PolylineSet(
+        tuple(
+            Polyline(q.orbit, tuple((x * scale + shift * q.den, y * scale + shift * q.den) for x, y in q.scaled), q.den)
+            for q in p.polylines
+        )
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("touches",))
+def test_crossings_map_under_translation_and_scaling(family):
+    """A huge translation leaves the orientations as they are, so each
+    triple ``(x, y, d)`` becomes ``(x + t·d, y + t·d, d)``; scaling by
+    ``2**k`` multiplies the orientations by ``4**k``, so it becomes
+    ``(8**k·x, 8**k·y, 4**k·d)``.  Every touch raises the same error."""
+    sets = list(TOUCHES.values()) if family == "touches" else [routed for routed, _lay in _routed_family(family)]
+    t, k = 2**4000, 37
+    kinds = set()
+    for p in sets:
+        found = _outcome(crossing_points, p)
+        if found and found[0] == "DegeneracyError":
+            kinds.add("touch")
+            assert _outcome(crossing_points, _moved(p, t, 1)) == found
+            assert _outcome(crossing_points, _moved(p, 0, 2**k)) == found
+            continue
+        kinds.add("cross" if found else "none")
+        assert crossing_points(_moved(p, t, 1)) == tuple((a, b, (x + t * d, y + t * d, d)) for a, b, (x, y, d) in found)
+        scaled = tuple((a, b, (8**k * x, 8**k * y, 4**k * d)) for a, b, (x, y, d) in found)
+        assert crossing_points(_moved(p, 0, 2**k)) == scaled
+    assert kinds == ({"touch"} if family == "touches" else {"cross", "none"})
+
+
+def _forward_disjointness_by_clipping(ctx):
+    """The forward-disjointness property as it was written before it read
+    the crossing list: each compatible pair clipped at the tick and swept
+    again by ``forward_disjoint``."""
+    if ctx.routed is None:
+        return []
+    bad = []
+    s = ctx.scenario
+    idx = checks.index(s)
+    for leaf in ctx.crossed_leaves:
+        tick = ctx.layout.tick_for(leaf)
+        if tick is None:
+            bad.append(f"crossed leaf {leaf} has no tick")
+            continue
+        orbs = sorted(idx.leaf_orbits[leaf])
+        for a, b in itertools.combinations(orbs, 2):
+            pa, pb = ctx.routed.by_orbit(a), ctx.routed.by_orbit(b)
+            sign = geometry.height_order(pa, pb, tick.x)
+            if sign == 0:
+                continue
+            (first, pf), (second, ps) = ((a, pa), (b, pb)) if sign < 0 else ((b, pb), (a, pa))
+            v = relations.compare_left(s, first, second)
+            if v.direction not in (relations.Direction.FIRST_LESS, relations.Direction.EQUIVALENT):
+                continue
+            if not forward_disjoint(pf, ps, tick.x):
+                bad.append(f"forward pieces of {first},{second} meet beyond leaf {leaf}")
+    return bad
+
+
+@functools.cache
+def _contexts():
+    """The check's context of seeds 1..300 at the default bounds and at
+    25/14/6, and of chains k = 2, 5, 40, 80 and 300."""
+    scenarios = [
+        generate_scenario(GeneratorConfig(seed=seed, **bounds))
+        for bounds in ({}, {"max_domains": 25, "max_orbits": 14, "max_boundary": 6})
+        for seed in range(1, 301)
+    ]
+    return [checks._Context(s) for s in scenarios + [_chain(k) for k in (2, 5, 40, 80, 300)]]
+
+
+@pytest.mark.parametrize("every_pair_first_less", (False, True))
+def test_forward_disjointness_reads_the_crossings_as_the_clipped_sweep_did(monkeypatch, every_pair_first_less):
+    """The same messages in the same order as the clipped sweep.  As the
+    relations are, no case reports one; with every pair read as FirstLess,
+    the pairs that meet beyond their leaf do."""
+    contexts = _contexts()
+    if every_pair_first_less:
+        first_less = relations.RelationVerdict(relations.Direction.FIRST_LESS, relations.Clause.L1)
+        monkeypatch.setattr(relations, "compare_left", lambda _s, _a, _b: first_less)
+    reported = 0
+    for ctx in contexts:
+        found = checks.prop_forward_disjointness(ctx)
+        assert found == _forward_disjointness_by_clipping(ctx)
+        reported += len(found)
+    assert bool(reported) == every_pair_first_less

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -132,9 +133,12 @@ def test_degeneracy_collinear_overlap_is_an_error():
 
 
 def test_segment_relation_proper_cross_point():
-    assert segment_relation((0, 0), (2, 2), (0, 2), (2, 0)) == ("cross", (Fraction(1), Fraction(1)))
-    # The points are ints over den, and so is the crossing point.
-    assert segment_relation((0, 0), (2, 2), (0, 2), (2, 0), 4) == ("cross", (Fraction(1, 4), Fraction(1, 4)))
+    # (1, 1) as (x/d, y/d), with d = |o1 − o2| = 8 and no gcd taken.
+    assert segment_relation((0, 0), (2, 2), (0, 2), (2, 0)) == ("cross", (8, 8, 8))
+    # The points are ints over den, and d takes den in.
+    assert segment_relation((0, 0), (2, 2), (0, 2), (2, 0), 4) == ("cross", (8, 8, 32))
+    # With the segments swapped, o1 − o2 is negative; d stays positive.
+    assert segment_relation((0, 2), (2, 0), (0, 0), (2, 2), 4) == ("cross", (8, 8, 32))
 
 
 def test_svg_counts_s0():
@@ -247,21 +251,28 @@ def test_forward_pieces_disjoint_when_leaf_order_is_compatible():
 
 
 def _inside(box, point, den):
-    """The interior of the box, in ints over ``den``, holds the point, in ``Fraction``s."""
-    x, y = point[0] * den, point[1] * den
+    """The interior of the box, in ints over ``den``, holds the point ``(x/d, y/d)`` of the triple."""
+    x, y = (Fraction(c, point[2]) * den for c in point[:2])
     return box.x0 < x < box.x1 and box.y0 < y < box.y1
 
 
 def _box_by_scan(lay, point):
-    """The first box, in ``boxes`` order, whose interior holds the point."""
+    """The first box, in ``boxes`` order, whose interior holds the point of the triple."""
     return next((mid for mid, box in lay.boxes.items() if _inside(box, point, lay.den)), None)
 
 
+def _triple(x, y):
+    """The point of two ``Fraction``s as a triple over their least common denominator."""
+    d = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
+
+
 def _probe_points(routed, crossings):
-    """Each polyline's vertices and segment midpoints, and the crossings."""
-    points = [pt for poly in routed.polylines for pt in poly.points]
-    for poly in routed.polylines:
-        points += [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p, q in zip(poly.points, poly.points[1:])]
+    """Each polyline's vertices and segment midpoints, and the crossings, as triples."""
+    den = routed.den
+    points = [(x, y, den) for pts in routed.scaled for x, y in pts]
+    for pts in routed.scaled:
+        points += [(p[0] + q[0], p[1] + q[1], 2 * den) for p, q in zip(pts, pts[1:])]
     return points + [pt for _a, _b, pt in crossings]
 
 
@@ -293,11 +304,11 @@ def test_box_of_takes_the_first_box_in_order_when_boxes_overlap():
     boxes = {"b": box(2, 0, 6, 4), "a": box(0, 0, 10, 10), "c": box(1, 1, 3, 3)}
     lay = geometry.Layout(boxes, (), {}, {}, {}, {}, (), (0, 0, 10, 10), den=1)
     for x, y in itertools.product(range(-1, 12), repeat=2):
-        point = (Fraction(x, 2) + Fraction(1, 4), Fraction(y, 2) + Fraction(1, 4))
+        point = (2 * x + 1, 2 * y + 1, 4)
         assert lay.box_of(point) == _box_by_scan(lay, point)
-    assert lay.box_of((Fraction(5, 2), Fraction(2))) == "b"
-    assert lay.box_of((Fraction(3, 2), Fraction(2))) == "a"
-    assert lay.box_of((Fraction(11), Fraction(2))) is None
+    assert lay.box_of((5, 4, 2)) == "b"
+    assert lay.box_of((3, 4, 2)) == "a"
+    assert lay.box_of((11, 2, 1)) is None
 
 
 def test_box_of_leaves_out_every_edge():
@@ -307,7 +318,7 @@ def test_box_of_leaves_out_every_edge():
     # The boxes of the test above over den 2, so the half-unit grid is every int of the integer form.
     box = geometry.BoxRect
     boxes = {"b": box(4, 0, 12, 8), "a": box(0, 0, 20, 20), "c": box(2, 2, 6, 6)}
-    grid = [(Fraction(x, 2), Fraction(y, 2)) for x, y in itertools.product(range(-1, 22), repeat=2)]
+    grid = [(x, y, 2) for x, y in itertools.product(range(-1, 22), repeat=2)]
     for order in itertools.permutations(boxes):
         lay = geometry.Layout({mid: boxes[mid] for mid in order}, (), {}, {}, {}, {}, (), (0, 0, 20, 20), den=2)
         assert [lay.box_of(point) for point in grid] == [_box_by_scan(lay, point) for point in grid], order

@@ -26,7 +26,8 @@ import fraction_layout
 from foliage.decompose import reduce_scenario
 from foliage.generator import GeneratorConfig, generate_scenario
 from foliage.geometry import Layout, PolylineSet, crossing_points, layout, route
-from test_geometry import _box_by_scan
+from test_crossing_kernel import _fraction_crossings
+from test_geometry import _box_by_scan, _triple
 from test_realize import _chain
 
 LAYOUT_DIGEST = "208de4dd78b785a58ad098138758a5b0609355dfffc48f06da8a2b83ec846622"
@@ -120,7 +121,7 @@ def test_the_integer_layout_equals_the_fraction_oracle(part):
         routed = route(s, r, fast)
         # The integer hand-off and a set built from the same points in Fractions.
         again = PolylineSet(tuple(fraction_layout.polyline(p.orbit, p.points) for p in routed.polylines))
-        assert crossing_points(routed) == crossing_points(again)
+        assert _fraction_crossings(routed) == _fraction_crossings(again)
         assert routed.den % again.den == 0
 
 
@@ -132,10 +133,10 @@ def test_box_of_equals_the_scan_at_crossings_segments_and_box_sides():
     boxes = fraction_layout.in_fractions(built.boxes, built.den)
     probes = [point for _a, _b, point in crossing_points(routed)]
     for poly in routed.polylines:
-        probes += [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p, q in zip(poly.points, poly.points[1:])]
+        probes += [_triple((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p, q in zip(poly.points, poly.points[1:])]
     for b in boxes.values():  # each box's centre and the midpoints of its sides
         xm, ym = (b.x0 + b.x1) / 2, (b.y0 + b.y1) / 2
-        probes += [(xm, ym), (xm, b.y0), (xm, b.y1), (b.x0, ym), (b.x1, ym)]
+        probes += [_triple(*p) for p in ((xm, ym), (xm, b.y0), (xm, b.y1), (b.x0, ym), (b.x1, ym))]
     found = [built.box_of(point) for point in probes]
     scan = [_box_by_scan(built, point) for point in probes]
     assert found == scan
