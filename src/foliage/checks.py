@@ -59,22 +59,52 @@ def prop_preorder_totality(ctx: _Context) -> list[str]:
     return bad
 
 
-def _le(side: Callable, s: Scenario, a: str, b: str) -> bool:
-    d = side(s, a, b).direction
-    return d in (Direction.FIRST_LESS, Direction.EQUIVALENT)
+_AT_MOST = (Direction.FIRST_LESS, Direction.EQUIVALENT)
+_MIRROR = {Direction.FIRST_LESS: Direction.SECOND_LESS, Direction.EQUIVALENT: Direction.EQUIVALENT}
+_SIGN = {Direction.FIRST_LESS: -1, Direction.SECOND_LESS: 1}
+
+
+def _total_preorder(items: list[str], direction: Callable[[str, str], Direction]) -> bool:
+    """Whether ``direction`` totally preorders ``items``: a sort by it cuts
+    them into runs, each pair reading Equivalent inside a run and FirstLess
+    across runs, and each reversed pair its mirror.  A pass costs O(n²)
+    calls; a comparison that raises fails it."""
+    try:
+        seq = sorted(items, key=cmp_to_key(lambda a, b: _SIGN.get(direction(a, b), 0)))
+        steps = (direction(a, b) is not Direction.EQUIVALENT for a, b in zip(seq, seq[1:]))
+        run = list(itertools.accumulate(steps, initial=0))
+        return all(
+            direction(a, b) is (d := Direction.EQUIVALENT if run[i] == run[j] else Direction.FIRST_LESS)
+            and direction(b, a) is _MIRROR[d]
+            for (i, a), (j, b) in itertools.combinations(enumerate(seq), 2)
+        )
+    except Exception:
+        return False  # the loop below raises it again, where it always has
+
+
+def _intransitive(leaf: str, orbs: list[str], sides: dict[str, Callable[[str, str], Direction]]) -> list[str]:
+    """The triples of ``orbs`` on which a side's "FirstLess or Equivalent"
+    is not transitive, each side named by its key in ``sides``.  There are
+    none when every side totally preorders ``orbs``; otherwise, or when a
+    comparison raises, the triple loop names them."""
+    if len(orbs) < 3 or all(_total_preorder(orbs, direction) for direction in sides.values()):
+        return []
+    bad = []
+    for a, b, c in itertools.permutations(orbs, 3):
+        for name, direction in sides.items():
+            if direction(a, b) in _AT_MOST and direction(b, c) in _AT_MOST and direction(a, c) not in _AT_MOST:
+                bad.append(f"{name} not transitive on {a},{b},{c} at leaf {leaf}")
+    return bad
 
 
 def prop_preorder_transitivity(ctx: _Context) -> list[str]:
-    bad = []
-    idx = index(ctx.scenario)
-    for leaf in ctx.crossed_leaves:
-        orbs = sorted(idx.leaf_orbits[leaf])
-        for a, b, c in itertools.permutations(orbs, 3):
-            for side in (relations.compare_left, relations.compare_right):
-                if _le(side, ctx.scenario, a, b) and _le(side, ctx.scenario, b, c):
-                    if not _le(side, ctx.scenario, a, c):
-                        bad.append(f"{side.__name__} not transitive on {a},{b},{c} at leaf {leaf}")
-    return bad
+    s = ctx.scenario
+    sides = {
+        side.__name__: lambda a, b, side=side: side(s, a, b).direction
+        for side in (relations.compare_left, relations.compare_right)
+    }
+    idx = index(s)
+    return [msg for leaf in ctx.crossed_leaves for msg in _intransitive(leaf, sorted(idx.leaf_orbits[leaf]), sides)]
 
 
 def prop_mutual_iff_asymptotic(ctx: _Context) -> list[str]:

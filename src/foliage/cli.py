@@ -17,7 +17,8 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from typing import Callable, Iterable
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Hashable, Iterable
 
 from . import geometry, realize, relations
 from .checks import run_check
@@ -158,33 +159,47 @@ _Form = collections.namedtuple("_Form", "row blank encode head sep tail empty", 
 
 
 def _blank(row: str, values: dict, encode: Callable[[object], str]) -> str:
-    """``row`` filled with the values of a pair with no record, its ids left open."""
-    return row % {**{key: encode(value) for key, value in values.items()}, "a": "%s", "b": "%s"}
+    """``row`` filled with ``values``, each ``%`` in them doubled, its ids left open as ``%s``."""
+    return row % {**{key: encode(value).replace("%", "%%") for key, value in values.items()}, "a": "%s", "b": "%s"}
+
+
+def _json_list(key: str, item: object) -> tuple[str, str, str, str]:
+    """``dumps({key: [item]})`` cut into the list's head, item and tail, and
+    the list's item separator; each ``"\\0"`` string in the item becomes ``%s``."""
+    head, sep, tail = dumps({key: ["\0", "\0"]}).split(dumps("\0"))
+    return head, dumps({key: [item]})[len(head) : -len(tail)].replace(dumps("\0"), "%s"), tail, sep
 
 
 def _json_form(blank: dict) -> _Form:
     """``dumps({"pairs": rows})`` and a newline, for rows holding ``blank``'s
     keys and ``"pair"``.  The parts are cut from what ``dumps`` writes for
     sentinel rows, so the canonical writer sets indentation and key order."""
-    head, sep, tail = dumps({"pairs": ["\0", "\0"]}).split(dumps("\0"))
-    row = dumps({"pairs": [{**{key: "\0" + key for key in blank}, "pair": ["\0a", "\0b"]}]})[len(head) : -len(tail)]
+    head, row, tail, sep = _json_list("pairs", {**{key: "\0" + key for key in blank}, "pair": ["\0a", "\0b"]})
     for key in (*blank, "a", "b"):
         row = row.replace(dumps("\0" + key), f"%({key})s")
-    encode = functools.lru_cache(maxsize=None, typed=True)(dumps)  # typed: True and 1 are written apart
-    return _Form(row, _blank(row, blank, encode), encode, head, sep, tail + "\n", dumps({"pairs": []}) + "\n")
+    return _Form(row, _blank(row, blank, dumps), dumps, head, sep, tail + "\n", dumps({"pairs": []}) + "\n")
+
+
+def _ends_json(ends: tuple[tuple[str, str], ...]) -> str:
+    """``dumps({"ends": [list(end) for end in ends]})`` for ``ends`` not empty: each end's id
+    fills its kind's item, cut from what ``dumps`` writes for a sentinel id."""
+    head, _item, tail, sep = _json_list("ends", None)
+    item = {kind: _json_list("ends", ["\0", kind])[1] for kind in (realize.BACKWARD, realize.FORWARD)}
+    return head + sep.join([item[kind] % encode_basestring_ascii(orbit) for orbit, kind in ends]) + tail
 
 
 _RELATIONS_TEXT = "%(a)s,%(b)s L=%(left)s R=%(right)s +~=%(forward_asymptotic)s -~=%(backward_asymptotic)s "
 _RELATIONS_TEXT += "weak=%(weak)s classic=%(classic)s\n"
 
 
-def _write_pairs(ids: list[str], rows: Iterable[tuple[str, str, dict]], form: _Form) -> None:
+def _write_pairs(ids: list[str], rows: Iterable[tuple[str, str, Hashable]], values_of: Callable, form: _Form) -> None:
     """Write the table of every pair ``a < b`` of the sorted ``ids`` to
-    stdout.  ``rows`` yields ``(a, b, values)`` in id order for the pairs
-    that have a record; each run of other pairs with one ``a`` is filled
-    into the blank template by one ``join``.  The table goes out a run at a
-    time and is never held whole."""
-    out, encode = sys.stdout, form.encode
+    stdout.  ``rows`` yields ``(a, b, record)`` in id order for the pairs
+    that have a record; each distinct record's row is filled from
+    ``values_of(record)`` once, its ids left open.  Each run of other pairs
+    with one ``a`` is filled into the blank template by one ``join``.  The
+    table goes out a run at a time and is never held whole."""
+    out, encode, filled = sys.stdout, form.encode, {}
     if len(ids) < 2:
         out.write(form.empty)
         return
@@ -201,8 +216,8 @@ def _write_pairs(ids: list[str], rows: Iterable[tuple[str, str, dict]], form: _F
                 out.write(sep + opened + (blank_tail + form.sep + opened).join(names[start:stop]) + blank_tail)
                 sep = form.sep
             if stop < len(ids):
-                values = {key: encode(value) for key, value in row[2].items()}
-                out.write(sep + form.row % {**values, "a": names[i], "b": names[stop]})
+                text = filled.get(row[2]) or filled.setdefault(row[2], _blank(form.row, values_of(row[2]), encode))
+                out.write(sep + text % (names[i], names[stop]))
                 sep, row = form.sep, next(rows, None)
             start = stop + 1
     out.write(form.tail)
@@ -218,10 +233,9 @@ def _cmd_relations(args) -> int:
             return _usage_error("unknown orbit in --pair")
         print(_pair_line(s, a, b))
         return 0
-    rows = ((a, b, _relations_row(p)) for a, b, p in relations.met_pair_relations(s))
     blank = _relations_row(relations.DISJOINT_PAIR)
     form = _json_form(blank) if args.json else _Form(_RELATIONS_TEXT, _blank(_RELATIONS_TEXT, blank, _text), _text)
-    _write_pairs(ids, rows, form)
+    _write_pairs(ids, relations.met_pair_relations(s), _relations_row, form)
     return 0
 
 
@@ -245,14 +259,15 @@ def _cmd_diagram(args) -> int:
         _write(args.chord, geometry.emit_chord_svg(geometry.chord_diagram(order)))
     ids = sorted(o.id for o in s.orbits)
     if matrix is not None:
-        rows = ((e.a, e.b, {"crossings": e.count, "witness": e.witness}) for e in matrix.entries)
+        rows = ((e.a, e.b, (e.count, e.witness)) for e in matrix.entries)
         text = _Form("%(a)s,%(b)s %(crossings)s witness=%(witness)s\n", "%s,%s 0\n", _text)
-        _write_pairs(ids, rows, _json_form({"crossings": 0, "witness": None}) if args.json else text)
+        form = _json_form({"crossings": 0, "witness": None}) if args.json else text
+        _write_pairs(ids, rows, lambda entry: dict(zip(("crossings", "witness"), entry)), form)
     else:
         if order is None:
             return _usage_error("boundary order requires at least one orbit")
         if args.json:
-            print(dumps({"ends": [list(e) for e in order.ends]}))
+            print(_ends_json(order.ends))
         else:
             print(" ".join(f"({orbit},{kind})" for orbit, kind in order.ends))
     return 0

@@ -43,7 +43,8 @@ class SplitMix64:
         return seq[self.below(len(seq))]
 
     def chance(self, p: Fraction) -> bool:
-        return self.next_u64() < p * (1 << 64)
+        """Whether the next draw ``u`` has ``u < p * 2**64``, in integers."""
+        return self.next_u64() * p.denominator < p.numerator << 64
 
 
 @dataclass(frozen=True)

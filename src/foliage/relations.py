@@ -7,16 +7,18 @@ or by comparing the two terminal cuts (L4); the right end mirrors this with
 entry leaves and entry cuts.  Equal terminal data in the L4/R4 case is the
 forward/backward asymptotic equivalence.
 
-``pair_relations`` is the one place a pair is compared: both verdicts and
-both asymptotic flags from one common subpath, kept per ordered pair on the
-scenario's index.  The sided comparisons, asymptotic and transversality
-tests and pairwise comparators below read fields of that record.
+A pair's record holds both verdicts and both asymptotic flags, read at the
+two ends of the pair's shared run of domains, and is kept per ordered pair
+on the scenario's index; ``pair_relations`` builds one from
+``decompose.common_subpath``.  The sided comparisons, asymptotic and
+transversality tests and pairwise comparators below read its fields.
 
 ``met_pair_relations`` is the one pass over the pairs ``a < b`` that share
-a skeleton domain, in id order; the ``relations`` command and
-``realize.weak_matrix`` read it.  Every other pair has no common subpath,
-so it is Disjoint on both ends and asymptotic on neither: its record is the
-shared ``DISJOINT_PAIR``, which only the table writer fills in.
+a skeleton domain, in id order, finding each pair's run in one walk along
+each orbit's path; the ``relations`` command and ``realize.weak_matrix``
+read it.  Every other pair has no common subpath, so it is Disjoint on both
+ends and asymptotic on neither: its record is the shared ``DISJOINT_PAIR``,
+which only the table writer fills in.
 
 Verdicts and orders read one walk per orbit and direction, kept on the
 index (``orbit_walks``): ``2*rank+1`` per leaf crossed, then ``2*cut``;
@@ -169,6 +171,16 @@ def _verdict(idx, oa: Orbit, ob: Orbit, domain: str, step: int) -> RelationVerdi
     return (first if ka < kb else second)[3 - 2 * (lo & 1) - (hi & 1)]
 
 
+def _pair_record(idx, oa: Orbit, ob: Orbit, first: str, last: str) -> PairRelations:
+    """The relations of two distinct orbits whose common subpath runs ``first``..``last``."""
+    return PairRelations(
+        _verdict(idx, oa, ob, last, 1),
+        _verdict(idx, oa, ob, first, -1),
+        oa.omega == ob.omega and oa.exit_cut == ob.exit_cut,
+        oa.alpha == ob.alpha and oa.entry_cut == ob.entry_cut,
+    )
+
+
 def pair_relations(s: Scenario, a: str, b: str) -> PairRelations:
     """Both sided verdicts and both asymptotic flags of ``(a, b)``, computed
     once per ordered pair and kept on the scenario's index.  A pair that
@@ -181,12 +193,7 @@ def pair_relations(s: Scenario, a: str, b: str) -> PairRelations:
         if cs is None:
             p = _SAME_PAIR if a == b else DISJOINT_PAIR
         else:
-            p = PairRelations(
-                _verdict(idx, oa, ob, cs.last, 1),
-                _verdict(idx, oa, ob, cs.first, -1),
-                oa.omega == ob.omega and oa.exit_cut == ob.exit_cut,
-                oa.alpha == ob.alpha and oa.entry_cut == ob.entry_cut,
-            )
+            p = _pair_record(idx, oa, ob, cs.first, cs.last)
         idx.pairs[(a, b)] = p
     return p
 
@@ -214,15 +221,23 @@ def minus_asymptotic(s: Scenario, a: str, b: str) -> bool:
 def met_pair_relations(s: Scenario) -> Iterator[tuple[str, str, PairRelations]]:
     """``(a, b, pair_relations(s, a, b))`` for the pairs of orbit ids
     ``a < b`` that share a skeleton domain, in id order; every other pair
-    is ``DISJOINT_PAIR``."""
+    is ``DISJOINT_PAIR``.  One walk along each ``a``'s path lists the ``n`` domains each later
+    ``b`` shares with it: one run in both paths when its ends lie ``2*(n-1)`` apart in each."""
     idx = index(s)
-    partners: dict[str, set[str]] = {o: set() for o in idx.orbit_by_id}
-    for orbits in idx.domain_orbits.values():
-        for o in orbits:
-            partners[o].update(orbits)
-    for a in sorted(partners):
-        for b in sorted(b for b in partners[a] if b > a):
-            yield a, b, pair_relations(s, a, b)
+    pos, pairs = idx.domain_pos, idx.pairs
+    for a in sorted(idx.orbit_by_id):
+        pa, shared = pos[a], {}
+        for d in pa:
+            for b in filter(a.__lt__, idx.domain_orbits[d]):
+                shared.setdefault(b, []).append(d)
+        for b in sorted(shared):
+            p = pairs.get((a, b))
+            if p is None:
+                first, last = shared[b][0], shared[b][-1]
+                if not pa[last] - pa[first] == pos[b][last] - pos[b][first] == 2 * len(shared[b]) - 2:
+                    raise FoliageError(f"orbits {a!r} and {b!r} share a non-contiguous domain set")
+                p = pairs[(a, b)] = _pair_record(idx, idx.orbit_by_id[a], idx.orbit_by_id[b], first, last)
+            yield a, b, p
 
 
 def weak_from_verdicts(left: RelationVerdict, right: RelationVerdict) -> bool:

@@ -6,11 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from foliage import checks
+from foliage import checks, relations
 from foliage.checks import PROPERTIES, _Context, _strict_total, run_check, shrink
 from foliage.cli import main
 from foliage.generator import GeneratorConfig, generate_scenario
-from foliage.model import FIXTURE_NAMES, FoliageError, fixture, parse_scenario
+from foliage.model import (
+    FIXTURE_NAMES,
+    FoliageError,
+    Orbit,
+    Scenario,
+    SkeletonDomain,
+    fixture,
+    parse_scenario,
+    validate,
+)
+from foliage.relations import Clause, Direction, RelationVerdict
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -184,7 +194,7 @@ def test_a_raising_property_is_a_shrunk_failure_not_an_abort():
 
 
 def test_a_case_whose_context_raises_fails_every_property(monkeypatch):
-    from foliage import checks
+    from foliage import checks, relations
 
     build = checks._Context.__post_init__
 
@@ -264,6 +274,137 @@ def test_strict_total_agrees_with_the_cubic_loops(kind, seed):
 def test_strict_total_on_no_or_one_item():
     assert _strict_total([], None) == []
     assert _strict_total(["a"], lambda a, b: 0) == []
+
+
+def _transitivity_by_loops(leaf, orbs, sides):
+    """The triple loop that ``_intransitive`` falls back to, as the
+    preorder-transitivity property ran it on every leaf."""
+    le = (Direction.FIRST_LESS, Direction.EQUIVALENT)
+    bad = []
+    for a, b, c in itertools.permutations(orbs, 3):
+        for name, direction in sides.items():
+            if direction(a, b) in le and direction(b, c) in le:
+                if direction(a, c) not in le:
+                    bad.append(f"{name} not transitive on {a},{b},{c} at leaf {leaf}")
+    return bad
+
+
+SIDED_BROKEN = ("gapped", "cyclic", "one-way", "raising", "incomparable", "rock-paper-scissors")
+
+
+def _sided(kind, items, rng):
+    """A total preorder by random rank with ties, broken as ``kind`` says
+    on random items: the direction of each ordered pair."""
+    rank = {o: rng.randrange(len(items) // 2 + 1) for o in items}
+    x, y, z = rng.sample(items, 3)
+    forced = {}
+    if kind == "gapped":  # x ~ z, but y lies strictly between them
+        rank.update({x: -3, y: -2, z: -1})
+        forced = {(x, z): Direction.EQUIVALENT, (z, x): Direction.EQUIVALENT}
+    elif kind == "cyclic":
+        forced = {(x, y): Direction.FIRST_LESS, (y, z): Direction.FIRST_LESS, (z, x): Direction.FIRST_LESS}
+        forced.update({(b, a): Direction.SECOND_LESS for a, b in list(forced)})
+    elif kind == "one-way":
+        forced = {(x, y): Direction.FIRST_LESS, (y, x): Direction.FIRST_LESS}
+    elif kind == "incomparable":
+        forced = {(x, y): Direction.INCOMPARABLE, (y, x): Direction.INCOMPARABLE}
+
+    def direction(a, b):
+        if kind == "raising" and {a, b} == {x, y}:
+            raise FoliageError(f"cannot compare {a} with {b}")
+        if kind == "rock-paper-scissors":
+            return (Direction.EQUIVALENT, Direction.FIRST_LESS, Direction.SECOND_LESS)[(rank[b] - rank[a]) % 3]
+        if (a, b) in forced:
+            return forced[(a, b)]
+        if rank[a] == rank[b]:
+            return Direction.EQUIVALENT
+        return Direction.FIRST_LESS if rank[a] < rank[b] else Direction.SECOND_LESS
+
+    return direction
+
+
+@pytest.mark.parametrize("kind", ("total",) + SIDED_BROKEN)
+@pytest.mark.parametrize("seed", range(8))
+def test_intransitive_agrees_with_the_triple_loop(kind, seed):
+    rng = random.Random(f"{kind}/{seed}")
+    items = [f"o{i}" for i in range(rng.randint(3, 9))]
+    broken = _sided(kind, items, rng)
+    sides = {"compare_left": broken, "compare_right": _sided("total", items, rng)}
+    if seed % 2:
+        sides = {"compare_left": sides["compare_right"], "compare_right": broken}
+    got = _outcome(lambda orbs, sides: checks._intransitive("m", orbs, sides), items, sides)
+    assert got == _outcome(lambda orbs, sides: _transitivity_by_loops("m", orbs, sides), items, sides)
+    if kind == "total":
+        assert got == []
+    if kind in ("gapped", "cyclic"):
+        assert got and all(isinstance(msg, str) for msg in got)
+
+
+def _crowded_leaf(n, seed=0):
+    """n orbits through leaf m of a line P -p- A -m- B -q- C: each starts in
+    P or A and ends in B or C, with random cuts and its own tie rank."""
+    rng = random.Random(seed)
+
+    def free(tag):
+        return tuple(f"{tag}{i}" for i in range(3))
+
+    domains = (
+        SkeletonDomain("P", left=("p", *free("pl")), right=free("pr")),
+        SkeletonDomain("A", left=(*free("al"), "m"), right=("p", *free("ar"))),
+        SkeletonDomain("B", left=("bl0", "q", "bl1"), right=(*free("br"), "m")),
+        SkeletonDomain("C", left=free("cl"), right=("q", *free("cr"))),
+    )
+    orbits = []
+    for k in range(n):
+        path = ("P", "p") * (rng.random() < 0.5) + ("A", "m", "B") + ("q", "C") * (rng.random() < 0.5)
+        orbits.append(Orbit(f"o{k:03d}", path, rng.randrange(4), rng.randrange(4), k))
+    return Scenario(domains=domains, orbits=tuple(orbits))
+
+
+def _preorder_transitivity_by_loops(ctx):
+    s = ctx.scenario
+    sides = {
+        side.__name__: lambda a, b, side=side: side(s, a, b).direction
+        for side in (relations.compare_left, relations.compare_right)
+    }
+    idx = checks.index(s)
+    bad = []
+    for leaf in ctx.crossed_leaves:
+        bad += _transitivity_by_loops(leaf, sorted(idx.leaf_orbits[leaf]), sides)
+    return bad
+
+
+def _rock_paper_scissors(s, a, b):
+    """A left comparison whose "at most" is not transitive: by id position mod 3."""
+    ids = sorted(o.id for o in s.orbits)
+    d = (Direction.EQUIVALENT, Direction.FIRST_LESS, Direction.SECOND_LESS)[(ids.index(b) - ids.index(a)) % 3]
+    return RelationVerdict(d, Clause.L4)
+
+
+@pytest.mark.parametrize("broken", (False, True))
+def test_preorder_transitivity_equals_the_triple_loop(monkeypatch, broken):
+    scenarios = [_crowded_leaf(30, seed) for seed in range(3)]
+    bounds = {"max_domains": 25, "max_orbits": 14, "max_boundary": 6}
+    scenarios += [generate_scenario(GeneratorConfig(seed=seed, **bounds)) for seed in range(1, 41)]
+    contexts = [_Context(s) for s in scenarios]
+    if broken:
+        monkeypatch.setattr(relations, "compare_left", _rock_paper_scissors)
+    messages = 0
+    for ctx in contexts:
+        got = checks.prop_preorder_transitivity(ctx)
+        assert got == _preorder_transitivity_by_loops(ctx)
+        messages += len(got)
+    assert (messages > 0) == broken
+
+
+def test_preorder_transitivity_at_200_orbits_on_one_leaf_is_quick():
+    s = _crowded_leaf(200)
+    assert validate(s).ok
+    ctx = _Context(s)
+    assert len(checks.index(s).leaf_orbits["m"]) == 200
+    start = time.perf_counter()
+    assert checks.prop_preorder_transitivity(ctx) == []
+    assert time.perf_counter() - start < 2.0  # 20 s when every triple was looped over
 
 
 def test_check_on_100_orbits_in_one_domain_is_quick(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from foliage.decompose import common_subpath, reduce_scenario
 from foliage import relations
-from foliage.model import FIXTURE_NAMES, FoliageError, fixture, index
+from foliage.model import FIXTURE_NAMES, FoliageError, Scenario, fixture, index
 
 # The public functions that read one pair's record.
 PAIR_FUNCTIONS = (
@@ -158,35 +158,44 @@ def test_common_subpath_is_symmetric():
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_common_subpath_is_computed_once_per_pair(monkeypatch, name):
+def test_each_ordered_pair_record_is_built_once(monkeypatch, name):
     s, fresh = fixture(name), fixture(name)
-    real = relations.common_subpath
-    looked_up = []
+    real, built = relations._pair_record, []
 
-    def recording(s, a, b):
-        looked_up.append((a, b))
-        return real(s, a, b)
+    def counting(idx, oa, ob, first, last):
+        built.append((oa.id, ob.id))
+        return real(idx, oa, ob, first, last)
 
-    monkeypatch.setattr(relations, "common_subpath", recording)
+    monkeypatch.setattr(relations, "_pair_record", counting)
     ids = sorted(o.id for o in s.orbits)
+    met = [(a, b) for a, b, _p in relations.met_pair_relations(s)]
+    assert built == met
     for a, b in itertools.permutations(ids, 2):
         first = relations.pair_relations(s, a, b)
         for fn in PAIR_FUNCTIONS:
             fn(s, a, b)
         assert relations.pair_relations(s, a, b) is first
         assert index(s).pairs[(a, b)] is first
-        assert looked_up.count((a, b)) == 1
-        assert common_subpath(s, a, b) == real(fresh, a, b)
+        assert built.count((a, b)) == (common_subpath(s, a, b) is not None)
+        assert common_subpath(s, a, b) == common_subpath(fresh, a, b)
+    list(relations.met_pair_relations(s))
+    assert len(built) == len(set(built))
     assert len(index(s).pairs) == len(ids) * (len(ids) - 1)
 
 
 def test_non_contiguous_pair_raises_on_every_call(monkeypatch):
     from test_realize import _chain
 
-    s = _chain(3)  # O0 crosses D0-D1, O2 runs D0-D1-D2
+    # O0 crosses D0-D1 and O2 runs D0-D1-D2; O1, on D1-D2, is left out.
+    s = _chain(3)
+    s = Scenario(domains=s.domains, orbits=tuple(o for o in s.orbits if o.id != "O1"))
     # No valid scenario has such a pair, so give O0 a gapped position map.
     monkeypatch.setitem(index(s).domain_pos, "O0", {"D0": 0, "D2": 4})
-    for fn in (common_subpath, *PAIR_FUNCTIONS):
+
+    def met(s, _a, _b):
+        return list(relations.met_pair_relations(s))
+
+    for fn in (common_subpath, *PAIR_FUNCTIONS, met):
         for _ in range(2):
             with pytest.raises(FoliageError, match="non-contiguous"):
                 fn(s, "O0", "O2")

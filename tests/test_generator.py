@@ -32,6 +32,28 @@ def test_splitmix64_below_range():
         assert 0 <= r.below(13) < 13
 
 
+class _Fixed(SplitMix64):
+    """A generator whose next draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def next_u64(self):
+        return self.u
+
+
+@pytest.mark.parametrize(
+    "p", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 2**64), 1 - Fraction(1, 2**64)]
+)
+def test_chance_equals_the_fraction_formula(p):
+    edge = p * 2**64
+    near = {int(edge) + d for d in (-2, -1, 0, 1, 2)} | {0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1}
+    r = SplitMix64(1234)
+    draws = sorted(u for u in near if 0 <= u < 2**64) + [r.next_u64() for _ in range(2000)]
+    for u in draws:
+        assert _Fixed(u).chance(p) == (u < p * (1 << 64)), (p, u)
+
+
 def test_degenerate_bounds_force_the_smallest_scenario():
     s = generate_scenario(GeneratorConfig(seed=1, max_domains=1, max_orbits=1, max_boundary=0))
     assert len(s.domains) == 1

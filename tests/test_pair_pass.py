@@ -7,9 +7,11 @@ equal-start flags), on every ordered pair of a fresh copy of each scenario.
 ``relations.met_pair_relations`` yields only the pairs that share a
 skeleton domain; it is checked against ``pair_relations`` on every pair of
 a fresh copy of each scenario, each pair it leaves out being
-``DISJOINT_PAIR``.  The ``relations`` and ``diagram`` tables are checked
-against row dicts written by ``dumps`` (the JSON) and formatted one by one
-(the text), one per pair, and ``weak_matrix`` against the all-pairs
+``DISJOINT_PAIR``, and the two ends of each shared run its sweep finds
+against ``decompose.common_subpath``.  The ``relations`` and ``diagram``
+tables are checked against row dicts written by ``dumps`` (the JSON) and
+formatted one by one (the text), one per pair, the boundary JSON against
+``dumps`` of the ends, and ``weak_matrix`` against the all-pairs
 ``weak_transverse`` loop.
 """
 
@@ -19,25 +21,37 @@ import json
 
 import pytest
 
-from foliage import relations
+from foliage import cli, relations
 from foliage.cli import main
 from foliage.generator import GeneratorConfig, generate_scenario
 from foliage.decompose import common_subpath, reduce_scenario
 from foliage.model import FIXTURE_NAMES, FoliageError, Orbit, Scenario, SkeletonDomain, dumps, emit_scenario, fixture, index
 from foliage.relations import Clause, Direction, RelationVerdict, TieRankError
-from foliage.realize import PairEntry, crossing_matrix, weak_matrix
+from foliage.realize import PairEntry, boundary_order, crossing_matrix, weak_matrix
 from test_realize import _chain
 from test_relations import _through_one_domain
 
 # Orbit ids that a %-template, a JSON string escape or a line separator
 # could get wrong.
 ODD_IDS = ("%s", '"', "\\", "é", "\u2028")
+# Domain ids that reach the ``diagram`` witness, a maximal domain's id,
+# through the doubling of ``%`` in a filled row.
+ODD_DOMAIN_IDS = ("%s", "%(a)s", "%%", "é")
 
 
 def _renamed(s, names):
     new = dict(zip(sorted(o.id for o in s.orbits), names))
     orbits = tuple(Orbit(new[o.id], o.path, o.entry_cut, o.exit_cut, o.tie_rank) for o in s.orbits)
     return Scenario(domains=s.domains, orbits=orbits)
+
+
+def _domains_renamed(s, names):
+    new = dict(zip((d.id for d in s.domains), names))
+    domains = tuple(SkeletonDomain(new[d.id], d.left, d.right) for d in s.domains)
+    orbits = tuple(
+        Orbit(o.id, tuple(new.get(x, x) for x in o.path), o.entry_cut, o.exit_cut, o.tie_rank) for o in s.orbits
+    )
+    return Scenario(domains=domains, orbits=orbits)
 
 
 FAMILIES = ("in-code", "default", "wide")
@@ -188,24 +202,69 @@ def test_the_sparse_pass_equals_pair_relations_on_every_pair(family):
                 assert want is relations.DISJOINT_PAIR, (name, a, b)
 
 
+def _counting_records(monkeypatch):
+    """The ``(a, b, first, last)`` of each pair record built from here on."""
+    real, built = relations._pair_record, []
+
+    def counting(idx, oa, ob, first, last):
+        built.append((oa.id, ob.id, first, last))
+        return real(idx, oa, ob, first, last)
+
+    monkeypatch.setattr(relations, "_pair_record", counting)
+    return built
+
+
 @pytest.mark.parametrize(
     "family, name",
     [("in-code", n) for n in ("S1", "S2", "S3", "nested", "chain20", "chain60")]
     + [("default", "default7"), ("wide", "wide3")],
 )
-def test_pairs_that_share_no_domain_reach_no_subpath_lookup(monkeypatch, family, name):
+def test_pairs_that_share_no_domain_build_no_record(monkeypatch, family, name):
     s = _fresh(_family(family)[name])
-    real = relations.common_subpath
-    looked_up = []
-
-    def recording(s, a, b):
-        looked_up.append((a, b))
-        return real(s, a, b)
-
-    monkeypatch.setattr(relations, "common_subpath", recording)
+    built = _counting_records(monkeypatch)
     pairs = [(a, b) for a, b, _p in relations.met_pair_relations(s)]
     ids = sorted(o.id for o in s.orbits)
-    assert looked_up == pairs == [(a, b) for a, b in itertools.combinations(ids, 2) if _meets(s, a, b)]
+    assert [(a, b) for a, b, _first, _last in built] == pairs
+    assert pairs == [(a, b) for a, b in itertools.combinations(ids, 2) if _meets(s, a, b)]
+    # A second pass, and every pair function on every pair, build nothing new.
+    list(relations.met_pair_relations(s))
+    for a, b in itertools.combinations(ids, 2):
+        relations.pair_relations(s, a, b)
+    assert len(built) == len(pairs)
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("chain300",))
+def test_the_sweep_finds_the_common_subpath_ends(monkeypatch, family):
+    named = {"chain300": _chain(300)} if family == "chain300" else _family(family)
+    for name, s in named.items():
+        s, oracle = _fresh(s), _fresh(s)
+        built = _counting_records(monkeypatch)
+        list(relations.met_pair_relations(s))
+        for a, b, first, last in built:
+            cs = common_subpath(oracle, a, b)
+            assert (first, last) == (cs.first, cs.last), (name, a, b)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_relations_looks_up_no_subpath_and_fills_each_distinct_row_once(tmp_path, capsys, monkeypatch, flags):
+    s = _chain(60)
+    met = [p for _a, _b, p in relations.met_pair_relations(_fresh(s))]
+    records = set(met)
+    assert len(records) < len(met) // 10  # 9 distinct records over 117 pairs
+    real, rows = cli._relations_row, []
+
+    def counting(p):
+        rows.append(p)
+        return real(p)
+
+    def no_lookup(*args):
+        raise AssertionError("common_subpath called")
+
+    monkeypatch.setattr(relations, "common_subpath", no_lookup)
+    monkeypatch.setattr(cli, "_relations_row", counting)
+    _relations_output(tmp_path, capsys, s, *flags)
+    assert sorted(map(str, rows)) == sorted(map(str, records | {relations.DISJOINT_PAIR}))
+    assert len(rows) == len(records) + 1
 
 
 def _rows_oracle(s):
@@ -290,6 +349,28 @@ def test_diagram_matrix_output_equals_the_per_pair_entry_oracle(tmp_path, capsys
         want_json, want_text = _matrix_oracle(_fresh(s))
         assert _first_difference(_output(tmp_path, capsys, "diagram", s, "--json"), want_json) is None, name
         assert _first_difference(_output(tmp_path, capsys, "diagram", s), want_text) is None, name
+
+
+def test_odd_domain_ids_reach_the_witness_through_the_escape(tmp_path, capsys):
+    s = _domains_renamed(_chain(4), ODD_DOMAIN_IDS)
+    for s in (s, _renamed(s, ODD_IDS)):
+        want_json, want_text = _matrix_oracle(_fresh(s))
+        witnesses = {row["witness"] for row in json.loads(want_json)["pairs"]}
+        assert {"M:%(a)s", "M:%%"} <= witnesses
+        assert _output(tmp_path, capsys, "diagram", s, "--json") == want_json
+        assert _output(tmp_path, capsys, "diagram", s) == want_text
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_boundary_json_equals_dumps_of_the_ends(tmp_path, capsys, family):
+    named = _family(family)
+    if family == "in-code":
+        named = {**named, "odd-domain-ids": _renamed(_domains_renamed(_chain(4), ODD_DOMAIN_IDS), ODD_IDS)}
+    for name, s in named.items():
+        r = reduce_scenario(s)
+        if r.maxdomains:
+            want = dumps({"ends": [list(end) for end in boundary_order(s, r).ends]}) + "\n"
+            assert _output(tmp_path, capsys, "diagram", s, "--format", "boundary", "--json") == want, name
 
 
 @pytest.mark.parametrize("family", FAMILIES)
