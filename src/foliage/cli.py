@@ -180,16 +180,30 @@ def _json_form(blank: dict) -> _Form:
     return _Form(row, _blank(row, blank, dumps), dumps, head, sep, tail + "\n", dumps({"pairs": []}) + "\n")
 
 
+# ``dumps({"ends": ...})`` cut as ``_json_list`` cuts it, and one item
+# template per end kind, each cut from what ``dumps`` writes for a sentinel id.
+_ENDS_LIST = _json_list("ends", None)
+_END_ITEMS = {kind: _json_list("ends", ["\0", kind])[1] for kind in (realize.BACKWARD, realize.FORWARD)}
+
+
 def _ends_json(ends: tuple[tuple[str, str], ...]) -> str:
-    """``dumps({"ends": [list(end) for end in ends]})`` for ``ends`` not empty: each end's id
-    fills its kind's item, cut from what ``dumps`` writes for a sentinel id."""
-    head, _item, tail, sep = _json_list("ends", None)
-    item = {kind: _json_list("ends", ["\0", kind])[1] for kind in (realize.BACKWARD, realize.FORWARD)}
-    return head + sep.join([item[kind] % encode_basestring_ascii(orbit) for orbit, kind in ends]) + tail
+    """``dumps({"ends": [list(end) for end in ends]})`` for ``ends`` not empty: each end's id fills its kind's item."""
+    head, _item, tail, sep = _ENDS_LIST
+    return head + sep.join([_END_ITEMS[kind] % encode_basestring_ascii(orbit) for orbit, kind in ends]) + tail
 
 
 _RELATIONS_TEXT = "%(a)s,%(b)s L=%(left)s R=%(right)s +~=%(forward_asymptotic)s -~=%(backward_asymptotic)s "
 _RELATIONS_TEXT += "weak=%(weak)s classic=%(classic)s\n"
+_RELATIONS_BLANK = _relations_row(relations.DISJOINT_PAIR)
+# The forms of the relations table and of the crossing matrix, built once: text, then JSON (indexed by ``--json``).
+_RELATIONS_FORMS = (
+    _Form(_RELATIONS_TEXT, _blank(_RELATIONS_TEXT, _RELATIONS_BLANK, _text), _text),
+    _json_form(_RELATIONS_BLANK),
+)
+_MATRIX_FORMS = (
+    _Form("%(a)s,%(b)s %(crossings)s witness=%(witness)s\n", "%s,%s 0\n", _text),
+    _json_form({"crossings": 0, "witness": None}),
+)
 
 
 def _write_pairs(ids: list[str], rows: Iterable[tuple[str, str, Hashable]], values_of: Callable, form: _Form) -> None:
@@ -233,9 +247,7 @@ def _cmd_relations(args) -> int:
             return _usage_error("unknown orbit in --pair")
         print(_pair_line(s, a, b))
         return 0
-    blank = _relations_row(relations.DISJOINT_PAIR)
-    form = _json_form(blank) if args.json else _Form(_RELATIONS_TEXT, _blank(_RELATIONS_TEXT, blank, _text), _text)
-    _write_pairs(ids, relations.met_pair_relations(s), _relations_row, form)
+    _write_pairs(ids, relations.met_pair_relations(s), _relations_row, _RELATIONS_FORMS[args.json])
     return 0
 
 
@@ -260,9 +272,7 @@ def _cmd_diagram(args) -> int:
     ids = sorted(o.id for o in s.orbits)
     if matrix is not None:
         rows = ((e.a, e.b, (e.count, e.witness)) for e in matrix.entries)
-        text = _Form("%(a)s,%(b)s %(crossings)s witness=%(witness)s\n", "%s,%s 0\n", _text)
-        form = _json_form({"crossings": 0, "witness": None}) if args.json else text
-        _write_pairs(ids, rows, lambda entry: dict(zip(("crossings", "witness"), entry)), form)
+        _write_pairs(ids, rows, lambda entry: dict(zip(("crossings", "witness"), entry)), _MATRIX_FORMS[args.json])
     else:
         if order is None:
             return _usage_error("boundary order requires at least one orbit")

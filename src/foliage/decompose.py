@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import FoliageError, Scenario, _UnionFind, index
+from .model import FoliageError, Scenario, index
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,6 @@ def common_subpath(s: Scenario, a: str, b: str) -> Optional[CommonSubpath]:
     return CommonSubpath(first=run_a[0], last=run_a[-1], chain=tuple(run_a))
 
 
-def _mergeable(idx, edge: tuple[str, str, str]) -> bool:
-    a, leaf, b = edge
-    orbs = idx.leaf_orbits.get(leaf, frozenset())
-    return bool(orbs) and orbs == idx.domain_orbits[a] == idx.domain_orbits[b]
-
-
 def reduce_scenario(s: Scenario) -> ReducedStructure:
     """Partition the crossed skeleton into maximal domains and critical leaves.
 
@@ -137,73 +131,68 @@ def reduce_scenario(s: Scenario) -> ReducedStructure:
 
 def _reduce(s: Scenario) -> ReducedStructure:
     idx = index(s)
-    crossed = [d for d in s.domains if idx.domain_orbits[d.id]]
-    uf = _UnionFind(d.id for d in crossed)
-    merge_edges = [e for e in idx.edges if _mergeable(idx, e)]
-    for a, _leaf, b in merge_edges:
-        uf.union(a, b)
+    # A crossed leaf merges its two domains when all three carry one orbit
+    # set.  An orbit visits a domain once, so each domain has at most one
+    # merge successor and one merge predecessor, and a merged component is
+    # the chain that follows successors from a domain with no predecessor.
+    succ: dict[str, tuple[str, str]] = {}
+    merged: set[str] = set()
+    critical: list[tuple[str, str, str]] = []
+    for a, leaf, b in idx.edges:
+        orbs = idx.leaf_orbits.get(leaf)
+        if not orbs:
+            continue
+        if orbs == idx.domain_orbits[a] == idx.domain_orbits[b]:
+            if a in succ or b in merged:
+                raise FoliageError("merged component is not a simple chain")
+            succ[a] = (leaf, b)
+            merged.add(b)
+        else:
+            critical.append((a, leaf, b))
+    starts: dict[str, list[str]] = {}
+    stops: dict[str, list[str]] = {}
+    for o in s.orbits:
+        starts.setdefault(o.alpha, []).append(o.id)
+        stops.setdefault(o.omega, []).append(o.id)
 
-    components: dict[str, list[str]] = {}
-    for d in crossed:
-        components.setdefault(uf.find(d.id), []).append(d.id)
-
-    succ = {a: (leaf, b) for a, leaf, b in merge_edges}
-    has_pred = {b for _a, _leaf, b in merge_edges}
     maxdomains: list[MaxDomain] = []
+    roles: list[tuple[str, Roles]] = []
     membership: dict[str, str] = {}
-    for ids in components.values():
-        starts = [d for d in ids if d not in has_pred]
-        if len(starts) != 1:
-            raise FoliageError("merged component is not a simple chain")
-        chain = [starts[0]]
-        internal: list[str] = []
-        while chain[-1] in succ:
-            leaf, nxt = succ[chain[-1]]
-            internal.append(leaf)
-            chain.append(nxt)
-        if set(chain) != set(ids):
-            raise FoliageError("merged component is not a simple chain")
-        first, last = idx.domain_by_id[chain[0]], idx.domain_by_id[chain[-1]]
-        shed = sorted(
-            (
-                {leaf for d in chain[:-1] for leaf in idx.domain_by_id[d].left}
-                | {leaf for d in chain[1:] for leaf in idx.domain_by_id[d].right}
-            )
-            - set(internal)
-        )
-        mid = "M:" + "+".join(chain)
-        maxdomains.append(
-            MaxDomain(
-                id=mid,
-                chain=tuple(chain),
-                left=last.left,
-                right=first.right,
-                crossers=idx.domain_orbits[chain[0]],
-                internal=tuple(internal),
-                shed=tuple(shed),
-            )
-        )
-        for d in chain:
-            membership[d] = mid
+    crossed = 0
+    for d in s.domains:
+        crossers = idx.domain_orbits[d.id]
+        if not crossers:
+            continue
+        crossed += 1
+        if d.id in merged:
+            continue
+        if d.id not in succ:
+            m = MaxDomain("M:" + d.id, (d.id,), d.left, d.right, crossers)
+            alpha, omega = frozenset(starts.get(d.id, ())), frozenset(stops.get(d.id, ()))
+            membership[d.id] = m.id
+        else:
+            chain, internal = [d.id], []
+            while chain[-1] in succ:
+                leaf, nxt = succ[chain[-1]]
+                internal.append(leaf)
+                chain.append(nxt)
+            doms = [idx.domain_by_id[c] for c in chain]
+            shed = {leaf for c in doms[:-1] for leaf in c.left} | {leaf for c in doms[1:] for leaf in c.right}
+            shed = tuple(sorted(shed - set(internal)))
+            m = MaxDomain("M:" + "+".join(chain), tuple(chain), doms[-1].left, d.right, crossers, tuple(internal), shed)
+            alpha = frozenset(o for c in chain for o in starts.get(c, ()))
+            omega = frozenset(o for c in chain for o in stops.get(c, ()))
+            membership.update(dict.fromkeys(chain, m.id))
+        maxdomains.append(m)
+        roles.append((m.id, Roles(alpha, omega, crossers - alpha, crossers - omega)))
+    if len(membership) != crossed:
+        raise FoliageError("merged component is not a simple chain")
     maxdomains.sort(key=lambda m: m.id)
-
-    critical = frozenset(
-        leaf for a, leaf, b in idx.edges if idx.leaf_orbits.get(leaf) and not _mergeable(idx, (a, leaf, b))
-    )
-    forest_edges = tuple(
-        sorted((membership[a], leaf, membership[b]) for a, leaf, b in idx.edges if leaf in critical)
-    )
-
-    roles = []
-    for m in maxdomains:
-        chain_set = set(m.chain)
-        alpha = frozenset(o for o in m.crossers if idx.orbit_by_id[o].alpha in chain_set)
-        omega = frozenset(o for o in m.crossers if idx.orbit_by_id[o].omega in chain_set)
-        roles.append((m.id, Roles(alpha=alpha, omega=omega, incoming=m.crossers - alpha, outgoing=m.crossers - omega)))
+    roles.sort(key=lambda pair: pair[0])
 
     return ReducedStructure(
         maxdomains=tuple(maxdomains),
-        critical=critical,
-        forest_edges=forest_edges,
+        critical=frozenset(leaf for _a, leaf, _b in critical),
+        forest_edges=tuple(sorted((membership[a], leaf, membership[b]) for a, leaf, b in critical)),
         roles=tuple(roles),
     )

@@ -19,6 +19,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -137,13 +138,12 @@ def _check_fields(obj: dict, allowed: set[str], what: str) -> None:
 
 
 def _leaf_list(raw: object, key: str, owner: str) -> tuple[str, ...]:
-    """The non-empty strings of ``raw``, the ``key`` field of ``owner``; the
-    error text is formatted only when a check fails."""
+    """The non-empty strings of ``raw``, the ``key`` field of ``owner``,
+    checked by C-level passes; the error text is formatted only when a check fails."""
     if not isinstance(raw, list):
         raise ScenarioParseError(f"{key} of {owner!r} must be an array")
-    for item in raw:
-        if not (isinstance(item, str) and item):
-            raise ScenarioParseError(f"{key} of {owner!r} entries must be non-empty strings")
+    if not all(map(isinstance, raw, repeat(str))) or "" in raw:
+        raise ScenarioParseError(f"{key} of {owner!r} entries must be non-empty strings")
     return tuple(raw)
 
 
@@ -218,12 +218,14 @@ def parse_scenario(text: str) -> Scenario:
         path = _leaf_list(raw.get("path", []), "path", oid)
         if len(path) % 2 == 0:
             raise ScenarioParseError(f"path of {oid!r} must alternate domain, leaf, ... with odd length")
-        for pos, name in enumerate(path):
-            if pos % 2 == 0:
-                if name not in seen_domains:
-                    raise ScenarioParseError(f"unknown domain {name!r} in path of {oid!r}")
-            elif name not in declared_leaves:
-                raise ScenarioParseError(f"unknown leaf {name!r} in path of {oid!r}")
+        if not (seen_domains.issuperset(path[0::2]) and declared_leaves.issuperset(path[1::2])):
+            # Name the first unknown reference.
+            for pos, name in enumerate(path):
+                if pos % 2 == 0:
+                    if name not in seen_domains:
+                        raise ScenarioParseError(f"unknown domain {name!r} in path of {oid!r}")
+                elif name not in declared_leaves:
+                    raise ScenarioParseError(f"unknown leaf {name!r} in path of {oid!r}")
         orbits.append(
             Orbit(
                 id=oid,

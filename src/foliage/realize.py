@@ -15,13 +15,12 @@ outer face of the box-and-corridor embedding of the reduced forest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .decompose import MaxDomain, ReducedStructure, reduce_scenario
 from .model import FoliageError, Scenario, index
 from .relations import (
     OrderedOrbitList,
-    beyond,
     chain_orders,
     leaf_keys,
     met_pair_relations,
@@ -33,8 +32,22 @@ BACKWARD = "backward"
 FORWARD = "forward"
 
 
-@dataclass(frozen=True)
-class PortPlan:
+class SideItem(NamedTuple):
+    """One attachment on a box side: a corridor group or a single stub.
+
+    ``kind`` is "corridor" or "stub"; corridor items carry the shared leaf
+    and the orbit run, stub items a single orbit.  ``lo``/``hi`` are the
+    first and last port index of the run within the side's sequence.
+    """
+
+    kind: str
+    leaf: Optional[str]
+    orbits: tuple[str, ...]
+    lo: int
+    hi: int
+
+
+class PortPlan(NamedTuple):
     """One box's port sequences and their attachments on each side, top to bottom."""
 
     domain: str
@@ -91,15 +104,12 @@ class RealizationError(FoliageError):
 
 
 def port_plan(s: Scenario, m: MaxDomain) -> PortPlan:
-    idx = index(s)
-    entry_seq, exit_seq = chain_orders(s, m)
-    return PortPlan(
-        domain=m.id,
-        entry_seq=entry_seq,
-        exit_seq=exit_seq,
-        entry_items=_side_items(entry_seq, lambda o: beyond(idx, idx.orbit_by_id[o], m.chain[0], -1)),
-        exit_items=_side_items(exit_seq, lambda o: beyond(idx, idx.orbit_by_id[o], m.chain[-1], 1)),
-    )
+    """The entry side in the standard order and the exit side in the adaptive
+    one, each grouped by the leaf its orbits cross beyond the box."""
+    standard, adaptive = chain_orders(s, m)
+    _keys, entry_seq, entry_leaves, _exits = zip(*standard)
+    _keys, exit_seq, _entries, exit_leaves = zip(*adaptive)
+    return PortPlan(m.id, entry_seq, exit_seq, _side_items(entry_seq, entry_leaves), _side_items(exit_seq, exit_leaves))
 
 
 def all_port_plans(s: Scenario) -> dict[str, PortPlan]:
@@ -110,36 +120,16 @@ def all_port_plans(s: Scenario) -> dict[str, PortPlan]:
     return idx.plans
 
 
-@dataclass(frozen=True)
-class SideItem:
-    """One attachment on a box side: a corridor group or a single stub.
-
-    ``kind`` is "corridor" or "stub"; corridor items carry the shared leaf
-    and the orbit run, stub items a single orbit.  ``lo``/``hi`` are the
-    first and last port index of the run within the side's sequence.
-    """
-
-    kind: str
-    leaf: Optional[str]
-    orbits: tuple[str, ...]
-    lo: int
-    hi: int
-
-
-def _side_items(seq: tuple[str, ...], group_of) -> tuple[SideItem, ...]:
-    items: list[SideItem] = []
-    i = 0
-    while i < len(seq):
-        leaf = group_of(seq[i])
+def _side_items(seq: tuple[str, ...], leaves: tuple[Optional[str], ...]) -> tuple[SideItem, ...]:
+    """A stub per orbit whose leaf is None, a corridor per run of one leaf."""
+    items, lo = [], 0
+    for hi, leaf in enumerate(leaves):
         if leaf is None:
-            items.append(SideItem("stub", None, (seq[i],), i, i))
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(seq) and group_of(seq[j + 1]) == leaf:
-            j += 1
-        items.append(SideItem("corridor", leaf, tuple(seq[i : j + 1]), i, j))
-        i = j + 1
+            items.append(SideItem("stub", None, seq[hi : hi + 1], hi, hi))
+            lo = hi + 1
+        elif hi + 1 == len(leaves) or leaves[hi + 1] != leaf:
+            items.append(SideItem("corridor", leaf, seq[lo : hi + 1], lo, hi))
+            lo = hi + 1
     return tuple(items)
 
 
@@ -187,23 +177,13 @@ def one_sided_order_right(s: Scenario, leaf: str) -> OrderedOrbitList:
     return _one_sided(s, leaf, -1)
 
 
-def box_cycle(plan: PortPlan) -> tuple[tuple, ...]:
+def _box_cycle(plan: PortPlan) -> list:
     """Cyclic attachment list of one box: entry side top to bottom, then
-    exit side bottom to top.  Entries are ("edge", leaf) or
-    ("end", orbit, BACKWARD|FORWARD)."""
-    cyc: list[tuple] = []
-    for item in plan.entry_items:
-        if item.kind == "corridor":
-            cyc.append(("edge", item.leaf))
-        else:
-            cyc.append(("end", item.orbits[0], BACKWARD))
-    for item in reversed(plan.exit_items):
-        if item.kind == "corridor":
-            cyc.append(("edge", item.leaf))
-        else:
-            for orbit in reversed(item.orbits):
-                cyc.append(("end", orbit, FORWARD))
-    return tuple(cyc)
+    exit side bottom to top.  A corridor is its leaf, a stub its end
+    ``(orbit, BACKWARD|FORWARD)``."""
+    cyc: list = [(item.orbits[0], BACKWARD) if item.leaf is None else item.leaf for item in plan.entry_items]
+    cyc += [(item.orbits[0], FORWARD) if item.leaf is None else item.leaf for item in reversed(plan.exit_items)]
+    return cyc
 
 
 def run_nested(walk):
@@ -250,28 +230,36 @@ def forest_components(r: ReducedStructure) -> tuple[tuple[str, ...], ...]:
 
 
 def boundary_order(s: Scenario, r: ReducedStructure) -> BoundaryOrder:
-    """Outer-face walk of the box embedding, trees concatenated by root id."""
+    """Outer-face walk of the box embedding, trees concatenated by root id.
+
+    Each tree is walked from its least box id.  A box's attachments are read
+    from the one after the corridor it was entered by, and each further
+    corridor is walked into; the open boxes live on an explicit stack, so
+    walks of any depth finish."""
     if not r.maxdomains:
         raise FoliageError("boundary order requires a non-empty forest")
     plans = all_port_plans(s)
-    cycles = {m.id: box_cycle(plans[m.id]) for m in r.maxdomains}
     ends: list[tuple[str, str]] = []
-
-    def walk(mid: str, entry_leaf: Optional[str]):
-        """Read the box's attachments in walk order, from the one after the
-        corridor it was entered by, and walk into each further corridor."""
-        cyc = cycles[mid]
-        if entry_leaf is not None:
-            k = cyc.index(("edge", entry_leaf))
-            cyc = cyc[k + 1 :] + cyc[:k]
-        for item in cyc:
-            if item[0] == "end":
-                ends.append((item[1], item[2]))
+    seen: set[str] = set()
+    for root in sorted(m.id for m in r.maxdomains):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(_box_cycle(plans[root])))]
+        while stack:
+            mid, items = stack[-1]
+            for item in items:
+                if isinstance(item, tuple):
+                    ends.append(item)
+                    continue
+                nxt = r.across(mid, item)
+                seen.add(nxt)
+                cyc = _box_cycle(plans[nxt])
+                k = cyc.index(item)
+                stack.append((nxt, iter(cyc[k + 1 :] + cyc[:k])))
+                break
             else:
-                yield walk(r.across(mid, item[1]), item[1])
-
-    for comp in forest_components(r):
-        run_nested(walk(comp[0], None))
+                stack.pop()
     return BoundaryOrder(ends=tuple(ends))
 
 

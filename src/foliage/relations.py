@@ -261,23 +261,37 @@ def classic_transverse(s: Scenario, a: str, b: str) -> bool:
     return classic_from_verdicts(*pair_relations(s, a, b)[:2])
 
 
+def _raise_on_tie(idx, ranked: list[tuple]) -> None:
+    """Raise ``TieRankError`` on the first two neighbours of ``ranked``,
+    rows ``(key, id, ...)`` in order, whose keys are equal."""
+    for x, y in zip(ranked, ranked[1:]):
+        if x[0] == y[0]:
+            rank = idx.orbit_by_id[x[1]].tie_rank
+            raise TieRankError(f"orbits {x[1]!r} and {y[1]!r} are equivalent but share tie rank {rank}")
+
+
 def sorted_by_key(s: Scenario, ids: Iterable[str], key: Callable[[str], tuple]) -> tuple[str, ...]:
     """The orbits sorted by ``(key, id)``; two orbits with equal keys are
     equivalent and share a tie rank, and raise ``TieRankError``."""
     ranked = sorted((key(o), o) for o in ids)
-    for (ka, a), (kb, b) in zip(ranked, ranked[1:]):
-        if ka == kb:
-            rank = index(s).orbit_by_id[a].tie_rank
-            raise TieRankError(f"orbits {a!r} and {b!r} are equivalent but share tie rank {rank}")
+    _raise_on_tie(index(s), ranked)
     return tuple(o for _key, o in ranked)
 
 
-def standard_keys(s: Scenario, ids: Iterable[str], first: str, last: str) -> dict[str, tuple]:
-    """``(rkey, lkey, tie_rank)`` of each orbit through ``first``..``last``:
-    rkey walks back from ``first`` and lkey on from ``last``."""
-    idx = index(s)
-    orbits = [idx.orbit_by_id[oid] for oid in ids]
-    return {o.id: (side_key(idx, o, first, -1), side_key(idx, o, last, 1), o.tie_rank) for o in orbits}
+def chain_rows(idx, ids: Iterable[str], first: str, last: str) -> list[tuple]:
+    """One row ``(key, id, entry, exit)`` per orbit through ``first``..``last``.
+    ``key`` is its standard key ``(rkey, lkey, tie_rank)``: rkey is its
+    ``side_key`` back from ``first``, lkey on from ``last``.  ``entry`` and
+    ``exit`` are the leaves it crosses just before ``first`` and just after
+    ``last``, None where it starts or ends there."""
+    walks, pos, orbit_by_id = orbit_walks(idx), idx.domain_pos, idx.orbit_by_id
+    rows = []
+    for oid in ids:
+        o, (back, forward), at = orbit_by_id[oid], walks[oid], pos[oid]
+        i, j, path = at[first], at[last], o.path
+        exit_leaf = path[j + 1] if j + 1 < len(path) else None
+        rows.append(((back[i >> 1 :: -1], forward[j >> 1 :], o.tie_rank), oid, path[i - 1] if i else None, exit_leaf))
+    return rows
 
 
 def leaf_keys(s: Scenario, leaf: str) -> dict[str, tuple]:
@@ -286,13 +300,19 @@ def leaf_keys(s: Scenario, leaf: str) -> dict[str, tuple]:
     orbs = idx.orbits_crossing(leaf)
     if not orbs:
         raise FoliageError(f"leaf {leaf!r} is crossed by no orbit")
-    return standard_keys(s, orbs, *idx.edge_by_leaf[leaf])
+    return {row[1]: row[0] for row in chain_rows(idx, orbs, *idx.edge_by_leaf[leaf])}
 
 
-def chain_orders(s: Scenario, m: MaxDomain) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The standard and the adaptive order of a maximal domain's crossers."""
-    keys = standard_keys(s, m.crossers, m.chain[0], m.chain[-1])
-    return sorted_by_key(s, keys, keys.__getitem__), sorted_by_key(s, keys, lambda o: (keys[o][1][0], *keys[o]))
+def chain_orders(s: Scenario, m: MaxDomain) -> tuple[list[tuple], list[tuple]]:
+    """The rows (see ``chain_rows``) of a maximal domain's crossers in the
+    standard order, by ``(key, id)``, and in the adaptive order, by
+    ``(lkey[0], key, id)``: the standard rows sorted again, stably, by their
+    exit class ``lkey[0]``.  Two adaptive keys are equal exactly when the
+    standard keys are, so one check finds every tie."""
+    idx = index(s)
+    rows = sorted(chain_rows(idx, m.crossers, m.chain[0], m.chain[-1]))
+    _raise_on_tie(idx, rows)
+    return rows, sorted(rows, key=lambda row: row[0][1][0])
 
 
 def standard_order(s: Scenario, leaf: str) -> OrderedOrbitList:
@@ -301,7 +321,7 @@ def standard_order(s: Scenario, leaf: str) -> OrderedOrbitList:
 
 
 def adaptive_order(s: Scenario, r: ReducedStructure, mid: str) -> OrderedOrbitList:
-    return OrderedOrbitList(context=mid, order=chain_orders(s, r.maxdomain(mid))[1])
+    return OrderedOrbitList(context=mid, order=tuple(row[1] for row in chain_orders(s, r.maxdomain(mid))[1]))
 
 
 # The pairwise reference definitions of the standard and adaptive orders.

@@ -13,7 +13,7 @@ from foliage import decompose, generator, geometry, model, realize
 from foliage.cli import _parser, main
 from foliage.model import emit_scenario, fixture_text
 from test_crossing_kernel import _numbers
-from test_realize import _chain
+from deep_families import chain
 
 
 @pytest.fixture
@@ -322,7 +322,7 @@ def test_repeated_main_calls_match_fresh_ones(s2_path, capsys):
 
 
 def test_chord_on_a_1200_deep_chain_skips_the_layout(tmp_path, capsys):
-    s = _chain(1200)
+    s = chain(1200)
     path, chord = tmp_path / "chain.json", tmp_path / "chord.svg"
     path.write_text(emit_scenario(s), encoding="utf-8")
     assert main(["diagram", str(path), "--format", "boundary", "--chord", str(chord)]) == 0
@@ -335,7 +335,7 @@ def test_chord_on_a_1200_deep_chain_skips_the_layout(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def chain1200_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("chain1200") / "chain.json"
-    path.write_text(emit_scenario(_chain(1200)), encoding="utf-8")
+    path.write_text(emit_scenario(chain(1200)), encoding="utf-8")
     return str(path)
 
 
@@ -371,7 +371,7 @@ CHAIN400_SVG_DIGEST ="96bbc6c3ac586642794304a9c507a8a63c91cc6ce7525d53c928126cb1
 
 
 def test_svg_on_a_400_deep_chain_draws_every_crossing(tmp_path, capsys, monkeypatch):
-    s = _chain(400)
+    s = chain(400)
     path, svg = tmp_path / "chain.json", tmp_path / "chain.svg"
     path.write_text(emit_scenario(s), encoding="utf-8")
     drawn, built = [], []
@@ -477,7 +477,7 @@ def test_a_closed_stdout_exits_one_without_a_traceback(tmp_path, args, unbuffere
     from pathlib import Path
 
     path = tmp_path / "chain.json"
-    path.write_text(emit_scenario(_chain(60)), encoding="utf-8")
+    path.write_text(emit_scenario(chain(60)), encoding="utf-8")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     env["PYTHONUNBUFFERED"] = unbuffered

@@ -15,7 +15,7 @@ import pytest
 from foliage import realize
 from foliage.cli import main
 from foliage.model import FIXTURE_NAMES, emit_scenario, fixture_text
-from test_realize import _chain
+from deep_families import chain
 
 COMMANDS = {
     "relations": ["relations", "{file}", "--json"],
@@ -84,7 +84,7 @@ DIGESTS = {
 
 def _scenario_text(name: str) -> str:
     if name.startswith("chain"):
-        return emit_scenario(_chain(int(name[5:])))
+        return emit_scenario(chain(int(name[5:])))
     return fixture_text(name)
 
 

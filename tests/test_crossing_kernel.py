@@ -46,7 +46,7 @@ from foliage.geometry import (
     segment_relation,
 )
 from foliage.model import FIXTURE_NAMES, fixture
-from test_realize import _chain
+from deep_families import chain
 
 
 def _orient(p, q, r):
@@ -194,7 +194,7 @@ def _routed_family(family):
     that has a layout: S0-S4 and chains k = 2, 5, 20, 40, or seeds 1..300
     at the default bounds or at 25/14/6."""
     if family == "in-code":
-        scenarios = [fixture(name) for name in FIXTURE_NAMES] + [_chain(k) for k in (2, 5, 20, 40)]
+        scenarios = [fixture(name) for name in FIXTURE_NAMES] + [chain(k) for k in (2, 5, 20, 40)]
     else:
         bounds = {} if family == "default" else {"max_domains": 25, "max_orbits": 14, "max_boundary": 6}
         scenarios = [generate_scenario(GeneratorConfig(seed=seed, **bounds)) for seed in range(1, 301)]
@@ -405,7 +405,7 @@ def test_crossing_points_equal_the_table_kernel(family):
 def test_crossing_points_equal_the_table_kernel_on_a_deep_chain():
     """On an 80-domain chain the coordinates carry denominators of more
     than 250 bits, so the sweep's ints are far wider than a machine word."""
-    s = _chain(80)
+    s = chain(80)
     r = reduce_scenario(s)
     routed = route(s, r, layout(s, r))
     assert max(c.denominator.bit_length() for c in _points(p for poly in routed.polylines for p in poly.points)) > 250
@@ -426,7 +426,7 @@ def test_the_sweep_tests_a_linear_number_of_pairs_on_chains(monkeypatch):
     monkeypatch.setattr(geometry, "segment_relation", counted)
     tested, total = [], []
     for k in (20, 40, 80):
-        s = _chain(k)
+        s = chain(k)
         r = reduce_scenario(s)
         routed = route(s, r, layout(s, r))
         calls.clear()
@@ -486,7 +486,7 @@ def test_every_coordinate_is_an_int_or_a_fraction(family):
 
 @functools.cache
 def _chain300():
-    s = _chain(300)
+    s = chain(300)
     r = reduce_scenario(s)
     lay = layout(s, r)
     return [(route(s, r, lay), lay)]
@@ -585,7 +585,7 @@ def _contexts():
         for bounds in ({}, {"max_domains": 25, "max_orbits": 14, "max_boundary": 6})
         for seed in range(1, 301)
     ]
-    return [checks._Context(s) for s in scenarios + [_chain(k) for k in (2, 5, 40, 80, 300)]]
+    return [checks._Context(s) for s in scenarios + [chain(k) for k in (2, 5, 40, 80, 300)]]
 
 
 @pytest.mark.parametrize("every_pair_first_less", (False, True))

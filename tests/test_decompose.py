@@ -184,10 +184,10 @@ def test_each_ordered_pair_record_is_built_once(monkeypatch, name):
 
 
 def test_non_contiguous_pair_raises_on_every_call(monkeypatch):
-    from test_realize import _chain
+    from deep_families import chain
 
     # O0 crosses D0-D1 and O2 runs D0-D1-D2; O1, on D1-D2, is left out.
-    s = _chain(3)
+    s = chain(3)
     s = Scenario(domains=s.domains, orbits=tuple(o for o in s.orbits if o.id != "O1"))
     # No valid scenario has such a pair, so give O0 a gapped position map.
     monkeypatch.setitem(index(s).domain_pos, "O0", {"D0": 0, "D2": 4})

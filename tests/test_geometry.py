@@ -287,9 +287,9 @@ def test_box_of_equals_the_scan_over_every_box(seed):
 
 
 def test_box_of_equals_the_scan_on_a_40_chain():
-    from test_realize import _chain
+    from deep_families import chain
 
-    s = _chain(40)
+    s = chain(40)
     r = reduce_scenario(s)
     lay = layout(s, r)
     points = _probe_points(route(s, r, lay), ())

@@ -28,7 +28,7 @@ from foliage.generator import GeneratorConfig, generate_scenario
 from foliage.geometry import Layout, PolylineSet, crossing_points, layout, route
 from test_crossing_kernel import _fraction_crossings
 from test_geometry import _box_by_scan, _triple
-from test_realize import _chain
+from deep_families import chain
 
 LAYOUT_DIGEST = "208de4dd78b785a58ad098138758a5b0609355dfffc48f06da8a2b83ec846622"
 
@@ -41,7 +41,7 @@ def _scenarios():
         for seed in range(1, 301):
             yield generate_scenario(GeneratorConfig(seed=seed, **bounds))
     for k in (2, 5, 40, 80):
-        yield _chain(k)
+        yield chain(k)
 
 
 def test_exact_layouts_are_pinned():
@@ -69,7 +69,7 @@ def test_exact_layouts_are_pinned():
 
 
 def test_layout_and_route_on_a_1200_deep_forest():
-    s = _chain(1200)
+    s = chain(1200)
     r = reduce_scenario(s)
     lay = layout(s, r)
     for poly in route(s, r, lay).polylines:
@@ -99,7 +99,7 @@ FIELDS = [f.name for f in dataclasses.fields(fraction_layout.FractionLayout)]
 
 def _oracle_cases():
     yield from _scenarios()
-    yield _chain(300)
+    yield chain(300)
 
 
 @pytest.mark.parametrize("part", range(4))

@@ -31,7 +31,7 @@ from foliage.relations import (
     standard_order,
 )
 from test_cli_bytes import DIGESTS, _digest
-from test_realize import _chain
+from deep_families import chain
 
 BOUNDS = {
     "default": {},
@@ -57,7 +57,7 @@ def _walk_scenarios():
             yield f"seed {seed} at {bounds} bounds", generate_scenario(GeneratorConfig(seed=seed, **BOUNDS[bounds]))
     for name in FIXTURE_NAMES:
         yield name, fixture(name)
-    yield "chain300", _chain(300)
+    yield "chain300", chain(300)
 
 
 def test_side_keys_are_slices_of_the_walk_oracle():
@@ -144,7 +144,7 @@ def test_key_orders_equal_comparator_orders_on_generated(bounds, block):
 
 @pytest.mark.parametrize("k", [2, 5, 20, 60])
 def test_key_orders_equal_comparator_orders_on_chains(k):
-    _assert_keys_match_comparators(_chain(k), f"chain{k}")
+    _assert_keys_match_comparators(chain(k), f"chain{k}")
 
 
 def _twins():

@@ -403,10 +403,10 @@ def _through_one_domain(exits):
 
 
 def _pair_scenario(name):
-    from test_realize import _chain
+    from deep_families import chain
 
     if name == "chain60":
-        return _chain(60)
+        return chain(60)
     if name in ("nested", "crossed"):
         return _through_one_domain(("r", "s") if name == "nested" else ("s", "r"))
     if name.startswith("seed"):
@@ -479,9 +479,9 @@ def test_an_unknown_orbit_id_is_a_foliage_error(fn):
 
 def test_an_end_short_of_a_shared_crossing_raises():
     from foliage import relations
-    from test_realize import _chain
+    from deep_families import chain
 
-    s = _chain(3)  # O0 runs D0-L1-D1, O1 runs D1-L2-D2, O2 runs through all three
+    s = chain(3)  # O0 runs D0-L1-D1, O1 runs D1-L2-D2, O2 runs through all three
     idx = index(s)
     o0, o1, o2 = (idx.orbit_by_id[f"O{n}"] for n in range(3))
     with pytest.raises(FoliageError) as exc:
