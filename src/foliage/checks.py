@@ -61,7 +61,6 @@ def prop_preorder_totality(ctx: _Context) -> list[str]:
 
 _AT_MOST = (Direction.FIRST_LESS, Direction.EQUIVALENT)
 _MIRROR = {Direction.FIRST_LESS: Direction.SECOND_LESS, Direction.EQUIVALENT: Direction.EQUIVALENT}
-_SIGN = {Direction.FIRST_LESS: -1, Direction.SECOND_LESS: 1}
 
 
 def _total_preorder(items: list[str], direction: Callable[[str, str], Direction]) -> bool:
@@ -70,7 +69,7 @@ def _total_preorder(items: list[str], direction: Callable[[str, str], Direction]
     across runs, and each reversed pair its mirror.  A pass costs O(n²)
     calls; a comparison that raises fails it."""
     try:
-        seq = sorted(items, key=cmp_to_key(lambda a, b: _SIGN.get(direction(a, b), 0)))
+        seq = sorted(items, key=cmp_to_key(lambda a, b: relations._SIGN.get(direction(a, b), 0)))
         steps = (direction(a, b) is not Direction.EQUIVALENT for a, b in zip(seq, seq[1:]))
         run = list(itertools.accumulate(steps, initial=0))
         return all(

@@ -1,5 +1,8 @@
 """Common subpaths and the maximal-domain decomposition.
 
+Two orbit paths of a forest meet in one run of domains, walked the same
+way; ``pair_runs`` finds the ends of every such run in one walk per scenario.
+
 A connecting leaf between two skeleton domains is absorbed into a merged
 maximal domain exactly when the orbit sets crossing the leaf and both of
 its neighbouring domains coincide and are non-empty; every other crossed
@@ -95,27 +98,38 @@ def _by_maxdomain(table: dict, mid: str):
         raise FoliageError(f"unknown maximal domain {mid!r}") from None
 
 
-def common_subpath(s: Scenario, a: str, b: str) -> Optional[CommonSubpath]:
-    """Shared domain run of two orbits, or None when they are separated.
-
-    Computed on each call; ``relations.pair_relations`` keeps, per ordered
-    pair, the relations it compares at the two ends of this run.
-    """
+def pair_runs(s: Scenario) -> dict[tuple[str, str], tuple[str, str]]:
+    """``(first, last)`` of the common subpath of each pair of orbit ids
+    ``a < b`` that meet, in id order; built on first use, kept on the index.
+    A walk along each ``a``'s path lists the ``n`` domains each later ``b``
+    shares: one run in both paths when its ends lie ``2*(n-1)`` apart in each."""
     idx = index(s)
-    pos_a, pos_b = idx.domain_pos[idx.orbit(a).id], idx.domain_pos[idx.orbit(b).id]
-    shared = pos_a.keys() & pos_b.keys()
-    if not shared:
+    if idx.runs is None:
+        pos, runs = idx.domain_pos, {}
+        for a in sorted(idx.orbit_by_id):
+            pa, shared = pos[a], {}
+            for d in pa:
+                for b in filter(a.__lt__, idx.domain_orbits[d]):
+                    shared.setdefault(b, []).append(d)
+            for b in sorted(shared):
+                first, last = shared[b][0], shared[b][-1]
+                if not pa[last] - pa[first] == pos[b][last] - pos[b][first] == 2 * len(shared[b]) - 2:
+                    raise FoliageError(f"orbits {a!r} and {b!r} share a non-contiguous domain set")
+                runs[a, b] = first, last
+        idx.runs = runs
+    return idx.runs
+
+
+def common_subpath(s: Scenario, a: str, b: str) -> Optional[CommonSubpath]:
+    """Shared domain run of two orbits, or None when they are separated: the
+    ends ``pair_runs`` found, or the orbit's whole run when ``a == b``."""
+    idx, runs = index(s), pair_runs(s)
+    oa, _ob = idx.orbit(a), idx.orbit(b)
+    run = (oa.alpha, oa.omega) if a == b else runs.get((a, b) if a < b else (b, a))
+    if run is None:
         return None
-    run_a = sorted(shared, key=pos_a.__getitem__)
-    run_b = sorted(shared, key=pos_b.__getitem__)
-    # Paths of a forest meet in one contiguous run traversed the same way;
-    # consecutive domains sit two path positions apart.
-    start_a, start_b = pos_a[run_a[0]], pos_b[run_b[0]]
-    if run_a != run_b or any(pos_a[d] != start_a + 2 * k for k, d in enumerate(run_a)) or any(
-        pos_b[d] != start_b + 2 * k for k, d in enumerate(run_b)
-    ):
-        raise FoliageError(f"orbits {a!r} and {b!r} share a non-contiguous domain set")
-    return CommonSubpath(first=run_a[0], last=run_a[-1], chain=tuple(run_a))
+    pa = idx.domain_pos[a]
+    return CommonSubpath(*run, oa.path[pa[run[0]] : pa[run[1]] + 1 : 2])
 
 
 def reduce_scenario(s: Scenario) -> ReducedStructure:

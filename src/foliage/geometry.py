@@ -534,8 +534,12 @@ def _escape(text: str) -> str:
 
 
 def _fmt(n: int, d: int) -> str:
-    """``n/d`` to six decimals: int true division rounds correctly, as ``float(Fraction(n, d))`` does."""
-    return f"{n / d:.6f}"
+    """``n/d`` to six decimals: int true division rounds correctly, as ``float(Fraction(n, d))`` does.
+    A value past the float range raises FoliageError."""
+    try:
+        return f"{n / d:.6f}"
+    except OverflowError:
+        raise FoliageError(f"SVG coordinate past the float range (about 2^{n.bit_length() - d.bit_length()})") from None
 
 
 def emit_svg(lay: Layout, p: PolylineSet, roles: Optional[ReducedStructure] = None) -> str:

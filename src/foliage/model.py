@@ -436,9 +436,10 @@ class ScenarioIndex:
         self.leaf_orbits = {k: frozenset(v) for k, v in leaf_acc.items()}
         findings.sort(key=lambda f: (f.code, f.message))
         self.findings = tuple(findings)
-        # Filled on first use: the relations of each ordered pair compared
-        # (``relations.pair_relations``), the orbits' walks, the reduced structure and its port plans.
+        # Filled on first use: the relations of each ordered pair compared (``relations.pair_relations``),
+        # the met pairs' common-subpath ends, the orbits' walks, the reduced structure and its port plans.
         self.pairs: dict[tuple[str, str], PairRelations] = {}
+        self.runs: Optional[dict[tuple[str, str], tuple[str, str]]] = None
         self.walks: Optional[dict[str, tuple[tuple[int, ...], tuple[int, ...]]]] = None
         self.reduced: Optional[ReducedStructure] = None
         self.plans: Optional[dict[str, PortPlan]] = None

@@ -8,17 +8,17 @@ entry leaves and entry cuts.  Equal terminal data in the L4/R4 case is the
 forward/backward asymptotic equivalence.
 
 A pair's record holds both verdicts and both asymptotic flags, read at the
-two ends of the pair's shared run of domains, and is kept per ordered pair
-on the scenario's index; ``pair_relations`` builds one from
-``decompose.common_subpath``.  The sided comparisons, asymptotic and
-transversality tests and pairwise comparators below read its fields.
+two ends of the pair's shared run of domains (``decompose.pair_runs``), and
+is kept per ordered pair on the scenario's index; ``pair_relations`` builds
+it.  The sided comparisons, asymptotic and transversality tests and
+pairwise comparators below read its fields.
 
 ``met_pair_relations`` is the one pass over the pairs ``a < b`` that share
-a skeleton domain, in id order, finding each pair's run in one walk along
-each orbit's path; the ``relations`` command and ``realize.weak_matrix``
-read it.  Every other pair has no common subpath, so it is Disjoint on both
-ends and asymptotic on neither: its record is the shared ``DISJOINT_PAIR``,
-which only the table writer fills in.
+a skeleton domain, the keys of ``pair_runs`` in id order; the
+``relations`` command and ``realize.weak_matrix`` read it.  Every other
+pair has no common subpath, so it is Disjoint on both ends and asymptotic
+on neither: its record is the shared ``DISJOINT_PAIR``, which only the
+table writer fills in.
 
 Verdicts and orders read one walk per orbit and direction, kept on the
 index (``orbit_walks``): ``2*rank+1`` per leaf crossed, then ``2*cut``;
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .decompose import MaxDomain, ReducedStructure, common_subpath
+from .decompose import MaxDomain, ReducedStructure, pair_runs
 from .model import FoliageError, Orbit, Scenario, index
 
 
@@ -182,18 +182,14 @@ def _pair_record(idx, oa: Orbit, ob: Orbit, first: str, last: str) -> PairRelati
 
 
 def pair_relations(s: Scenario, a: str, b: str) -> PairRelations:
-    """Both sided verdicts and both asymptotic flags of ``(a, b)``, computed
-    once per ordered pair and kept on the scenario's index.  A pair that
-    raises is not kept, so it raises again on every call."""
+    """Both sided verdicts and both asymptotic flags of ``(a, b)``, built
+    once per ordered pair from ``pair_runs`` and kept on the scenario's index."""
     idx = index(s)
     p = idx.pairs.get((a, b))
     if p is None:
-        oa, ob = idx.orbit(a), idx.orbit(b)
-        cs = common_subpath(s, a, b) if a != b else None
-        if cs is None:
-            p = _SAME_PAIR if a == b else DISJOINT_PAIR
-        else:
-            p = _pair_record(idx, oa, ob, cs.first, cs.last)
+        oa, ob, runs = idx.orbit(a), idx.orbit(b), pair_runs(s)
+        run = runs.get((a, b) if a < b else (b, a))
+        p = _SAME_PAIR if a == b else DISJOINT_PAIR if run is None else _pair_record(idx, oa, ob, *run)
         idx.pairs[(a, b)] = p
     return p
 
@@ -219,25 +215,14 @@ def minus_asymptotic(s: Scenario, a: str, b: str) -> bool:
 
 
 def met_pair_relations(s: Scenario) -> Iterator[tuple[str, str, PairRelations]]:
-    """``(a, b, pair_relations(s, a, b))`` for the pairs of orbit ids
-    ``a < b`` that share a skeleton domain, in id order; every other pair
-    is ``DISJOINT_PAIR``.  One walk along each ``a``'s path lists the ``n`` domains each later
-    ``b`` shares with it: one run in both paths when its ends lie ``2*(n-1)`` apart in each."""
+    """``(a, b, pair_relations(s, a, b))`` for the pairs ``a < b`` that meet,
+    the keys of ``pair_runs``, in id order; every other pair is ``DISJOINT_PAIR``."""
     idx = index(s)
-    pos, pairs = idx.domain_pos, idx.pairs
-    for a in sorted(idx.orbit_by_id):
-        pa, shared = pos[a], {}
-        for d in pa:
-            for b in filter(a.__lt__, idx.domain_orbits[d]):
-                shared.setdefault(b, []).append(d)
-        for b in sorted(shared):
-            p = pairs.get((a, b))
-            if p is None:
-                first, last = shared[b][0], shared[b][-1]
-                if not pa[last] - pa[first] == pos[b][last] - pos[b][first] == 2 * len(shared[b]) - 2:
-                    raise FoliageError(f"orbits {a!r} and {b!r} share a non-contiguous domain set")
-                p = pairs[(a, b)] = _pair_record(idx, idx.orbit_by_id[a], idx.orbit_by_id[b], first, last)
-            yield a, b, p
+    for (a, b), (first, last) in pair_runs(s).items():
+        p = idx.pairs.get((a, b))
+        if p is None:
+            p = idx.pairs[a, b] = _pair_record(idx, idx.orbit_by_id[a], idx.orbit_by_id[b], first, last)
+        yield a, b, p
 
 
 def weak_from_verdicts(left: RelationVerdict, right: RelationVerdict) -> bool:

@@ -7,6 +7,8 @@
   back toward its parent; two orbits with opposite cuts cross each link.
 - ``linked_chain(k, seed)``: the deep benchmark's chain shape, with seeded
   free leaves, link positions, cuts and tie ranks.
+- ``caterpillar(k)``: a spine of k domains with a pendant domain on each,
+  on alternating sides, so neighbouring short orbits share two domains.
 """
 
 import random
@@ -100,5 +102,50 @@ def linked_chain(k, seed):
             tie_rank=ranks[n],
         )
         for n, ((first, last), path) in enumerate(paths)
+    )
+    return Scenario(domains=domains, orbits=orbits)
+
+
+def caterpillar(k):
+    """A spine ``S0..S(k-1)`` linked as ``chain`` links its domains (leaf
+    ``L<i>`` leads from ``S(i-1)`` to ``Si``) and a pendant domain ``Pi`` on
+    each ``Si``, on alternating sides: leaf ``Ki`` leads from ``Si`` out to
+    ``Pi`` for even i and from ``Pi`` in to ``Si`` for odd i.  Every domain
+    has a free leaf on each side, and each side's list is reversed on odd
+    spine domains.  One orbit runs the spine; the orbit of pendant i runs
+    ``S(i-1), Si, Pi`` for even i and ``Pi, Si, S(i+1)`` for odd i (cut
+    short at the spine's ends), so the orbits of pendants 2j-1 and 2j share
+    ``S(2j-1), S(2j)`` with each other and the spine orbit.
+    """
+
+    def side(i, free, *links):
+        leaves = (free, *(leaf for leaf in links if leaf))
+        return leaves[::-1] if i % 2 else leaves
+
+    even = [i % 2 == 0 for i in range(k)]
+    domains = tuple(
+        SkeletonDomain(
+            id=f"S{i}",
+            left=side(i, f"x{i}", f"L{i + 1}" if i + 1 < k else None, f"K{i}" if even[i] else None),
+            right=side(i, f"y{i}", f"L{i}" if i else None, None if even[i] else f"K{i}"),
+        )
+        for i in range(k)
+    ) + tuple(
+        SkeletonDomain(
+            id=f"P{i}",
+            left=(f"u{i}",) if even[i] else (f"u{i}", f"K{i}"),
+            right=(f"K{i}", f"v{i}") if even[i] else (f"v{i}",),
+        )
+        for i in range(k)
+    )
+    paths = [tuple(name for i in range(k) for name in ((f"L{i}",) if i else ()) + (f"S{i}",))]
+    for i in range(k):
+        if even[i]:
+            paths.append((*((f"S{i - 1}", f"L{i}") if i else ()), f"S{i}", f"K{i}", f"P{i}"))
+        else:
+            paths.append((f"P{i}", f"K{i}", f"S{i}", *((f"L{i + 1}", f"S{i + 1}") if i + 1 < k else ())))
+    orbits = tuple(
+        Orbit(id=f"O{n}", path=path, entry_cut=n % 2, exit_cut=(n + 1) % 2, tie_rank=n)
+        for n, path in enumerate(paths)
     )
     return Scenario(domains=domains, orbits=orbits)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from foliage import checks, relations
+from foliage import checks, decompose, relations
 from foliage.checks import PROPERTIES, _Context, _strict_total, run_check, shrink
 from foliage.cli import main
 from foliage.generator import GeneratorConfig, generate_scenario
@@ -16,7 +16,9 @@ from foliage.model import (
     Orbit,
     Scenario,
     SkeletonDomain,
+    emit_scenario,
     fixture,
+    index,
     parse_scenario,
     validate,
 )
@@ -475,3 +477,21 @@ def test_decompose_invariants_report_what_the_rescanning_body_reported():
         assert found == _decompose_invariants_by_rescanning(ctx)
         reported += len(found)
     assert reported
+
+
+def test_check_builds_one_run_table_per_case(monkeypatch):
+    real, built = decompose.pair_runs, []
+
+    def counting(s):
+        if index(s).runs is None:
+            built.append(s)
+        return real(s)
+
+    for module in (decompose, relations):
+        monkeypatch.setattr(module, "pair_runs", counting)
+    report = run_check(GeneratorConfig(seed=1), 50)
+    assert not report.failures
+    assert [emit_scenario(s) for s in built] == [
+        emit_scenario(generate_scenario(GeneratorConfig(seed=seed))) for seed in range(1, 51)
+    ]
+    assert len({id(s) for s in built}) == 50

@@ -13,7 +13,7 @@ from foliage import decompose, generator, geometry, model, realize
 from foliage.cli import _parser, main
 from foliage.model import emit_scenario, fixture_text
 from test_crossing_kernel import _numbers
-from deep_families import chain
+from deep_families import chain, zigzag
 
 
 @pytest.fixture
@@ -347,6 +347,18 @@ def _timed_main(argv, capsys, seconds):
     out = capsys.readouterr()
     assert out.err == ""
     return out.out
+
+
+def test_an_svg_past_the_float_range_exits_one_without_a_traceback(tmp_path, capsys):
+    # The zigzag's page width grows exponentially with its depth; at k = 700
+    # the viewBox no longer fits in a float.
+    path, svg = tmp_path / "zz700.json", tmp_path / "out.svg"
+    path.write_text(emit_scenario(zigzag(700)), encoding="utf-8")
+    assert main(["diagram", str(path), "--format", "boundary", "--svg", str(svg)]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("foliage: SVG coordinate past the float range")
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err
+    assert not svg.exists()
 
 
 def test_decompose_json_on_a_1200_deep_chain(chain1200_path, capsys):

@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
-from foliage.decompose import common_subpath, reduce_scenario
+from foliage.decompose import CommonSubpath, common_subpath, pair_runs, reduce_scenario
 from foliage import relations
+from foliage.generator import GeneratorConfig, generate_scenario
 from foliage.model import FIXTURE_NAMES, FoliageError, Scenario, fixture, index
+from deep_families import caterpillar, chain, linked_chain, zigzag
 
 # The public functions that read one pair's record.
 PAIR_FUNCTIONS = (
@@ -17,6 +19,60 @@ PAIR_FUNCTIONS = (
     relations.classic_transverse,
     relations.standard_cmp,
 )
+
+
+def subpath_oracle(s, a, b):
+    """``common_subpath`` as it was before ``pair_runs``: the shared domains,
+    sorted by each path's positions, must be one list of consecutive domains
+    in both paths."""
+    idx = index(s)
+    pos_a, pos_b = idx.domain_pos[idx.orbit(a).id], idx.domain_pos[idx.orbit(b).id]
+    shared = pos_a.keys() & pos_b.keys()
+    if not shared:
+        return None
+    run_a = sorted(shared, key=pos_a.__getitem__)
+    run_b = sorted(shared, key=pos_b.__getitem__)
+    start_a, start_b = pos_a[run_a[0]], pos_b[run_b[0]]
+    if run_a != run_b or any(pos_a[d] != start_a + 2 * k for k, d in enumerate(run_a)) or any(
+        pos_b[d] != start_b + 2 * k for k, d in enumerate(run_b)
+    ):
+        raise FoliageError(f"orbits {a!r} and {b!r} share a non-contiguous domain set")
+    return CommonSubpath(first=run_a[0], last=run_a[-1], chain=tuple(run_a))
+
+
+def _subpath_scenarios():
+    named = {name: fixture(name) for name in FIXTURE_NAMES}
+    small = {"max_domains": 10, "max_orbits": 8, "max_boundary": 4}
+    named.update((f"seed{n}", generate_scenario(GeneratorConfig(seed=n, **small))) for n in range(1, 301))
+    named.update((f"linked{k}-{seed}", linked_chain(k, seed)) for k in (20, 40, 60) for seed in range(1, 4))
+    named.update(chain300=chain(300), zigzag81=zigzag(81), caterpillar300=caterpillar(300))
+    return named
+
+
+def test_common_subpath_equals_the_sort_oracle_on_every_ordered_pair():
+    for name, s in _subpath_scenarios().items():
+        oracle = Scenario(domains=s.domains, orbits=s.orbits)
+        ids = sorted(o.id for o in s.orbits)
+        for a, b in itertools.product(ids, repeat=2):
+            assert common_subpath(s, a, b) == subpath_oracle(oracle, a, b), (name, a, b)
+        met = sum(subpath_oracle(oracle, a, b) is not None for a, b in itertools.combinations(ids, 2))
+        assert len(pair_runs(s)) == met, name
+
+
+def test_caterpillar_neighbours_share_two_domains():
+    s = caterpillar(6)
+    assert pair_runs(s) == {
+        ("O0", "O1"): ("S0", "S0"),
+        ("O0", "O2"): ("S1", "S2"),
+        ("O0", "O3"): ("S1", "S2"),
+        ("O0", "O4"): ("S3", "S4"),
+        ("O0", "O5"): ("S3", "S4"),
+        ("O0", "O6"): ("S5", "S5"),
+        ("O2", "O3"): ("S1", "S2"),
+        ("O4", "O5"): ("S3", "S4"),
+    }
+    assert common_subpath(s, "O3", "O2").chain == ("S1", "S2")
+    assert "M:S1+S2" in {m.id for m in reduce_scenario(s).maxdomains}
 
 
 def test_orbit_sequences_s1():
@@ -176,16 +232,14 @@ def test_each_ordered_pair_record_is_built_once(monkeypatch, name):
             fn(s, a, b)
         assert relations.pair_relations(s, a, b) is first
         assert index(s).pairs[(a, b)] is first
-        assert built.count((a, b)) == (common_subpath(s, a, b) is not None)
-        assert common_subpath(s, a, b) == common_subpath(fresh, a, b)
+        assert built.count((a, b)) == (subpath_oracle(fresh, a, b) is not None)
+        assert common_subpath(s, a, b) == subpath_oracle(fresh, a, b)
     list(relations.met_pair_relations(s))
     assert len(built) == len(set(built))
     assert len(index(s).pairs) == len(ids) * (len(ids) - 1)
 
 
 def test_non_contiguous_pair_raises_on_every_call(monkeypatch):
-    from deep_families import chain
-
     # O0 crosses D0-D1 and O2 runs D0-D1-D2; O1, on D1-D2, is left out.
     s = chain(3)
     s = Scenario(domains=s.domains, orbits=tuple(o for o in s.orbits if o.id != "O1"))
@@ -195,8 +249,13 @@ def test_non_contiguous_pair_raises_on_every_call(monkeypatch):
     def met(s, _a, _b):
         return list(relations.met_pair_relations(s))
 
-    for fn in (common_subpath, *PAIR_FUNCTIONS, met):
+    for fn in (common_subpath, subpath_oracle, *PAIR_FUNCTIONS, met):
         for _ in range(2):
             with pytest.raises(FoliageError, match="non-contiguous"):
                 fn(s, "O0", "O2")
+    # The run table is built whole, so a query on any pair of the scenario raises.
+    for fn in (common_subpath, relations.pair_relations):
+        with pytest.raises(FoliageError, match="non-contiguous"):
+            fn(s, "O2", "O2")
     assert ("O0", "O2") not in index(s).pairs
+    assert index(s).runs is None

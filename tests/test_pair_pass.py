@@ -7,12 +7,12 @@ equal-start flags), on every ordered pair of a fresh copy of each scenario.
 ``relations.met_pair_relations`` yields only the pairs that share a
 skeleton domain; it is checked against ``pair_relations`` on every pair of
 a fresh copy of each scenario, each pair it leaves out being
-``DISJOINT_PAIR``, and the two ends of each shared run its sweep finds
-against ``decompose.common_subpath``.  The ``relations`` and ``diagram``
-tables are checked against row dicts written by ``dumps`` (the JSON) and
-formatted one by one (the text), one per pair, the boundary JSON against
-``dumps`` of the ends, and ``weak_matrix`` against the all-pairs
-``weak_transverse`` loop.
+``DISJOINT_PAIR``, and the two ends of each shared run it reads from
+``decompose.pair_runs`` against the sort-based common-subpath oracle.  The
+``relations`` and ``diagram`` tables are checked against row dicts written
+by ``dumps`` (the JSON) and formatted one by one (the text), one per pair,
+the boundary JSON against ``dumps`` of the ends, and ``weak_matrix``
+against the all-pairs ``weak_transverse`` loop.
 """
 
 import functools
@@ -21,14 +21,15 @@ import json
 
 import pytest
 
-from foliage import cli, relations
+from foliage import cli, decompose, relations
 from foliage.cli import main
 from foliage.generator import GeneratorConfig, generate_scenario
-from foliage.decompose import common_subpath, reduce_scenario
+from foliage.decompose import reduce_scenario
 from foliage.model import FIXTURE_NAMES, FoliageError, Orbit, Scenario, SkeletonDomain, dumps, emit_scenario, fixture, index
 from foliage.relations import Clause, Direction, RelationVerdict, TieRankError
 from foliage.realize import PairEntry, boundary_order, crossing_matrix, weak_matrix
 from deep_families import chain
+from test_decompose import subpath_oracle
 from test_relations import _through_one_domain
 
 # Orbit ids that a %-template, a JSON string escape or a line separator
@@ -99,7 +100,7 @@ def _end_verdict(s, a, b, step):
     last domain (``step=+1``, left) or its first (right)."""
     if a == b:
         return RelationVerdict(Direction.EQUIVALENT, Clause.ASYMPTOTIC)
-    cs = common_subpath(s, a, b)
+    cs = subpath_oracle(s, a, b)
     if cs is None:
         return RelationVerdict(Direction.INCOMPARABLE, Clause.DISJOINT)
     idx = index(s)
@@ -114,7 +115,7 @@ def _same_end(s, a, b, step):
     if a == b:
         return True
     end = (lambda o: (o.omega, o.exit_cut)) if step > 0 else (lambda o: (o.alpha, o.entry_cut))
-    return common_subpath(s, a, b) is not None and end(oa) == end(ob)
+    return subpath_oracle(s, a, b) is not None and end(oa) == end(ob)
 
 
 def _direction(v):
@@ -241,7 +242,7 @@ def test_the_sweep_finds_the_common_subpath_ends(monkeypatch, family):
         built = _counting_records(monkeypatch)
         list(relations.met_pair_relations(s))
         for a, b, first, last in built:
-            cs = common_subpath(oracle, a, b)
+            cs = subpath_oracle(oracle, a, b)
             assert (first, last) == (cs.first, cs.last), (name, a, b)
 
 
@@ -260,10 +261,12 @@ def test_relations_looks_up_no_subpath_and_fills_each_distinct_row_once(tmp_path
     def no_lookup(*args):
         raise AssertionError("common_subpath called")
 
+    assert not hasattr(relations, "common_subpath")  # the records read decompose.pair_runs
+
     def no_form(*args):
         raise AssertionError("a table form built per command")
 
-    monkeypatch.setattr(relations, "common_subpath", no_lookup)
+    monkeypatch.setattr(decompose, "common_subpath", no_lookup)
     monkeypatch.setattr(cli, "_relations_row", counting)
     monkeypatch.setattr(cli, "_json_form", no_form)
     _relations_output(tmp_path, capsys, s, *flags)

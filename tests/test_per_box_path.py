@@ -32,7 +32,7 @@ from foliage.realize import (
 )
 from foliage.relations import TieRankError, beyond, side_key
 
-from deep_families import chain, linked_chain, zigzag
+from deep_families import caterpillar, chain, linked_chain, zigzag
 
 
 # -- the oracles ----------------------------------------------------------------
@@ -220,6 +220,7 @@ FAMILIES = {
     "chain300": lambda: [chain(300)],
     "chain1200": lambda: [chain(1200)],
     "zigzag": lambda: [zigzag(k) for k in (2, 3, 10, 81)],
+    "caterpillar": lambda: [caterpillar(k) for k in (1, 2, 3, 300)],
 }
 
 
