@@ -23,7 +23,6 @@ from .model import (
 from .decompose import (
     MaxDomain,
     ReducedStructure,
-    Roles,
     common_subpath,
     reduce_scenario,
 )

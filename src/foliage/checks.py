@@ -318,8 +318,7 @@ def prop_decompose_invariants(ctx: _Context) -> list[str]:
     membership = r.membership()
     visited = {o.id: {membership[d] for d in o.domains} for o in s.orbits}
     for m in r.maxdomains:
-        roles = r.roles_of(m.id)
-        if roles.incoming | roles.alpha != m.crossers or roles.outgoing | roles.omega != m.crossers:
+        if m.incoming | m.alpha != m.crossers or m.outgoing | m.omega != m.crossers:
             bad.append(f"role sets of {m.id} do not partition its crossers")
         incoming = frozenset(
             o for leaf in m.right for o in idx.leaf_orbits.get(leaf, frozenset())
@@ -327,7 +326,7 @@ def prop_decompose_invariants(ctx: _Context) -> list[str]:
         outgoing = frozenset(
             o for leaf in m.left for o in idx.leaf_orbits.get(leaf, frozenset())
         )
-        if incoming != roles.incoming or outgoing != roles.outgoing:
+        if incoming != m.incoming or outgoing != m.outgoing:
             bad.append(f"boundary-leaf role characterization fails at {m.id}")
         for o in s.orbits:
             if (m.id in visited[o.id]) != (o.id in m.crossers):
@@ -338,11 +337,15 @@ def prop_decompose_invariants(ctx: _Context) -> list[str]:
             bad.append(f"critical leaf {leaf} carries no forest edge")
         if not idx.leaf_orbits.get(leaf):
             bad.append(f"critical leaf {leaf} is uncrossed")
+    # Each pair's common subpath, either way round, is the domains of a's
+    # path that b also visits, in a's order, and None when there are none.
     ids = sorted(o.id for o in s.orbits)
+    domain_sets = {o.id: set(o.domains) for o in s.orbits}
     for a, b in itertools.combinations(ids, 2):
+        shared = tuple(filter(domain_sets[b].__contains__, idx.orbit(a).domains)) or None
         ab, ba = common_subpath(s, a, b), common_subpath(s, b, a)
-        if (ab is None) != (ba is None) or (ab is not None and ab.chain != ba.chain):
-            bad.append(f"common subpath of {a},{b} is not symmetric")
+        if (ab and ab.chain) != shared or (ba and ba.chain) != shared:
+            bad.append(f"common subpath of {a},{b} is not the run of domains they share")
     for oid in ids:
         mid_seq = []
         for d in idx.orbit(oid).domains:

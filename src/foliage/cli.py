@@ -104,13 +104,13 @@ def _cmd_decompose(args) -> int:
             "critical": sorted(r.critical),
             "edges": [list(e) for e in r.forest_edges],
             "roles": {
-                mid: {
-                    "alpha": sorted(rr.alpha),
-                    "omega": sorted(rr.omega),
-                    "in": sorted(rr.incoming),
-                    "out": sorted(rr.outgoing),
+                m.id: {
+                    "alpha": sorted(m.alpha),
+                    "omega": sorted(m.omega),
+                    "in": sorted(m.incoming),
+                    "out": sorted(m.outgoing),
                 }
-                for mid, rr in r.roles
+                for m in r.maxdomains
             },
         }
         print(dumps(doc))
@@ -127,10 +127,10 @@ def _cmd_decompose(args) -> int:
     for a, leaf, b in r.forest_edges:
         print(f"  {a} -[{leaf}]-> {b}")
     print("roles:")
-    for mid, rr in r.roles:
+    for m in r.maxdomains:
         print(
-            f"  {mid} alpha={{{','.join(sorted(rr.alpha))}}} omega={{{','.join(sorted(rr.omega))}}} "
-            f"in={{{','.join(sorted(rr.incoming))}}} out={{{','.join(sorted(rr.outgoing))}}}"
+            f"  {m.id} alpha={{{','.join(sorted(m.alpha))}}} omega={{{','.join(sorted(m.omega))}}} "
+            f"in={{{','.join(sorted(m.incoming))}}} out={{{','.join(sorted(m.outgoing))}}}"
         )
     return 0
 

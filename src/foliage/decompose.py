@@ -7,7 +7,8 @@ A connecting leaf between two skeleton domains is absorbed into a merged
 maximal domain exactly when the orbit sets crossing the leaf and both of
 its neighbouring domains coincide and are non-empty; every other crossed
 connecting leaf is critical and becomes an edge of the reduced forest.
-Skeleton domains crossed by no orbit are dropped.
+Skeleton domains crossed by no orbit are dropped.  Each maximal domain, a
+lone domain being a chain of length one, holds its role sets Oα, Oω, Oin, Oout.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ class MaxDomain:
     ``left``/``right`` are the boundary lists of the chain's last and first
     element; ``internal`` holds the merged connecting leaves in chain order
     and ``shed`` the remaining boundary leaves of interior chain positions.
+    ``alpha``/``omega`` are the crossers that start/stop in the chain; the
+    rest enter (``incoming``) or leave (``outgoing``) through a boundary leaf.
     """
 
     id: str
@@ -41,16 +44,18 @@ class MaxDomain:
     left: tuple[str, ...]
     right: tuple[str, ...]
     crossers: frozenset[str]
+    alpha: frozenset[str]
+    omega: frozenset[str]
     internal: tuple[str, ...] = ()
     shed: tuple[str, ...] = ()
 
+    @property
+    def incoming(self) -> frozenset[str]:
+        return self.crossers - self.alpha
 
-@dataclass(frozen=True)
-class Roles:
-    alpha: frozenset[str]
-    omega: frozenset[str]
-    incoming: frozenset[str]
-    outgoing: frozenset[str]
+    @property
+    def outgoing(self) -> frozenset[str]:
+        return self.crossers - self.omega
 
 
 @dataclass(frozen=True)
@@ -58,14 +63,11 @@ class ReducedStructure:
     maxdomains: tuple[MaxDomain, ...]
     critical: frozenset[str]
     forest_edges: tuple[tuple[str, str, str], ...]
-    roles: tuple[tuple[str, Roles], ...]
     _maxdomain_by_id: dict[str, MaxDomain] = field(init=False, compare=False, repr=False)
-    _roles_by_id: dict[str, Roles] = field(init=False, compare=False, repr=False)
     _across: dict[str, dict[str, str]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_maxdomain_by_id", {m.id: m for m in self.maxdomains})
-        object.__setattr__(self, "_roles_by_id", dict(self.roles))
         across: dict[str, dict[str, str]] = {m.id: {} for m in self.maxdomains}
         for a, leaf, b in self.forest_edges:
             across[a][leaf] = b
@@ -75,16 +77,9 @@ class ReducedStructure:
     def maxdomain(self, mid: str) -> MaxDomain:
         return _by_maxdomain(self._maxdomain_by_id, mid)
 
-    def roles_of(self, mid: str) -> Roles:
-        return _by_maxdomain(self._roles_by_id, mid)
-
     def across(self, mid: str, leaf: str) -> str:
         """The maximal domain at the far end of ``mid``'s corridor through ``leaf``."""
         return _by_maxdomain(self._across, mid)[leaf]
-
-    def neighbours(self, mid: str) -> tuple[str, ...]:
-        """The maximal domains one corridor away from ``mid``, sorted."""
-        return tuple(sorted(_by_maxdomain(self._across, mid).values()))
 
     def membership(self) -> dict[str, str]:
         """Map each surviving skeleton domain to its maximal domain id."""
@@ -163,14 +158,8 @@ def _reduce(s: Scenario) -> ReducedStructure:
             merged.add(b)
         else:
             critical.append((a, leaf, b))
-    starts: dict[str, list[str]] = {}
-    stops: dict[str, list[str]] = {}
-    for o in s.orbits:
-        starts.setdefault(o.alpha, []).append(o.id)
-        stops.setdefault(o.omega, []).append(o.id)
 
     maxdomains: list[MaxDomain] = []
-    roles: list[tuple[str, Roles]] = []
     membership: dict[str, str] = {}
     crossed = 0
     for d in s.domains:
@@ -180,33 +169,27 @@ def _reduce(s: Scenario) -> ReducedStructure:
         crossed += 1
         if d.id in merged:
             continue
-        if d.id not in succ:
-            m = MaxDomain("M:" + d.id, (d.id,), d.left, d.right, crossers)
-            alpha, omega = frozenset(starts.get(d.id, ())), frozenset(stops.get(d.id, ()))
-            membership[d.id] = m.id
-        else:
-            chain, internal = [d.id], []
-            while chain[-1] in succ:
-                leaf, nxt = succ[chain[-1]]
-                internal.append(leaf)
-                chain.append(nxt)
-            doms = [idx.domain_by_id[c] for c in chain]
-            shed = {leaf for c in doms[:-1] for leaf in c.left} | {leaf for c in doms[1:] for leaf in c.right}
-            shed = tuple(sorted(shed - set(internal)))
-            m = MaxDomain("M:" + "+".join(chain), tuple(chain), doms[-1].left, d.right, crossers, tuple(internal), shed)
-            alpha = frozenset(o for c in chain for o in starts.get(c, ()))
-            omega = frozenset(o for c in chain for o in stops.get(c, ()))
-            membership.update(dict.fromkeys(chain, m.id))
+        chain, internal = [d.id], []
+        while chain[-1] in succ:
+            leaf, nxt = succ[chain[-1]]
+            internal.append(leaf)
+            chain.append(nxt)
+        doms = [idx.domain_by_id[c] for c in chain]
+        shed = {leaf for c in doms[:-1] for leaf in c.left} | {leaf for c in doms[1:] for leaf in c.right}
+        alpha = frozenset(o for o in crossers if idx.orbit_by_id[o].alpha in chain)
+        omega = frozenset(o for o in crossers if idx.orbit_by_id[o].omega in chain)
+        m = MaxDomain(
+            "M:" + "+".join(chain), tuple(chain), doms[-1].left, d.right, crossers, alpha, omega,
+            tuple(internal), tuple(sorted(shed - set(internal))),
+        )
         maxdomains.append(m)
-        roles.append((m.id, Roles(alpha, omega, crossers - alpha, crossers - omega)))
+        membership.update(dict.fromkeys(chain, m.id))
     if len(membership) != crossed:
         raise FoliageError("merged component is not a simple chain")
     maxdomains.sort(key=lambda m: m.id)
-    roles.sort(key=lambda pair: pair[0])
 
     return ReducedStructure(
         maxdomains=tuple(maxdomains),
         critical=frozenset(leaf for _a, leaf, _b in critical),
         forest_edges=tuple(sorted((membership[a], leaf, membership[b]) for a, leaf, b in critical)),
-        roles=tuple(roles),
     )

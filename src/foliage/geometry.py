@@ -49,7 +49,6 @@ from .realize import (
     PairEntry,
     SideItem,
     all_port_plans,
-    forest_components,
     run_nested,
 )
 
@@ -220,8 +219,9 @@ def layout(s: Scenario, r: ReducedStructure) -> Layout:
     """Deterministic nested embedding of the reduced forest.
 
     Each box's subtree is built in the box's own frame, which keeps only its
-    bounds and, per child, the child's map into it.  When the walk ends the
-    maps are composed top-down and every point is placed once.
+    bounds and, per child, the child's map into it.  A tree starts at each
+    box id, in sorted order, that no earlier tree placed.  When the walk
+    ends the maps are composed top-down and every point is placed once.
     """
     plans = all_port_plans(s)
     edge_by_leaf = {leaf: (a, leaf, b) for a, leaf, b in r.forest_edges}
@@ -230,8 +230,10 @@ def layout(s: Scenario, r: ReducedStructure) -> Layout:
     ticks: list[Optional[tuple[_Frame, int, Tick]]] = []
     whiskers: dict[str, list[tuple[_Frame, str, tuple[int, int]]]] = {"entry": [], "exit": []}
     corridors: list[tuple[_Frame, int, Corridor]] = []
+    placed: set[str] = set()
 
     def build(mid: str, parent_leaf: Optional[str], parent: Optional[_Frame]):
+        placed.add(mid)
         m = r.maxdomain(mid)
         plan = plans[mid]
         height = len(plan.entry_seq) + 2
@@ -255,7 +257,7 @@ def layout(s: Scenario, r: ReducedStructure) -> Layout:
         for side, items, side_x, direction, tip_x in sides:
             for item in items:
                 lo, hi = item.lo, item.hi
-                if item.kind == "stub":
+                if item.leaf is None:
                     tip = (tip_x, (lo + 1) * u)
                     whiskers[side].append((frame, item.orbits[0], tip))
                     bounds = _hull(bounds, tip + tip + (u,))
@@ -313,7 +315,7 @@ def layout(s: Scenario, r: ReducedStructure) -> Layout:
         frame.bounds = tuple(v // g for v in bounds)
         return frame
 
-    roots = [run_nested(build(comp[0], None, None)) for comp in forest_components(r)]
+    roots = [run_nested(build(mid, None, None)) for mid in sorted(m.id for m in r.maxdomains) if mid not in placed]
     if not roots:
         raise FoliageError("layout requires a non-empty forest")
     # The trees side by side, two units apart, top edges on y = 0; the next
@@ -551,13 +553,13 @@ def emit_svg(lay: Layout, p: PolylineSet, roles: Optional[ReducedStructure] = No
     x0, y0, x1, y1 = lay.bounds
     legend_lines = []
     if roles is not None:
-        for mid, rr in roles.roles:
+        for m in roles.maxdomains:
             legend_lines.append(
-                f"{mid}: "
-                f"Oα={{{','.join(sorted(rr.alpha))}}} "
-                f"Oω={{{','.join(sorted(rr.omega))}}} "
-                f"Oin={{{','.join(sorted(rr.incoming))}}} "
-                f"Oout={{{','.join(sorted(rr.outgoing))}}}"
+                f"{m.id}: "
+                f"Oα={{{','.join(sorted(m.alpha))}}} "
+                f"Oω={{{','.join(sorted(m.omega))}}} "
+                f"Oin={{{','.join(sorted(m.incoming))}}} "
+                f"Oout={{{','.join(sorted(m.outgoing))}}}"
             )
     # A margin of one unit on every side, and one more unit per legend line below.
     w, h = x1 - x0 + 2 * den, y1 - y0 + (2 + len(legend_lines)) * den

@@ -9,7 +9,9 @@ leaf in a common order, so the total crossing count of a pair is the number
 of domains at which it inverts.
 
 The boundary order is the cyclic order of trajectory ends read off the
-outer face of the box-and-corridor embedding of the reduced forest.
+outer face of the box-and-corridor embedding of the reduced forest.  Both
+forest walks, this one and ``geometry.layout``, start a tree at each box
+id, in sorted order, that no earlier tree reached.
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ FORWARD = "forward"
 class SideItem(NamedTuple):
     """One attachment on a box side: a corridor group or a single stub.
 
-    ``kind`` is "corridor" or "stub"; corridor items carry the shared leaf
-    and the orbit run, stub items a single orbit.  ``lo``/``hi`` are the
-    first and last port index of the run within the side's sequence.
+    A corridor carries the shared leaf and the orbit run; a stub has no
+    leaf and a single orbit.  ``lo``/``hi`` are the first and last port
+    index of the run within the side's sequence.
     """
 
-    kind: str
     leaf: Optional[str]
     orbits: tuple[str, ...]
     lo: int
@@ -48,9 +49,8 @@ class SideItem(NamedTuple):
 
 
 class PortPlan(NamedTuple):
-    """One box's port sequences and their attachments on each side, top to bottom."""
+    """One box's port sequences and side attachments, top to bottom; ``all_port_plans`` keys it by box id."""
 
-    domain: str
     entry_seq: tuple[str, ...]
     exit_seq: tuple[str, ...]
     entry_items: tuple[SideItem, ...]
@@ -109,7 +109,7 @@ def port_plan(s: Scenario, m: MaxDomain) -> PortPlan:
     standard, adaptive = chain_orders(s, m)
     _keys, entry_seq, entry_leaves, _exits = zip(*standard)
     _keys, exit_seq, _entries, exit_leaves = zip(*adaptive)
-    return PortPlan(m.id, entry_seq, exit_seq, _side_items(entry_seq, entry_leaves), _side_items(exit_seq, exit_leaves))
+    return PortPlan(entry_seq, exit_seq, _side_items(entry_seq, entry_leaves), _side_items(exit_seq, exit_leaves))
 
 
 def all_port_plans(s: Scenario) -> dict[str, PortPlan]:
@@ -125,10 +125,10 @@ def _side_items(seq: tuple[str, ...], leaves: tuple[Optional[str], ...]) -> tupl
     items, lo = [], 0
     for hi, leaf in enumerate(leaves):
         if leaf is None:
-            items.append(SideItem("stub", None, seq[hi : hi + 1], hi, hi))
+            items.append(SideItem(None, seq[hi : hi + 1], hi, hi))
             lo = hi + 1
         elif hi + 1 == len(leaves) or leaves[hi + 1] != leaf:
-            items.append(SideItem("corridor", leaf, seq[lo : hi + 1], lo, hi))
+            items.append(SideItem(leaf, seq[lo : hi + 1], lo, hi))
             lo = hi + 1
     return tuple(items)
 
@@ -206,27 +206,6 @@ def run_nested(walk):
         else:
             stack.append(nested)
             value = None
-
-
-def forest_components(r: ReducedStructure) -> tuple[tuple[str, ...], ...]:
-    """Connected components of the reduced forest, each sorted, ordered by root."""
-    seen: set[str] = set()
-    comps = []
-    for m in r.maxdomains:
-        if m.id in seen:
-            continue
-        stack, comp = [m.id], []
-        seen.add(m.id)
-        while stack:
-            cur = stack.pop()
-            comp.append(cur)
-            for nxt in r.neighbours(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: c[0])
-    return tuple(comps)
 
 
 def boundary_order(s: Scenario, r: ReducedStructure) -> BoundaryOrder:

@@ -9,6 +9,8 @@
   free leaves, link positions, cuts and tie ranks.
 - ``caterpillar(k)``: a spine of k domains with a pendant domain on each,
   on alternating sides, so neighbouring short orbits share two domains.
+- ``binary(depth)``: a complete binary tree of domains, each internal box
+  with both child corridors on one side, so the reduced forest branches.
 """
 
 import random
@@ -149,3 +151,40 @@ def caterpillar(k):
         for n, path in enumerate(paths)
     )
     return Scenario(domains=domains, orbits=orbits)
+
+
+def binary(depth):
+    """A complete binary tree of ``2**depth - 1`` domains (depth >= 1).
+
+    Domain ``D<bits>`` sits at the end of the root-to-node path ``bits``
+    (``D`` is the root); leaf ``L<bits>`` leads from its parent's left side
+    to its own right side, both children's links on the parent's left side
+    and in reverse order on odd levels.  Every domain has a free leaf on
+    each side.  One short orbit ``E<bits>`` crosses each link, and one
+    orbit ``R<bits>`` runs from the root to each leaf domain, so a link
+    carries fewer orbits than its parent domain and no link merges.
+    """
+    nodes = [""]
+    for level in range(1, depth):
+        nodes += [bits + c for bits in nodes if len(bits) == level - 1 for c in "01"]
+    domains = []
+    for bits in nodes:
+        links = (f"L{bits}0", f"L{bits}1") if len(bits) + 1 < depth else ()
+        links = links[::-1] if len(bits) % 2 else links
+        domains.append(
+            SkeletonDomain(
+                id=f"D{bits}",
+                left=(f"x{bits}", *links),
+                right=(f"L{bits}", f"y{bits}") if bits else (f"y{bits}",),
+            )
+        )
+    paths = [(f"E{bits}", (f"D{bits[:-1]}", f"L{bits}", f"D{bits}")) for bits in nodes if bits]
+    for bits in nodes:
+        if len(bits) + 1 == depth:
+            route = ("D",) + tuple(name for i in range(1, depth) for name in (f"L{bits[:i]}", f"D{bits[:i]}"))
+            paths.append((f"R{bits}", route))
+    orbits = tuple(
+        Orbit(id=oid, path=path, entry_cut=n % 2, exit_cut=(n + 1) % 2, tie_rank=n)
+        for n, (oid, path) in enumerate(paths)
+    )
+    return Scenario(domains=tuple(domains), orbits=orbits)

@@ -22,7 +22,7 @@ from typing import Optional
 from foliage.decompose import ReducedStructure
 from foliage.geometry import BOX_WIDTH, BoxRect, Corridor, Polyline, Tick
 from foliage.model import FoliageError, Scenario
-from foliage.realize import SideItem, all_port_plans, forest_components, run_nested
+from foliage.realize import SideItem, all_port_plans, run_nested
 
 Point = tuple[Fraction, Fraction]
 WHISKER = Fraction(1, 2)
@@ -124,8 +124,10 @@ def layout(s: Scenario, r: ReducedStructure) -> FractionLayout:
     ticks: list[Optional[tuple[_Frame, Tick]]] = []
     whiskers: dict[str, list[tuple[_Frame, str, Point]]] = {"entry": [], "exit": []}
     corridors: list[tuple[_Frame, Corridor]] = []
+    placed: set[str] = set()
 
     def build(mid: str, parent_leaf: Optional[str], parent: Optional[_Frame]):
+        placed.add(mid)
         m = r.maxdomain(mid)
         plan = plans[mid]
         frame = _Frame(parent)
@@ -146,7 +148,7 @@ def layout(s: Scenario, r: ReducedStructure) -> FractionLayout:
         for side, items, side_x, direction, tip_x in sides:
             for item in items:
                 lo, hi = item.lo, item.hi
-                if item.kind == "stub":
+                if item.leaf is None:
                     tip = (tip_x, lo + 1)
                     whiskers[side].append((frame, item.orbits[0], tip))
                     bounds = _hull(bounds, tip + tip)
@@ -193,7 +195,7 @@ def layout(s: Scenario, r: ReducedStructure) -> FractionLayout:
         frame.bounds = bounds
         return frame
 
-    roots = [run_nested(build(comp[0], None, None)) for comp in forest_components(r)]
+    roots = [run_nested(build(mid, None, None)) for mid in sorted(m.id for m in r.maxdomains) if mid not in placed]
     if not roots:
         raise FoliageError("layout requires a non-empty forest")
     # The trees side by side, two units apart, top edges on y = 0.

@@ -24,6 +24,8 @@ from foliage.model import (
 )
 from foliage.relations import Clause, Direction, RelationVerdict
 
+from deep_families import binary, caterpillar, chain
+
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_every_property_holds_on_the_fixtures(name):
@@ -420,7 +422,8 @@ def test_check_on_100_orbits_in_one_domain_is_quick(capsys):
 def _decompose_invariants_by_rescanning(ctx):
     """The decompose-invariants property as it was written before it built
     the edge leaves and each orbit's maximal domains once: both rescanned
-    for every critical leaf and every (maximal domain, orbit) pair."""
+    for every critical leaf and every (maximal domain, orbit) pair, and each
+    pair's shared domains rescanned from both paths."""
     bad = []
     s = ctx.scenario
     idx = checks.index(s)
@@ -430,12 +433,11 @@ def _decompose_invariants_by_rescanning(ctx):
         bad.append("critical leaf count exceeds the pair bound")
     membership = r.membership()
     for m in r.maxdomains:
-        roles = r.roles_of(m.id)
-        if roles.incoming | roles.alpha != m.crossers or roles.outgoing | roles.omega != m.crossers:
+        if m.incoming | m.alpha != m.crossers or m.outgoing | m.omega != m.crossers:
             bad.append(f"role sets of {m.id} do not partition its crossers")
         incoming = frozenset(o for leaf in m.right for o in idx.leaf_orbits.get(leaf, frozenset()))
         outgoing = frozenset(o for leaf in m.left for o in idx.leaf_orbits.get(leaf, frozenset()))
-        if incoming != roles.incoming or outgoing != roles.outgoing:
+        if incoming != m.incoming or outgoing != m.outgoing:
             bad.append(f"boundary-leaf role characterization fails at {m.id}")
         for o in s.orbits:
             touches = any(d in m.chain for d in o.domains)
@@ -448,9 +450,11 @@ def _decompose_invariants_by_rescanning(ctx):
             bad.append(f"critical leaf {leaf} is uncrossed")
     ids = sorted(o.id for o in s.orbits)
     for a, b in itertools.combinations(ids, 2):
-        ab, ba = checks.common_subpath(s, a, b), checks.common_subpath(s, b, a)
-        if (ab is None) != (ba is None) or (ab is not None and ab.chain != ba.chain):
-            bad.append(f"common subpath of {a},{b} is not symmetric")
+        shared = [d for d in idx.orbit(a).domains if d in idx.orbit(b).domains] or None
+        for c in (checks.common_subpath(s, a, b), checks.common_subpath(s, b, a)):
+            if (list(c.chain) if c is not None else None) != shared:
+                bad.append(f"common subpath of {a},{b} is not the run of domains they share")
+                break
     for oid in ids:
         mid_seq = []
         for d in idx.orbit(oid).domains:
@@ -477,6 +481,27 @@ def test_decompose_invariants_report_what_the_rescanning_body_reported():
         assert found == _decompose_invariants_by_rescanning(ctx)
         reported += len(found)
     assert reported
+
+
+def test_decompose_invariants_report_a_common_subpath_cut_short():
+    """The run table is read both ways round, so a run that is wrong the
+    same way in both reads is caught only against the shared domains."""
+    s = chain(4)
+    ctx = _Context(s)
+    runs = index(s).runs
+    pair = next(p for p, (first, last) in runs.items() if first != last)
+    runs[pair] = (runs[pair][0], runs[pair][0])
+    a, b = pair
+    message = f"common subpath of {a},{b} is not the run of domains they share"
+    assert checks.prop_decompose_invariants(ctx) == [message]
+    assert _decompose_invariants_by_rescanning(ctx) == [message]
+
+
+@pytest.mark.parametrize("build, size", [(binary, 8), (caterpillar, 300)])
+def test_every_property_holds_on_the_deep_forests(build, size):
+    ctx = _Context(build(size))
+    problems = {name: fn(ctx) for name, fn in PROPERTIES}
+    assert {name: found for name, found in problems.items() if found} == {}
 
 
 def test_check_builds_one_run_table_per_case(monkeypatch):

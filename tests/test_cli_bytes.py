@@ -1,7 +1,7 @@
 """Pinned bytes of the CLI's canonical outputs.
 
-Each case runs one command on a fixture (or on a 20- or 60-domain chain
-built in code) and compares the sha256 of what it prints, or of the chord
+Each case runs one command on a fixture (or on a 20- or 60-domain chain,
+or a 20-domain caterpillar, built in code) and compares the sha256 of what it prints, or of the chord
 or box SVG it writes, with a digest recorded before the all-pairs paths were
 optimised.  ``check --seed 1 --cases 50 --json`` is pinned as well, with its
 bounds left to the defaults and spelled out as the corpus benchmark runs it.
@@ -15,7 +15,7 @@ import pytest
 from foliage import realize
 from foliage.cli import main
 from foliage.model import FIXTURE_NAMES, emit_scenario, fixture_text
-from deep_families import chain
+from deep_families import caterpillar, chain
 
 COMMANDS = {
     "relations": ["relations", "{file}", "--json"],
@@ -25,6 +25,8 @@ COMMANDS = {
     "boundary": ["diagram", "{file}", "--format", "boundary", "--json"],
     "chord": ["diagram", "{file}", "--format", "boundary", "--chord", "{chord}"],
     "svg": ["diagram", "{file}", "--svg", "{svg}"],
+    "decompose": ["decompose", "{file}", "--json"],
+    "decompose-text": ["decompose", "{file}"],
 }
 
 DIGESTS = {
@@ -79,12 +81,34 @@ DIGESTS = {
     ("S4", "matrix-text"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("chain20", "matrix-text"): "4f22cc44d2eaa35c40b700c7c7789694de3370ff3605e6127fdbbddb47de8e4a",
     ("chain60", "matrix-text"): "646c4bef6d34dad9adf142d9265b2288e1d4e6e5ba7634e06534581b2ff1f237",
+    # The maximal domains, critical leaves, edges and role sets, as JSON and
+    # as text, recorded before the role sets moved onto ``MaxDomain``.
+    # ``caterpillar20`` merges spine pairs, so it prints ``internal`` and
+    # ``shed`` lists.
+    ("S0", "decompose"): "63add4fae2e261ae9194852ba0ca6112a430e3bf6c88383b72ee4c3b840e4f37",
+    ("S0", "decompose-text"): "3febe3038d0ae6f6b1f7a3a49a5c27077c934281688278503b422cb041472738",
+    ("S1", "decompose"): "a9e05a3c2d01ad672428e15b1ac547f6c1368be65744d623856843902bdbc52a",
+    ("S1", "decompose-text"): "a90feae330d8e662d5c82ace06c522b0879d3ddc34f8215a02237512e3678b3a",
+    ("S2", "decompose"): "50a52ed46faffb02339b219b43661c43a875047d65d0227d6e3b1f4e010b1435",
+    ("S2", "decompose-text"): "0f17b7738254f2d77970ea41cf5aea76b94019c652da4cc14fc4d0d3e8cd9386",
+    ("S3", "decompose"): "0559914a42232439bd029de0e99980bc75af3635286ccbad579864e8b9227c90",
+    ("S3", "decompose-text"): "b975cb642508bfdd9d8ab38ea385628aa6b1dfa45845684e18e528caa4b39a4e",
+    ("S4", "decompose"): "8fa67be3a862bf223b94e77d96a11eea737b0e265c27513811adfaa33d3b9aa4",
+    ("S4", "decompose-text"): "6ad463fa0746cd604a3456094a1a614e00c5b1d0152837665b8174ae6fe3b65d",
+    ("chain20", "decompose"): "978c870d973d8e060ec30264beb7c2d92ec61850e6044083cb80b2ad821f2015",
+    ("chain20", "decompose-text"): "a4a8d1c29451ff18da3406b466b384b4d156def9f4fe363cd1700977fae83612",
+    ("chain60", "decompose"): "90ce2b0abebf4f35c1896080a6088d84b18f42822aa2001976e63dd58d1855bd",
+    ("chain60", "decompose-text"): "4659982fa3682ac11300dec7c4b4b62ed11791a0f6f66bf6b80207ebb0972210",
+    ("caterpillar20", "decompose"): "8724da73df63bc265acec310142e9d47def91bb7a9d0f677455e27a0bc111be6",
+    ("caterpillar20", "decompose-text"): "50d372dccf3521320aeea0a28b7fbcf3c27d5c2ca4f6faa17b8960c664e765bf",
 }
 
 
 def _scenario_text(name: str) -> str:
     if name.startswith("chain"):
         return emit_scenario(chain(int(name[5:])))
+    if name.startswith("caterpillar"):
+        return emit_scenario(caterpillar(int(name[11:])))
     return fixture_text(name)
 
 

@@ -143,30 +143,30 @@ def test_reduce_s1_stays_unmerged():
 
 def test_reduce_s2_roles_match_the_worked_figure():
     r = reduce_scenario(fixture("S2"))
-    roles = r.roles_of("M:D")
-    assert roles.alpha == frozenset({"O1", "O4"})
-    assert roles.omega == frozenset({"O3", "O4"})
-    assert roles.incoming == frozenset({"O2", "O3"})
-    assert roles.outgoing == frozenset({"O1", "O2"})
+    m = r.maxdomain("M:D")
+    assert m.alpha == frozenset({"O1", "O4"})
+    assert m.omega == frozenset({"O3", "O4"})
+    assert m.incoming == frozenset({"O2", "O3"})
+    assert m.outgoing == frozenset({"O1", "O2"})
 
 
 def test_roles_single_resident_orbit():
     r = reduce_scenario(fixture("S0"))
-    roles = r.roles_of("M:D0")
-    assert roles.alpha == roles.omega == frozenset({"O"})
-    assert roles.incoming == roles.outgoing == frozenset()
+    m = r.maxdomain("M:D0")
+    assert m.alpha == m.omega == frozenset({"O"})
+    assert m.incoming == m.outgoing == frozenset()
 
 
 def test_roles_merged_domain():
     r = reduce_scenario(fixture("S4"))
-    roles = r.roles_of("M:D1+D2")
-    assert roles.alpha == roles.omega == frozenset({"O"})
-    assert roles.incoming == roles.outgoing == frozenset()
+    m = r.maxdomain("M:D1+D2")
+    assert m.alpha == m.omega == frozenset({"O"})
+    assert m.incoming == m.outgoing == frozenset()
 
 
 def test_roles_unknown_domain():
     with pytest.raises(FoliageError, match="unknown maximal domain"):
-        reduce_scenario(fixture("S0")).roles_of("M:none")
+        reduce_scenario(fixture("S0")).maxdomain("M:none")
 
 
 def test_uncrossed_domains_are_dropped():
@@ -193,9 +193,8 @@ def test_reduce_invariants(name):
         assert len(set(m.chain)) == len(m.chain)
         for orbit in m.crossers:
             assert any(d in m.chain for d in idx.orbit_by_id[orbit].domains)
-        roles = r.roles_of(m.id)
-        assert roles.incoming | roles.alpha == m.crossers
-        assert roles.outgoing | roles.omega == m.crossers
+        assert m.incoming | m.alpha == m.crossers
+        assert m.outgoing | m.omega == m.crossers
     edge_leaves = {leaf for _a, leaf, _b in r.forest_edges}
     assert edge_leaves == set(r.critical)
     for leaf in r.critical:

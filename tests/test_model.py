@@ -198,3 +198,25 @@ def test_equal_scenarios_each_get_their_own_index_and_the_same_results():
         return pairs, realize.crossing_matrix(s, r), realize.boundary_order(s, r), realize.weak_matrix(s)
 
     assert results(warm) == results(cold)
+
+
+def test_public_names_are_pinned():
+    """``foliage.__all__``, sorted: the exported classes and functions and
+    the submodules the package imports.  Adding or removing a public name
+    changes this list."""
+    import foliage
+
+    assert foliage.__all__ == [
+        "BoundaryOrder", "CheckReport", "ChordDiagram", "Clause", "CrossingMatrix", "DegeneracyError",
+        "Direction", "FoliageError", "GeneratorConfig", "Layout", "MaxDomain", "Orbit", "OrderedOrbitList",
+        "PairRelations", "PolylineSet", "PortPlan", "ReducedStructure", "RelationVerdict", "Scenario",
+        "ScenarioParseError", "SkeletonDomain", "SplitMix64", "TieRankError", "ValidationReport",
+        "adaptive_order", "boundary_order", "checks", "chord_diagram", "classic_from_verdicts",
+        "classic_transverse", "common_subpath", "compare_left", "compare_right", "crossing_matrix",
+        "decompose", "dumps", "emit_chord_svg", "emit_scenario", "emit_svg", "exact_crossings", "fixture",
+        "fixture_text", "generate_scenario", "generator", "geometry", "interleaving_matrix", "layout",
+        "met_pair_relations", "minus_asymptotic", "model", "one_sided_order", "one_sided_order_right",
+        "pair_relations", "parse_scenario", "plus_asymptotic", "port_plan", "realize", "reduce_scenario",
+        "relations", "route", "run_check", "standard_order", "validate", "weak_from_verdicts",
+        "weak_matrix", "weak_transverse",
+    ]

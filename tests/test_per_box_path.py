@@ -6,7 +6,8 @@ bodies they replaced, kept here as oracles: a reduce by union-find and a
 components dict; port plans from a per-orbit key dict sorted twice, with
 side items grouped through a ``beyond`` callback; and the boundary walk
 over ``box_cycle`` lists of tagged attachments, one nested generator per
-box, from the roots of ``forest_components``.
+box, from the least box of each tree, the trees found by a search of
+their own.
 """
 
 import functools
@@ -15,7 +16,7 @@ import time
 import pytest
 
 from foliage import decompose
-from foliage.decompose import MaxDomain, ReducedStructure, Roles, reduce_scenario
+from foliage.decompose import MaxDomain, ReducedStructure, reduce_scenario
 from foliage.generator import GeneratorConfig, generate_scenario
 from foliage.model import FIXTURE_NAMES, FoliageError, Scenario, _UnionFind, fixture, index
 from foliage.realize import (
@@ -26,13 +27,12 @@ from foliage.realize import (
     SideItem,
     all_port_plans,
     boundary_order,
-    forest_components,
     port_plan,
     run_nested,
 )
 from foliage.relations import TieRankError, beyond, side_key
 
-from deep_families import caterpillar, chain, linked_chain, zigzag
+from deep_families import binary, caterpillar, chain, linked_chain, zigzag
 
 
 # -- the oracles ----------------------------------------------------------------
@@ -81,13 +81,16 @@ def reduce_oracle(s):
             - set(internal)
         )
         mid = "M:" + "+".join(chain_)
+        crossers, chain_set = idx.domain_orbits[chain_[0]], set(chain_)
         maxdomains.append(
             MaxDomain(
                 id=mid,
                 chain=tuple(chain_),
                 left=last.left,
                 right=first.right,
-                crossers=idx.domain_orbits[chain_[0]],
+                crossers=crossers,
+                alpha=frozenset(o for o in crossers if idx.orbit_by_id[o].alpha in chain_set),
+                omega=frozenset(o for o in crossers if idx.orbit_by_id[o].omega in chain_set),
                 internal=tuple(internal),
                 shed=tuple(shed),
             )
@@ -102,20 +105,7 @@ def reduce_oracle(s):
     forest_edges = tuple(
         sorted((membership[a], leaf, membership[b]) for a, leaf, b in idx.edges if leaf in critical)
     )
-
-    roles = []
-    for m in maxdomains:
-        chain_set = set(m.chain)
-        alpha = frozenset(o for o in m.crossers if idx.orbit_by_id[o].alpha in chain_set)
-        omega = frozenset(o for o in m.crossers if idx.orbit_by_id[o].omega in chain_set)
-        roles.append((m.id, Roles(alpha=alpha, omega=omega, incoming=m.crossers - alpha, outgoing=m.crossers - omega)))
-
-    return ReducedStructure(
-        maxdomains=tuple(maxdomains),
-        critical=critical,
-        forest_edges=forest_edges,
-        roles=tuple(roles),
-    )
+    return ReducedStructure(maxdomains=tuple(maxdomains), critical=critical, forest_edges=forest_edges)
 
 
 def _sorted_by_key(s, ids, key):
@@ -141,13 +131,13 @@ def _side_items(seq, group_of):
     while i < len(seq):
         leaf = group_of(seq[i])
         if leaf is None:
-            items.append(SideItem("stub", None, (seq[i],), i, i))
+            items.append(SideItem(None, (seq[i],), i, i))
             i += 1
             continue
         j = i
         while j + 1 < len(seq) and group_of(seq[j + 1]) == leaf:
             j += 1
-        items.append(SideItem("corridor", leaf, tuple(seq[i : j + 1]), i, j))
+        items.append(SideItem(leaf, tuple(seq[i : j + 1]), i, j))
         i = j + 1
     return tuple(items)
 
@@ -156,7 +146,6 @@ def port_plan_oracle(s, m):
     idx = index(s)
     entry_seq, exit_seq = _chain_orders(s, m)
     return PortPlan(
-        domain=m.id,
         entry_seq=entry_seq,
         exit_seq=exit_seq,
         entry_items=_side_items(entry_seq, lambda o: beyond(idx, idx.orbit_by_id[o], m.chain[0], -1)),
@@ -167,12 +156,12 @@ def port_plan_oracle(s, m):
 def box_cycle(plan):
     cyc = []
     for item in plan.entry_items:
-        if item.kind == "corridor":
+        if item.leaf is not None:
             cyc.append(("edge", item.leaf))
         else:
             cyc.append(("end", item.orbits[0], BACKWARD))
     for item in reversed(plan.exit_items):
-        if item.kind == "corridor":
+        if item.leaf is not None:
             cyc.append(("edge", item.leaf))
         else:
             for orbit in reversed(item.orbits):
@@ -198,8 +187,24 @@ def boundary_order_oracle(s, r):
             else:
                 yield walk(r.across(mid, item[1]), item[1])
 
-    for comp in forest_components(r):
-        run_nested(walk(comp[0], None))
+    # The trees, each listed from its least box by a search over the edges.
+    neighbours = {m.id: set() for m in r.maxdomains}
+    for a, _leaf, b in r.forest_edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    trees, seen = [], set()
+    for m in r.maxdomains:
+        if m.id not in seen:
+            tree, stack = [], [m.id]
+            seen.add(m.id)
+            while stack:
+                tree.append(stack.pop())
+                fresh = neighbours[tree[-1]] - seen
+                seen |= fresh
+                stack += fresh
+            trees.append(min(tree))
+    for root in sorted(trees):
+        run_nested(walk(root, None))
     return BoundaryOrder(ends=tuple(ends))
 
 
@@ -221,6 +226,7 @@ FAMILIES = {
     "chain1200": lambda: [chain(1200)],
     "zigzag": lambda: [zigzag(k) for k in (2, 3, 10, 81)],
     "caterpillar": lambda: [caterpillar(k) for k in (1, 2, 3, 300)],
+    "binary": lambda: [binary(depth) for depth in range(1, 9)],
 }
 
 
@@ -252,10 +258,10 @@ def test_reduce_plans_and_boundary_order_equal_the_oracles(family):
 
 def test_port_plans_are_named_tuples_with_the_dataclass_fields_and_repr():
     plan = all_port_plans(fixture("S1"))["M:D"]
-    assert PortPlan._fields == ("domain", "entry_seq", "exit_seq", "entry_items", "exit_items")
-    assert SideItem._fields == ("kind", "leaf", "orbits", "lo", "hi")
-    assert repr(plan.entry_items[0]).startswith("SideItem(kind=")
-    assert repr(plan).startswith("PortPlan(domain='M:D', entry_seq=('O_a', 'O_b'), exit_seq=('O_b', 'O_a'), ")
+    assert PortPlan._fields == ("entry_seq", "exit_seq", "entry_items", "exit_items")
+    assert SideItem._fields == ("leaf", "orbits", "lo", "hi")
+    assert repr(plan.entry_items[0]).startswith("SideItem(leaf=")
+    assert repr(plan).startswith("PortPlan(entry_seq=('O_a', 'O_b'), exit_seq=('O_b', 'O_a'), ")
     assert plan == port_plan_oracle(fixture("S1"), reduce_scenario(fixture("S1")).maxdomain("M:D"))
 
 
